@@ -46,6 +46,7 @@ from .statevector import (
     observables_from_counts,
     probabilities,
     run_circuit,
+    run_schedule,
     sample_counts,
 )
 from .subspace import (

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,7 @@ from .statevector import (
     observables_record,
     probabilities,
     run_circuit,
+    run_schedule,
     sample_counts,
 )
 from .subspace import evolve, particle_number
@@ -84,10 +84,16 @@ class UsageError(Exception):
 
 
 def _write_atomic(path: Path, text: str):
+    """Write through a uniquely named temp file beside `path`, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _metadata_lines(command: str, parameters: dict) -> list[str]:
@@ -142,7 +148,16 @@ def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
     file = Path(path)
     if not file.exists():
         raise UsageError(f"noise model file not found: {file}")
-    return NoiseModel.from_json(file.read_text())
+    try:
+        model = NoiseModel.from_json(file.read_text())
+    except ValueError as exc:
+        raise UsageError(f"{file}: {exc}") from None
+    if model.n_qubits != n_qubits:
+        raise UsageError(
+            f"{file}: noise model covers {model.n_qubits} qubits, "
+            f"expected {n_qubits}"
+        )
+    return model
 
 
 def _mode_params(x: float, args, n_steps: int) -> ModeParams:
@@ -185,9 +200,8 @@ def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) 
         row["leakage"] = 0.0
         return row
 
-    circuit = build_full_circuit(schedule)
     if method == "statevector":
-        obs = observables_from_probabilities(probabilities(run_circuit(circuit)))
+        obs = observables_from_probabilities(probabilities(run_schedule(schedule)))
         row["n_k"] = obs.p_pair
         row["leakage"] = obs.leakage
         return row
@@ -196,10 +210,11 @@ def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) 
     row["shots"] = shots
     row["seed"] = row_seed
     if method == "shots":
-        counts = sample_counts(probabilities(run_circuit(circuit)), shots, row_seed)
+        counts = sample_counts(probabilities(run_schedule(schedule)), shots, row_seed)
         obs = observables_from_counts(counts)
         row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
         return row
+    circuit = build_full_circuit(schedule)
     if method == "noisy":
         obs = observables_from_counts(run_noisy_circuit(circuit, model, shots, row_seed))
         row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
@@ -244,15 +259,11 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
     model = _load_model(args.model_file)
 
-    tasks = []
-    for xi, x in enumerate(sorted(x_grid)):
-        for method in methods:
-            row_seed = _derived_seed(args.seed, xi, METHODS.index(method))
-            tasks.append((x, method, row_seed))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(
-            pool.map(lambda t: _sweep_point(t[0], t[1], args, model, t[2]), tasks)
-        )
+    rows = [
+        _sweep_point(x, method, args, model, _derived_seed(args.seed, xi, METHODS.index(method)))
+        for xi, x in enumerate(sorted(x_grid))
+        for method in methods
+    ]
     rows.sort(key=lambda r: (r["x"], METHODS.index(r["method"])))
 
     parameters = {
@@ -492,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--factors", default="1,1.5,2")
     p.add_argument("--model-file", default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trajectory", help="time-resolved pair occupation")

@@ -12,6 +12,7 @@ and each time slice maps to one fixed gate block with step-dependent angles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ __all__ = [
     "aq_pauli_sum",
     "pauli_to_matrix",
     "synthesize_pauli_rotation",
+    "VACUUM_PREP",
+    "StepTemplate",
+    "step_template",
     "synthesize_step",
     "build_full_circuit",
     "phase_aligned_distance",
@@ -164,13 +168,54 @@ def synthesize_pauli_rotation(p: PauliString, angle: float) -> list[Gate]:
     )
 
 
-def _z_half_block(theta_zh: float) -> list[Gate]:
+#: Vacuum preparation |0000> -> |0101> that opens every full circuit.
+VACUUM_PREP = (Gate("X", (1,)), Gate("X", (3,)))
+
+#: Index of the angle source of a template RZ: theta_z_half or theta_a.
+THETA_ZH, THETA_A = 0, 1
+
+
+@dataclass(frozen=True)
+class StepTemplate:
+    """The gate sequence of one slice with its RZ angles left symbolic.
+
+    Every slice of a given shape emits the same gates; only the RZ angles
+    change.  `gates` holds the slice with each RZ angle set to 0.0, and
+    `angles` lists, per RZ, its position, its angle source (THETA_ZH or
+    THETA_A) and the term coefficient, so the RZ angle of a concrete slice
+    is 2.0 * (theta * coeff).
+    """
+
+    gates: tuple[Gate, ...]
+    angles: tuple[tuple[int, int, float], ...]
+
+    def instantiate(self, theta_zh: float, theta_a: float) -> list[Gate]:
+        """The slice's gates with every RZ angle filled in."""
+        gates = list(self.gates)
+        thetas = (theta_zh, theta_a)
+        for i, source, coeff in self.angles:
+            angle = 2.0 * (thetas[source] * coeff)
+            gates[i] = Gate("RZ", gates[i].qubits, angle=angle)
+        return gates
+
+
+@functools.lru_cache(maxsize=2)
+def step_template(with_pair: bool) -> StepTemplate:
+    """Slice template: Z half-block, the pair block if `with_pair`, Z half-block.
+
+    Built from `synthesize_pauli_rotation` over the number and pair Pauli
+    sums; the identity number term is a global phase and emits nothing.
+    """
+    z_terms = [(t, THETA_ZH) for t in zq_pauli_sum() if not t.is_identity]
+    a_terms = [(t, THETA_A) for t in aq_pauli_sum()] if with_pair else []
     gates: list[Gate] = []
-    for term in zq_pauli_sum():
-        if term.is_identity:
-            continue  # global phase only
-        gates.extend(synthesize_pauli_rotation(term, theta_zh * term.coeff))
-    return gates
+    angles = []
+    for term, source in z_terms + a_terms + z_terms:
+        fragment = synthesize_pauli_rotation(term, 0.0)
+        rz = next(i for i, g in enumerate(fragment) if g.name == "RZ")
+        angles.append((len(gates) + rz, source, term.coeff))
+        gates.extend(fragment)
+    return StepTemplate(gates=tuple(gates), angles=tuple(angles))
 
 
 def synthesize_step(step: StepCoeffs) -> Circuit:
@@ -182,11 +227,7 @@ def synthesize_step(step: StepCoeffs) -> Circuit:
     """
     theta_zh, theta_a = strang_angles(step)
     circuit = Circuit(n_qubits=4)
-    circuit.extend(_z_half_block(theta_zh))
-    if theta_a != 0.0:
-        for term in aq_pauli_sum():
-            circuit.extend(synthesize_pauli_rotation(term, theta_a * term.coeff))
-    circuit.extend(_z_half_block(theta_zh))
+    circuit.extend(step_template(theta_a != 0.0).instantiate(theta_zh, theta_a))
     return circuit
 
 
@@ -198,8 +239,7 @@ def build_full_circuit(schedule) -> Circuit:
     """
     steps = getattr(schedule, "steps", schedule)
     circuit = Circuit(n_qubits=4)
-    circuit.add("X", 1)
-    circuit.add("X", 3)
+    circuit.extend(VACUUM_PREP)
     for step in steps:
         circuit.extend(synthesize_step(step).gates)
     return circuit

@@ -73,6 +73,8 @@ class NoiseModel:
         for q, c in enumerate(mats):
             if c.shape != (2, 2):
                 raise ValueError(f"readout matrix for qubit {q} is not 2x2")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"readout matrix for qubit {q} has non-finite entries")
             if np.any(c < 0.0) or np.any(c > 1.0):
                 raise ValueError(f"readout matrix for qubit {q} has entries outside [0, 1]")
             if np.max(np.abs(c.sum(axis=0) - 1.0)) > 1e-12:
@@ -129,12 +131,23 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
+        """Parse `to_json` output; any malformed document raises ValueError."""
         obj = json.loads(text)
-        return cls(
-            readout=tuple(np.asarray(c, dtype=float) for c in obj["readout"]),
-            p1=float(obj["p1"]),
-            p2=float(obj["p2"]),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("noise model must be a JSON object")
+        missing = [k for k in ("readout", "p1", "p2") if k not in obj]
+        if missing:
+            raise ValueError(f"noise model is missing key(s) {', '.join(missing)}")
+        if not isinstance(obj["readout"], list) or not obj["readout"]:
+            raise ValueError("noise model 'readout' must be a nonempty list of 2x2 matrices")
+        try:
+            return cls(
+                readout=tuple(np.asarray(c, dtype=float) for c in obj["readout"]),
+                p1=float(obj["p1"]),
+                p2=float(obj["p2"]),
+            )
+        except TypeError as exc:
+            raise ValueError(f"noise model has a non-numeric entry: {exc}") from None
 
 
 def apply_readout_noise(

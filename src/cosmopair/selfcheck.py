@@ -110,6 +110,17 @@ def _check_engine_equivalence() -> CheckResult:
     )
 
 
+def _check_schedule_runner() -> CheckResult:
+    # Eight de Sitter slices then two radiation slices: both slice templates.
+    sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=10))
+    fused = statevector.run_schedule(sched).amplitudes
+    gatewise = statevector.run_circuit(encoding.build_full_circuit(sched)).amplitudes
+    worst = float(np.max(np.abs(fused - gatewise)))
+    return CheckResult(
+        "schedule_runner_n10", worst < 1e-12, f"max amplitude diff {worst:.3e}"
+    )
+
+
 def _check_step_synthesis() -> CheckResult:
     sched = build_schedule(ModeParams(x=1.3, n_steps=1))
     step = sched.steps[0]
@@ -137,6 +148,7 @@ def run_checks(
         _check_pair_commutation(aq),
         _check_mode_oracle(),
         _check_engine_equivalence(),
+        _check_schedule_runner(),
         _check_step_synthesis(),
     ]
 

@@ -3,7 +3,9 @@
 Amplitude layout: qubit j is bit j counted from the left of the bitstring,
 i.e. the most significant bit of the flat index, so printed bitstrings read
 exactly like ket labels.  Registers up to 20 qubits are supported; the dense
-unitary builder is restricted to 12.
+unitary builder is restricted to 12.  `run_circuit` replays any circuit gate
+by gate; `run_schedule` gives the same final state for the circuit of a
+coefficient schedule from slice-fused kernels, without building the circuit.
 
 Shot sampling draws one multinomial per request from a Philox counter-based
 generator seeded through numpy's SeedSequence, so identical (probs, shots,
@@ -13,12 +15,16 @@ are clamped to zero before sampling.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .circuits import Circuit, Gate
+from .encoding import VACUUM_PREP, step_template
+from .schedule import strang_angles
 
 __all__ = [
     "StateVector",
@@ -27,6 +33,8 @@ __all__ = [
     "PHYSICAL_LABELS",
     "apply_gate",
     "run_circuit",
+    "run_schedule",
+    "SCHEDULE_CHUNK",
     "probabilities",
     "sample_counts",
     "observables_from_counts",
@@ -122,6 +130,140 @@ def run_circuit(circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         _apply_gate_inplace(amps, circuit.n_qubits, gate)
     return state
+
+
+# ---------------------------------------------------------------------------
+# Slice-fused engine for schedule circuits
+# ---------------------------------------------------------------------------
+
+#: Slices fused per batch; fixes the working set whatever the step count.
+SCHEDULE_CHUNK = 128
+
+_DIM = 16  # four-qubit register
+_BIT = [1 << (3 - q) for q in range(4)]  # qubit q's bit in the state index
+
+
+def _monomial_action(gate: Gate, rz: tuple[int, float] | None = None):
+    """Permutation and phase-angle basis of one X, S, SDG, RZ or CNOT gate.
+
+    The gate maps basis state i to perm[i] with phase exp(1j * phi[i]), where
+    phi = coef[0] + theta_zh * coef[1] + theta_a * coef[2].  For a template
+    RZ, `rz` is its (angle source, term coefficient).
+    """
+    idx = np.arange(_DIM)
+    coef = np.zeros((3, _DIM))
+    if gate.name == "CNOT":
+        control, target = (_BIT[q] for q in gate.qubits)
+        return np.where(idx & control, idx ^ target, idx), coef
+    bit = (idx & _BIT[gate.qubits[0]]) != 0
+    if gate.name == "X":
+        return idx ^ _BIT[gate.qubits[0]], coef
+    if gate.name in ("S", "SDG"):
+        coef[0, bit] = np.pi / 2 if gate.name == "S" else -np.pi / 2
+        return idx, coef
+    if gate.name == "RZ" and rz is not None:
+        # RZ(2 theta c) = diag(exp(-1j theta c), exp(+1j theta c)).
+        source, c = rz
+        coef[1 + source] = np.where(bit, c, -c)
+        return idx, coef
+    raise ValueError(f"not a fusable monomial gate: {gate}")
+
+
+@functools.lru_cache(maxsize=2)
+def _slice_kernels(with_pair: bool) -> tuple[tuple[tuple, ...], float]:
+    """Compile a slice template into fused kernels and a final scale.
+
+    Each maximal run of monomial gates becomes one ("mono", inverse
+    permutation or None, constant phases, theta coefficients or None)
+    kernel, and each H an ("H", qubit) index-pair kernel.  H is applied
+    unnormalized and the block rescaled once by _INV_SQRT2**n_H: the same
+    rounded constant `run_circuit` applies per H, so the two engines share
+    its slight norm drift and agree to rounding.
+    """
+    template = step_template(with_pair)
+    rz = {i: (source, coeff) for i, source, coeff in template.angles}
+    identity = np.arange(_DIM)
+    kernels: list[tuple] = []
+    perm, coef = identity, np.zeros((3, _DIM))
+
+    def flush():
+        nonlocal perm, coef
+        if np.any(perm != identity) or np.any(coef):
+            # Gather form: new[j] = exp(1j * phi[inv[j]]) * old[inv[j]].
+            inv = np.argsort(perm)
+            coef = coef[:, inv]
+            kernels.append((
+                "mono",
+                None if np.array_equal(inv, identity) else inv,
+                np.exp(1j * coef[0]),
+                coef[1:] if np.any(coef[1:]) else None,
+            ))
+        perm, coef = identity, np.zeros((3, _DIM))
+
+    for i, gate in enumerate(template.gates):
+        if gate.name == "H":
+            flush()
+            kernels.append(("H", gate.qubits[0]))
+            continue
+        g_perm, g_coef = _monomial_action(gate, rz.get(i))
+        # Appending a gate: perm' = g_perm[perm], phi' = phi + g_phi[perm].
+        coef = coef + g_coef[:, perm]
+        perm = g_perm[perm]
+    flush()
+    n_h = sum(1 for k in kernels if k[0] == "H")
+    return tuple(kernels), _INV_SQRT2**n_h
+
+
+def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
+    """(len(thetas), 16, 16) stack of slice unitaries for (theta_zh, theta_a) rows."""
+    kernels, scale = _slice_kernels(with_pair)
+    m = len(thetas)
+    u = np.broadcast_to(np.eye(_DIM, dtype=complex), (m, _DIM, _DIM)).copy()
+    for kernel in kernels:
+        if kernel[0] == "H":
+            view = u.reshape(m, 2 ** kernel[1], 2, -1)
+            a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+            total = a0 + a1
+            np.subtract(a0, a1, out=a1)
+            a0[...] = total
+            continue
+        _, inv, const_phase, theta_coef = kernel
+        if inv is not None:
+            u = np.take(u, inv, axis=1)  # C-ordered, so the H reshape is a view
+        if theta_coef is None:
+            u *= const_phase[:, None]
+        else:
+            u *= (const_phase * np.exp(1j * (thetas @ theta_coef)))[:, :, None]
+    if scale != 1.0:
+        u *= scale
+    return u
+
+
+def run_schedule(schedule) -> StateVector:
+    """Final state of `build_full_circuit(schedule)`, without building it.
+
+    Takes SCHEDULE_CHUNK slices at a time, builds each slice's 16x16 unitary
+    from its template's fused kernels (one numpy op per kernel for the whole
+    chunk), and chains the unitaries on the prepared vacuum.  Agrees with
+    gate-by-gate `run_circuit` to rounding; accepts a CoeffSchedule or any
+    iterable of StepCoeffs.
+    """
+    steps = iter(getattr(schedule, "steps", schedule))
+    state = StateVector.zero(4)
+    for gate in VACUUM_PREP:
+        _apply_gate_inplace(state.amplitudes, 4, gate)
+    amps = state.amplitudes
+    while chunk := list(itertools.islice(steps, SCHEDULE_CHUNK)):
+        thetas = np.array([strang_angles(step) for step in chunk])
+        with_pair = thetas[:, 1] != 0.0
+        blocks = np.empty((len(chunk), _DIM, _DIM), dtype=complex)
+        for shape in (False, True):
+            rows = np.nonzero(with_pair == shape)[0]
+            if rows.size:
+                blocks[rows] = _slice_unitaries(shape, thetas[rows])
+        for block in blocks:
+            amps = block @ amps
+    return StateVector(n_qubits=4, amplitudes=amps)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

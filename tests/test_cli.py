@@ -1,5 +1,6 @@
 """Subcommand behavior: file contents, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -74,6 +75,21 @@ class TestSweep:
         assert main(["sweep", "--x", "-1.0", "--methods", "analytic",
                      "--out-dir", str(tmp_path)]) == 2
 
+    def test_workers_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--x", "2.0", "--methods", "analytic", "--workers", "2",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_stray_tmp_directory_does_not_break_sweep(self, tmp_path):
+        (tmp_path / "sweep.csv.tmp").mkdir()
+        assert main(["sweep", "--x", "2.0", "--methods", "analytic",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_csv_rows(tmp_path / "sweep.csv")[0]["method"] == "analytic"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["sweep.csv", "sweep.csv.tmp", "sweep.json"]
+
     def test_single_step_statevector_five_points(self, tmp_path):
         assert main(["sweep", "--x", "1.3,1.5,1.8,2.0,2.2", "--n-steps", "1",
                      "--methods", "statevector", "--out-dir", str(tmp_path)]) == 0
@@ -142,6 +158,27 @@ class TestNoiseStudy:
                      "--out-dir", str(tmp_path)]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"p1": 0, "p2": 0}', "missing key(s) readout"),
+            ('{"readout": [[[1, 0, 0], [0, 1, 0]]], "p1": 0, "p2": 0}', "not 2x2"),
+            ('{"readout": [[[1, 0], [0, 1]]], "p1": 0, "p2": 0}', "covers 1 qubits"),
+            ('{"readout": [[[NaN, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], '
+             '[[1, 0], [0, 1]]], "p1": 0, "p2": 0}', "non-finite"),
+        ],
+        ids=["missing_readout", "readout_not_2x2", "wrong_qubit_count", "nan_readout"],
+    )
+    def test_invalid_model_file_exits_2(self, tmp_path, capsys, doc, message):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(doc)
+        assert main(["sweep", "--x", "2.0", "--methods", "analytic",
+                     "--model-file", str(model_file), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_deterministic(self, tmp_path):
         args = ["noise-study", "--x", "1.3", "--shots", "1024", "--seed", "4"]
         assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
@@ -184,6 +221,19 @@ class TestDumps:
         assert [g.name for g in circuit.gates[:2]] == ["X", "X"]
         assert [g.qubits for g in circuit.gates[:2]] == [(1,), (3,)]
 
+    def test_circuit_dump_golden_bytes(self, tmp_path):
+        # sha256 of the files as synthesized before slice templates existed.
+        assert main(["dump-circuit", "--x", "1.3,2.0", "--n-steps", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()
+        }
+        assert digests == {
+            "circuit_x1.3_n3.txt": "fb91616547292068021c7bbcc39589c13b841707b570cce55396ce5aa21857b8",
+            "circuit_x2_n3.txt": "bb9779d6a3b245be21039423e3f246df59a676bd8179fe4693162c22a00880d6",
+        }
+
     def test_circuit_dump_zero_steps(self, tmp_path):
         assert main(["dump-circuit", "--x", "2.0", "--n-steps", "0",
                      "--out-dir", str(tmp_path)]) == 0
@@ -198,7 +248,7 @@ class TestVerify:
         assert main(["verify"]) == 0
         second = capsys.readouterr().out
         assert first == second
-        assert "8/8 checks passed" in first
+        assert "9/9 checks passed" in first
 
     def test_corrupted_operator_fails_named_check(self):
         # Negative control: corrupt one number-operator coefficient.

@@ -1,5 +1,8 @@
 """Gate kernels, probability extraction, seeded sampling, and observables."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
-from cosmopair.encoding import build_full_circuit
+from cosmopair.encoding import StepTemplate, build_full_circuit
 from cosmopair.schedule import build_schedule
+import cosmopair.statevector as statevector
+from cosmopair.schedule import Branch
 from cosmopair.statevector import (
     CountsTable,
     StateVector,
@@ -17,6 +22,7 @@ from cosmopair.statevector import (
     observables_from_counts,
     probabilities,
     run_circuit,
+    run_schedule,
     sample_counts,
 )
 
@@ -228,3 +234,92 @@ class TestEngineEquivalence:
         probs = probabilities(run_circuit(build_full_circuit(sched)))
         leak = 1.0 - sum(probs.get(s, 0.0) for s in ("0101", "1001", "0110", "1010"))
         assert abs(leak) < 1e-10
+
+
+def _window(x, y_i, y_f, n_steps):
+    """Schedule over any window; ModeParams insists the transition is inside."""
+    return build_schedule(SimpleNamespace(x=x, y_i=y_i, y_f=y_f, n_steps=n_steps))
+
+
+SCHEDULE_WINDOWS = {
+    "de_sitter": lambda n: _window(2.0, -80.0, -3.0, n),  # y_f < -x
+    "radiation": lambda n: _window(2.0, -2.0, 0.0, n),  # y_i >= -x
+    "default": lambda n: build_schedule(ModeParams(x=2.0, n_steps=n)),
+}
+
+
+def _max_amplitude_diff(sched) -> float:
+    fused = run_schedule(sched).amplitudes
+    gatewise = run_circuit(build_full_circuit(sched)).amplitudes
+    return float(np.max(np.abs(fused - gatewise)))
+
+
+class TestRunSchedule:
+    """The slice-fused runner against gate-by-gate replay of the same circuit."""
+
+    @pytest.mark.parametrize("window", sorted(SCHEDULE_WINDOWS))
+    @pytest.mark.parametrize("n_steps", [1, 7, 1000])
+    def test_matches_gate_by_gate(self, window, n_steps):
+        sched = SCHEDULE_WINDOWS[window](n_steps)
+        branches = {s.branch for s in sched}
+        if window == "de_sitter":
+            assert branches == {Branch.DE_SITTER}
+        if window == "radiation":
+            assert branches == {Branch.RADIATION}
+        assert _max_amplitude_diff(sched) < 1e-12
+
+    def test_default_window_changes_template_inside_a_chunk(self):
+        # The N=1000 case above spans several chunks, and its de Sitter to
+        # radiation switch falls strictly inside one of them.
+        sched = SCHEDULE_WINDOWS["default"](1000)
+        first = next(s.index for s in sched if s.branch is Branch.RADIATION)
+        assert len(sched) > statevector.SCHEDULE_CHUNK
+        assert first % statevector.SCHEDULE_CHUNK != 0
+
+    def test_small_chunks(self, monkeypatch):
+        # Chunks of 4 over 7 slices, the radiation slice inside the second.
+        monkeypatch.setattr(statevector, "SCHEDULE_CHUNK", 4)
+        sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=7))
+        assert [s.branch for s in sched][-2:] == [Branch.DE_SITTER, Branch.RADIATION]
+        assert _max_amplitude_diff(sched) < 1e-12
+
+    def test_fusion_of_permuting_runs(self, monkeypatch):
+        # The real templates' monomial runs are all diagonal; this one is not.
+        gates = (
+            Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)), Gate("RZ", (1,), angle=0.0),
+            Gate("X", (2,)), Gate("S", (3,)), Gate("H", (1,)), Gate("CNOT", (1, 3)),
+            Gate("SDG", (0,)), Gate("RZ", (3,), angle=0.0), Gate("H", (0,)),
+            Gate("CNOT", (3, 2)),
+        )  # the first run's permutation is a 3-cycle, not an involution
+        template = StepTemplate(gates=gates, angles=((2, 0, 0.25), (8, 1, -0.125)))
+        monkeypatch.setattr(statevector, "step_template", lambda with_pair: template)
+        statevector._slice_kernels.cache_clear()
+        try:
+            thetas = np.array([[0.3, -0.7], [1.1, 0.05]])
+            fused = statevector._slice_unitaries(True, thetas)
+            for block, (theta_zh, theta_a) in zip(fused, thetas):
+                gatewise = circuit_unitary(
+                    Circuit(4, template.instantiate(theta_zh, theta_a))
+                )
+                assert np.max(np.abs(block - gatewise)) < 1e-14
+        finally:
+            statevector._slice_kernels.cache_clear()
+
+    def test_empty_schedule_is_prepared_vacuum(self):
+        amps = run_schedule([]).amplitudes
+        assert np.array_equal(amps, run_circuit(build_full_circuit([])).amplitudes)
+        assert amps[0b0101] == 1.0
+
+    def test_memory_does_not_grow_with_steps(self):
+        def peak(n_steps):
+            sched = SCHEDULE_WINDOWS["default"](n_steps)
+            tracemalloc.start()
+            try:
+                run_schedule(sched)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1000), peak(20000)
+        assert large <= small + 64 * 1024
+        assert large < 4 * 1024 * 1024

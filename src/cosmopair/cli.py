@@ -14,7 +14,9 @@ Subcommands and their outputs (all plot-ready CSV/JSON, no rendering):
 
 Every file starts with a metadata header (tool version, parameters, seed)
 sufficient to regenerate it bit-exactly, and files are written atomically.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+failure (singular readout correction, failed ODE integration, oracle
+mismatch).
 """
 
 from __future__ import annotations
@@ -28,15 +30,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .background import ModeParams, multi_pair_probability, n_k_analytic
+from .background import (
+    ModeParams,
+    OdeIntegrationError,
+    OracleMismatchError,
+    multi_pair_probability,
+    n_k_analytic,
+)
 from .circuits import circuit_to_text
 from .encoding import build_full_circuit
-from .mitigation import mitigate_readout, linear_extrapolate, zne_counts
+from .mitigation import SingularConfusionError, mitigate_readout, zne_estimate
 from .noise import NoiseModel, run_noisy_circuit
 from .schedule import build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
     counts_to_csv,
+    derived_seed,
     observables_from_counts,
     observables_from_probabilities,
     observables_record,
@@ -124,10 +133,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _derived_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
-
-
 def _parse_x_grid(args) -> list[float]:
     if args.x is not None:
         xs = [float(v) for v in args.x.split(",") if v]
@@ -160,13 +165,17 @@ def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
     return model
 
 
+def _y_f(x: float, args) -> float:
+    return args.y_f if args.y_f is not None else -x + 2.0
+
+
 def _mode_params(x: float, args, n_steps: int) -> ModeParams:
-    return ModeParams(
-        x=x,
-        y_i=args.y_i,
-        y_f=args.y_f if args.y_f is not None else -x + 2.0,
-        n_steps=n_steps,
-    )
+    return ModeParams(x=x, y_i=args.y_i, y_f=_y_f(x, args), n_steps=n_steps)
+
+
+def _x_parameters(x: float, args, n_steps: int) -> dict:
+    """Metadata parameters of a per-x output file."""
+    return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +211,7 @@ def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) 
 
     if method == "statevector":
         obs = observables_from_probabilities(probabilities(run_schedule(schedule)))
-        row["n_k"] = obs.p_pair
-        row["leakage"] = obs.leakage
+        row.update(n_k=obs.p_pair, leakage=obs.leakage)
         return row
 
     shots = args.shots if args.shots is not None else DEFAULT_SHOTS[method]
@@ -215,40 +223,21 @@ def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) 
         row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
         return row
     circuit = build_full_circuit(schedule)
-    if method == "noisy":
-        obs = observables_from_counts(run_noisy_circuit(circuit, model, shots, row_seed))
-        row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
-        return row
-    if method == "mitigated":
-        counts = run_noisy_circuit(circuit, model, shots, row_seed)
-        fixed = mitigate_readout(counts, model)
-        obs = observables_from_probabilities(fixed.clipped)
-        raw_obs = observables_from_counts(counts)
-        row.update(n_k=obs.p_pair, stderr=raw_obs.stderr_pair, leakage=obs.leakage)
-        return row
     if method == "zne":
-        factors = _parse_factors(args.factors)
-        values = _zne_both(circuit, model, factors, shots, row_seed)
+        zne = zne_estimate(circuit, model, _parse_factors(args.factors), shots, row_seed)
         row.update(
-            n_k=values["p_pair"][0], stderr=values["p_pair"][1],
-            leakage=values["leakage"][0],
+            n_k=zne["p_pair"].extrapolated,
+            stderr=zne["p_pair"].extrapolated_stderr,
+            leakage=zne["leakage"].extrapolated,
         )
         return row
-    raise UsageError(f"unknown method {method!r}")
-
-
-def _zne_both(circuit, model, factors, shots, seed) -> dict:
-    """Extrapolate p_pair and leakage from one shared set of per-factor runs."""
-    tables = zne_counts(circuit, model, factors, shots, seed)
-    out = {}
-    for name in ("p_pair", "leakage"):
-        vals, errs = [], []
-        for t in tables:
-            v = getattr(observables_from_counts(t), name)
-            vals.append(float(v))
-            errs.append(max(float(np.sqrt(max(v * (1 - v), 0.0) / t.shots)), 1.0 / t.shots))
-        out[name] = (*linear_extrapolate(factors, vals, errs), tuple(vals), tuple(errs))
-    return out
+    counts = run_noisy_circuit(circuit, model, shots, row_seed)
+    raw = observables_from_counts(counts)
+    obs = raw
+    if method == "mitigated":
+        obs = observables_from_probabilities(mitigate_readout(counts, model).clipped)
+    row.update(n_k=obs.p_pair, stderr=raw.stderr_pair, leakage=obs.leakage)
+    return row
 
 
 def cmd_sweep(args) -> int:
@@ -260,7 +249,7 @@ def cmd_sweep(args) -> int:
     model = _load_model(args.model_file)
 
     rows = [
-        _sweep_point(x, method, args, model, _derived_seed(args.seed, xi, METHODS.index(method)))
+        _sweep_point(x, method, args, model, derived_seed(args.seed, xi, METHODS.index(method)))
         for xi, x in enumerate(sorted(x_grid))
         for method in methods
     ]
@@ -296,7 +285,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trajectory(args) -> int:
     x_grid = _parse_x_grid(args)
-    n_steps = args.n_steps if args.n_steps is not None else 2500
+    n_steps = args.n_steps
     out_dir = Path(args.out_dir)
     for x in sorted(x_grid):
         n_k_an = n_k_analytic(x)
@@ -305,13 +294,7 @@ def cmd_trajectory(args) -> int:
         else:
             _, traj = evolve(build_schedule(_mode_params(x, args, n_steps)))
             rows = traj.rows()
-        parameters = {
-            "x": x,
-            "n_steps": n_steps,
-            "y_i": args.y_i,
-            "y_f": args.y_f if args.y_f is not None else -x + 2.0,
-        }
-        lines = _metadata_lines("trajectory", parameters)
+        lines = _metadata_lines("trajectory", _x_parameters(x, args, n_steps))
         lines.append(",".join(TRAJECTORY_COLUMNS))
         lines.extend(
             ",".join(_fmt(v) for v in (*r, n_k_an)) for r in rows
@@ -328,8 +311,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_noise_study(args) -> int:
     x_grid = _parse_x_grid(args)
-    n_steps = args.n_steps if args.n_steps is not None else 1
-    shots = args.shots if args.shots is not None else 4096
+    n_steps, shots = args.n_steps, args.shots
     factors = _parse_factors(args.factors)
     model = _load_model(args.model_file)
 
@@ -341,13 +323,13 @@ def cmd_noise_study(args) -> int:
         circuit = build_full_circuit(schedule)
         ideal = observables_from_probabilities(probabilities(run_circuit(circuit)))
 
-        seed = _derived_seed(args.seed, xi)
+        seed = derived_seed(args.seed, xi)
         counts = run_noisy_circuit(circuit, model, shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = _zne_both(circuit, model, factors, shots, seed)
+        zne = zne_estimate(circuit, model, factors, shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"
@@ -374,14 +356,14 @@ def cmd_noise_study(args) -> int:
                     "ill_conditioned": fixed.ill_conditioned,
                 },
                 "zne": {
-                    "n_k": zne["p_pair"][0],
-                    "stderr": zne["p_pair"][1],
-                    "leakage": zne["leakage"][0],
-                    "leakage_stderr": zne["leakage"][1],
+                    "n_k": zne["p_pair"].extrapolated,
+                    "stderr": zne["p_pair"].extrapolated_stderr,
+                    "leakage": zne["leakage"].extrapolated,
+                    "leakage_stderr": zne["leakage"].extrapolated_stderr,
                     "factors": list(factors),
-                    "p_pair_values": list(zne["p_pair"][2]),
-                    "p_pair_stderrs": list(zne["p_pair"][3]),
-                    "leakage_values": list(zne["leakage"][2]),
+                    "p_pair_values": list(zne["p_pair"].values),
+                    "p_pair_stderrs": list(zne["p_pair"].stderrs),
+                    "leakage_values": list(zne["leakage"].values),
                 },
             }
         )
@@ -397,12 +379,13 @@ def cmd_noise_study(args) -> int:
         "y_i": args.y_i,
         "y_f": args.y_f,
     }
-    path = out_dir / "noise_study.json"
-    _write_atomic(path, _json_envelope("noise-study", parameters, results=results))
-    print(f"wrote {path}")
+    # The manifest names the counts files, so it is written only after them.
     for counts_path, text in counts_files:
         _write_atomic(counts_path, text)
         print(f"wrote {counts_path}")
+    path = out_dir / "noise_study.json"
+    _write_atomic(path, _json_envelope("noise-study", parameters, results=results))
+    print(f"wrote {path}")
     return 0
 
 
@@ -412,7 +395,7 @@ def cmd_noise_study(args) -> int:
 
 def cmd_dump_schedule(args) -> int:
     x_grid = _parse_x_grid(args)
-    n_steps = args.n_steps if args.n_steps is not None else 1
+    n_steps = args.n_steps
     out_dir = Path(args.out_dir)
     for x in sorted(x_grid):
         schedule = build_schedule(_mode_params(x, args, n_steps))
@@ -427,13 +410,8 @@ def cmd_dump_schedule(args) -> int:
             }
             for s in schedule
         ]
-        parameters = {
-            "x": x,
-            "n_steps": n_steps,
-            "y_i": args.y_i,
-            "y_f": args.y_f if args.y_f is not None else -x + 2.0,
-        }
         path = out_dir / f"schedule_x{x:g}_n{n_steps}.json"
+        parameters = _x_parameters(x, args, n_steps)
         _write_atomic(path, _json_envelope("dump-schedule", parameters, steps=steps))
         print(f"wrote {path}")
     return 0
@@ -441,7 +419,7 @@ def cmd_dump_schedule(args) -> int:
 
 def cmd_dump_circuit(args) -> int:
     x_grid = _parse_x_grid(args)
-    n_steps = args.n_steps if args.n_steps is not None else 1
+    n_steps = args.n_steps
     out_dir = Path(args.out_dir)
     for x in sorted(x_grid):
         if n_steps == 0:
@@ -449,10 +427,7 @@ def cmd_dump_circuit(args) -> int:
         else:
             circuit = build_full_circuit(build_schedule(_mode_params(x, args, n_steps)))
         parameters = {
-            "x": x,
-            "n_steps": n_steps,
-            "y_i": args.y_i,
-            "y_f": args.y_f if args.y_f is not None else -x + 2.0,
+            **_x_parameters(x, args, n_steps),
             "gate_count": circuit.gate_count,
             "depth": circuit.depth(),
         }
@@ -507,23 +482,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="time-resolved pair occupation")
     _add_common(p, default_x="1.5,2.0")
-    p.set_defaults(func=cmd_trajectory)
+    p.set_defaults(func=cmd_trajectory, n_steps=2500)
 
     p = sub.add_parser("noise-study", help="raw/mitigated/extrapolated estimates")
     _add_common(p, default_x="1.3,1.5,1.8,2.0,2.2")
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--factors", default="1,1.5,2")
     p.add_argument("--model-file", default=None)
-    p.set_defaults(func=cmd_noise_study)
+    p.set_defaults(func=cmd_noise_study, n_steps=1)
 
     p = sub.add_parser("dump-schedule", help="per-slice coefficients as JSON")
     _add_common(p, default_x="2.0")
-    p.set_defaults(func=cmd_dump_schedule)
+    p.set_defaults(func=cmd_dump_schedule, n_steps=1)
 
     p = sub.add_parser("dump-circuit", help="synthesized gate list as text")
     _add_common(p, default_x="2.0")
-    p.set_defaults(func=cmd_dump_circuit)
+    p.set_defaults(func=cmd_dump_circuit, n_steps=1)
 
     p = sub.add_parser("verify", help="run the built-in check suite")
     p.set_defaults(func=cmd_verify)
@@ -536,12 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (SingularConfusionError, OdeIntegrationError, OracleMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ observed bitstrings (never building the full 2^n assignment matrix) and
 reports both the raw quasi-probabilities, which may be slightly negative,
 and a clipped-renormalized variant; neither choice is hidden.
 
-Extrapolation estimates an observable at several amplified gate-noise levels
-and fits a straight line in the amplification factor, weighted by per-point
-binomial errors; the reported value is the intercept at factor zero.
+Extrapolation estimates p_pair and leakage at several amplified gate-noise
+levels, from one noisy run per level, and fits a straight line in the
+amplification factor, weighted by per-point binomial errors; the reported
+value is the intercept at factor zero.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .noise import NoiseModel, run_noisy_circuit
-from .statevector import CountsTable, observables_from_counts
+from .statevector import CountsTable, derived_seed, observables_from_counts
 
 __all__ = [
     "SingularConfusionError",
@@ -27,7 +28,6 @@ __all__ = [
     "mitigate_readout",
     "linear_extrapolate",
     "ZNEResult",
-    "zne_counts",
     "zne_estimate",
 ]
 
@@ -138,11 +138,20 @@ class ZNEResult:
     extrapolated_stderr: float
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
+def zne_estimate(
+    circuit: Circuit,
+    model: NoiseModel,
+    factors: Sequence[float] = (1.0, 1.5, 2.0),
+    shots: int = 4096,
+    seed: int = 0,
+) -> dict[str, ZNEResult]:
+    """Estimate p_pair and leakage at amplified noise and extrapolate to zero.
 
-
-def _check_factors(factors: Sequence[float]) -> tuple[float, ...]:
+    Runs the circuit once per factor, under `model.scaled(factor)` with the
+    seed derived from (seed, factor index), and fits both observables from
+    those same counts.  The fit runs on raw (unmitigated) counts; per-point
+    weights are binomial shot-noise estimates floored at 1/shots.
+    """
     f = tuple(float(v) for v in factors)
     if len(f) < 2:
         raise ValueError("need at least two noise factors")
@@ -150,55 +159,18 @@ def _check_factors(factors: Sequence[float]) -> tuple[float, ...]:
         raise ValueError(f"noise factors must be >= 1, got {f}")
     if any(b <= a for a, b in zip(f, f[1:])):
         raise ValueError(f"noise factors must be strictly increasing, got {f}")
-    return f
-
-
-def zne_counts(
-    circuit: Circuit,
-    model: NoiseModel,
-    factors: Sequence[float],
-    shots: int,
-    seed: int,
-) -> list[CountsTable]:
-    """One noisy run per amplification factor, with per-factor derived seeds."""
-    f = _check_factors(factors)
-    return [
-        run_noisy_circuit(circuit, model.scaled(v), shots, _derived_seed(seed, i))
+    observed = [
+        observables_from_counts(
+            run_noisy_circuit(circuit, model.scaled(v), shots, derived_seed(seed, i))
+        )
         for i, v in enumerate(f)
     ]
-
-
-def _observable_value(counts: CountsTable, observable: str) -> tuple[float, float]:
-    obs = observables_from_counts(counts)
-    v = getattr(obs, observable)
-    stderr = float(np.sqrt(max(v * (1.0 - v), 0.0) / counts.shots))
-    return float(v), max(stderr, 1.0 / counts.shots)
-
-
-def zne_estimate(
-    circuit: Circuit,
-    model: NoiseModel,
-    observable: str = "p_pair",
-    factors: Sequence[float] = (1.0, 1.5, 2.0),
-    shots: int = 4096,
-    seed: int = 0,
-) -> ZNEResult:
-    """Estimate an observable at amplified noise and extrapolate to zero.
-
-    `observable` is "p_pair" or "leakage".  The fit runs on raw (unmitigated)
-    counts; per-point weights are binomial shot-noise estimates floored at
-    1/shots.
-    """
-    if observable not in ZNE_OBSERVABLES:
-        raise ValueError(f"observable must be one of {ZNE_OBSERVABLES}")
-    f = _check_factors(factors)
-    tables = zne_counts(circuit, model, f, shots, seed)
-    values, stderrs = zip(*(_observable_value(t, observable) for t in tables))
-    extrapolated, extrapolated_stderr = linear_extrapolate(f, values, stderrs)
-    return ZNEResult(
-        noise_factors=f,
-        values=tuple(values),
-        stderrs=tuple(stderrs),
-        extrapolated=extrapolated,
-        extrapolated_stderr=extrapolated_stderr,
-    )
+    out = {}
+    for name in ZNE_OBSERVABLES:
+        values = tuple(float(getattr(obs, name)) for obs in observed)
+        stderrs = tuple(
+            max(float(np.sqrt(max(v * (1.0 - v), 0.0) / shots)), 1.0 / shots)
+            for v in values
+        )
+        out[name] = ZNEResult(f, values, stderrs, *linear_extrapolate(f, values, stderrs))
+    return out

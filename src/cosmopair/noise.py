@@ -24,36 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
+from .encoding import _PAULI_MATS
 from .statevector import (
     CountsTable,
     StateVector,
+    _apply_1q_inplace,
     _apply_gate_inplace,
+    counts_rng,
     probabilities,
     run_circuit,
     sample_counts,
 )
 
 __all__ = ["NoiseModel", "apply_readout_noise", "run_noisy_circuit"]
-
-_PAULI_1Q = "XYZ"
-# Single-qubit Pauli action on a bit of the state index: (flips_bit, phase(bit)).
-_PAULI_ACTION = {
-    "X": (True, (1.0, 1.0)),
-    "Y": (True, (1j, -1j)),  # Y|0> = i|1>, Y|1> = -i|0>
-    "Z": (False, (1.0, -1.0)),
-}
-
-
-def _apply_pauli_inplace(amps: np.ndarray, n: int, q: int, letter: str):
-    view = amps.reshape(2**q, 2, -1)
-    flips, (ph0, ph1) = _PAULI_ACTION[letter]
-    if flips:
-        a0 = view[:, 0, :].copy()
-        view[:, 0, :] = ph1 * view[:, 1, :]
-        view[:, 1, :] = ph0 * a0
-    else:
-        view[:, 0, :] *= ph0
-        view[:, 1, :] *= ph1
 
 
 @dataclass(frozen=True)
@@ -173,12 +156,6 @@ def apply_readout_noise(
     return {format(i, f"0{n}b"): float(flat[i]) for i in range(2**n)}
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence([int(seed), int(shot)]))
-    )
-
-
 def _sample_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
     return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
 
@@ -211,10 +188,9 @@ def run_noisy_circuit(
         raise ValueError(
             f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    ideal = run_circuit(circuit)
     if model.is_gate_noiseless:
         return sample_counts(
-            apply_readout_noise(probabilities(ideal), model), shots, seed
+            apply_readout_noise(probabilities(run_circuit(circuit)), model), shots, seed
         )
 
     n = circuit.n_qubits
@@ -235,7 +211,7 @@ def run_noisy_circuit(
 
     counts: dict[str, int] = {}
     for shot in range(shots):
-        rng = _shot_rng(seed, shot)
+        rng = counts_rng(seed, shot)
         u = rng.random(len(gates))
         injected = np.nonzero(u < rates)[0]
         if injected.size == 0:
@@ -258,12 +234,9 @@ def run_noisy_circuit(
 def _inject_pauli(rng: np.random.Generator, amps: np.ndarray, n: int, gate) -> None:
     if gate.name == "CNOT":
         pair = int(rng.integers(15)) + 1  # 1..15 over {I,X,Y,Z}^2, skipping II
-        a, b = divmod(pair, 4)
-        letters = "IXYZ"
-        if a:
-            _apply_pauli_inplace(amps, n, gate.qubits[0], letters[a])
-        if b:
-            _apply_pauli_inplace(amps, n, gate.qubits[1], letters[b])
+        for q, letter in zip(gate.qubits, ("IXYZ"[pair // 4], "IXYZ"[pair % 4])):
+            if letter != "I":
+                _apply_1q_inplace(amps, n, q, _PAULI_MATS[letter])
     else:
-        letter = _PAULI_1Q[int(rng.integers(3))]
-        _apply_pauli_inplace(amps, n, gate.qubits[0], letter)
+        letter = "XYZ"[int(rng.integers(3))]
+        _apply_1q_inplace(amps, n, gate.qubits[0], _PAULI_MATS[letter])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -25,12 +25,12 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .encoding import VACUUM_PREP, step_template
 from .schedule import strang_angles
+from .subspace import PHYS_LABELS
 
 __all__ = [
     "StateVector",
     "CountsTable",
     "Observables",
-    "PHYSICAL_LABELS",
     "apply_gate",
     "run_circuit",
     "run_schedule",
@@ -43,10 +43,8 @@ __all__ = [
     "observables_record",
     "circuit_unitary",
     "counts_rng",
+    "derived_seed",
 ]
-
-#: Basis labels of the encoded two-mode states (vacuum, +k, -k, pair).
-PHYSICAL_LABELS = ("0101", "1001", "0110", "1010")
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -291,9 +289,20 @@ def probabilities(state: StateVector) -> dict[str, float]:
     }
 
 
-def counts_rng(seed: int) -> np.random.Generator:
-    """The package-wide sampling generator: Philox keyed via SeedSequence."""
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(int(seed))))
+def counts_rng(*entropy: int) -> np.random.Generator:
+    """The package-wide sampling generator: Philox keyed via SeedSequence.
+
+    `counts_rng(s)` and `counts_rng(s, i)` key the stream by `[s]` and
+    `[s, i]`; `SeedSequence(s)` and `SeedSequence([s])` are the same state.
+    """
+    return np.random.Generator(
+        np.random.Philox(seed=np.random.SeedSequence([int(e) for e in entropy]))
+    )
+
+
+def derived_seed(*entropy: int) -> int:
+    """A child seed (per sweep row, noise factor, ...) from SeedSequence(entropy)."""
+    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -343,22 +352,9 @@ class Observables:
     stderr_pair: float
 
 
-def observables_from_counts(counts: CountsTable) -> Observables:
-    """Occupations from measured frequencies of the four physical strings."""
-    p = {s: counts.frequency(s) for s in PHYSICAL_LABELS}
-    p_pair = p["1010"]
-    return Observables(
-        n_plus=p["1001"] + p["1010"],
-        n_minus=p["0110"] + p["1010"],
-        p_pair=p_pair,
-        leakage=1.0 - sum(p.values()),
-        stderr_pair=float(np.sqrt(p_pair * (1.0 - p_pair) / counts.shots)),
-    )
-
-
 def observables_from_probabilities(probs: Mapping[str, float]) -> Observables:
-    """Exact-distribution variant of `observables_from_counts` (stderr 0)."""
-    p = {s: float(probs.get(s, 0.0)) for s in PHYSICAL_LABELS}
+    """Occupations from an outcome distribution (stderr 0)."""
+    p = {s: float(probs.get(s, 0.0)) for s in PHYS_LABELS}
     return Observables(
         n_plus=p["1001"] + p["1010"],
         n_minus=p["0110"] + p["1010"],
@@ -366,6 +362,15 @@ def observables_from_probabilities(probs: Mapping[str, float]) -> Observables:
         leakage=1.0 - sum(p.values()),
         stderr_pair=0.0,
     )
+
+
+def observables_from_counts(counts: CountsTable) -> Observables:
+    """Occupations from measured frequencies, with the binomial p_pair stderr."""
+    obs = observables_from_probabilities(
+        {s: counts.frequency(s) for s in PHYS_LABELS}
+    )
+    stderr = float(np.sqrt(obs.p_pair * (1.0 - obs.p_pair) / counts.shots))
+    return replace(obs, stderr_pair=stderr)
 
 
 def counts_to_csv(table: CountsTable) -> str:

@@ -275,9 +275,7 @@ def test_criterion_09_mitigation_properties():
     circuit = build_full_circuit(sched)
     ideal = probabilities(run_circuit(circuit)).get("1010", 0.0)
     stochastic_model = NoiseModel.symmetric(4, epsilon=1.49e-2, p2=1e-3)
-    zne = zne_estimate(
-        circuit, stochastic_model, "p_pair", (1.0, 1.5, 2.0), 100000, SEED
-    )
+    zne = zne_estimate(circuit, stochastic_model, (1.0, 1.5, 2.0), 100000, SEED)["p_pair"]
     pull = abs(zne.extrapolated - ideal) / zne.extrapolated_stderr
     elapsed = time.perf_counter() - t0
     report(

@@ -179,6 +179,33 @@ class TestNoiseStudy:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["noise-study", "--x", "1.3", "--shots", "256"],
+            ["sweep", "--x", "1.3", "--methods", "mitigated", "--shots", "256"],
+        ],
+        ids=["noise_study", "sweep_mitigated"],
+    )
+    def test_singular_readout_exits_3(self, tmp_path, capsys, argv):
+        # A 0.5 flip makes every readout column equal, so the restricted
+        # confusion matrix is singular: a numerical failure, not bad usage.
+        model_file = tmp_path / "model.json"
+        model_file.write_text(NoiseModel.symmetric(4, epsilon=0.5).to_json())
+        out = tmp_path / "out"
+        assert main(argv + ["--model-file", str(model_file), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "singular" in err
+        assert not out.exists()
+
+    def test_failed_counts_write_leaves_no_manifest(self, tmp_path, capsys):
+        (tmp_path / "counts_x1.3.csv").mkdir()
+        assert main(["noise-study", "--x", "1.3", "--shots", "64",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "noise_study.json").exists()
+
     def test_deterministic(self, tmp_path):
         args = ["noise-study", "--x", "1.3", "--shots", "1024", "--seed", "4"]
         assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0

@@ -13,9 +13,9 @@ from cosmopair.mitigation import (
     mitigate_readout,
     zne_estimate,
 )
-from cosmopair.noise import NoiseModel, apply_readout_noise
+from cosmopair.noise import NoiseModel, apply_readout_noise, run_noisy_circuit
 from cosmopair.schedule import build_schedule
-from cosmopair.statevector import CountsTable
+from cosmopair.statevector import CountsTable, derived_seed, observables_from_counts
 
 
 class TestReadoutMitigation:
@@ -121,17 +121,15 @@ class TestZNE:
     def test_factor_validation(self, circuit):
         model = NoiseModel.default(4)
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, "p_pair", (1.0,), 64, 0)
+            zne_estimate(circuit, model, (1.0,), 64, 0)
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, "p_pair", (1.0, 1.0), 64, 0)
+            zne_estimate(circuit, model, (1.0, 1.0), 64, 0)
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, "p_pair", (0.5, 1.0), 64, 0)
-        with pytest.raises(ValueError):
-            zne_estimate(circuit, model, "energy", (1.0, 2.0), 64, 0)
+            zne_estimate(circuit, model, (0.5, 1.0), 64, 0)
 
     def test_zero_noise_model_reproduces_ideal(self, circuit):
         model = NoiseModel.noiseless(4)
-        result = zne_estimate(circuit, model, "p_pair", (1.0, 1.5, 2.0), 20000, 4)
+        result = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
         ideal = 0.0026326481467
         sigma = np.sqrt(ideal * (1 - ideal) / 20000)
         for v in result.values:
@@ -140,18 +138,30 @@ class TestZNE:
 
     def test_deterministic(self, circuit):
         model = NoiseModel.default(4)
-        a = zne_estimate(circuit, model, "p_pair", (1.0, 1.5, 2.0), 512, 9)
-        b = zne_estimate(circuit, model, "p_pair", (1.0, 1.5, 2.0), 512, 9)
+        a = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 512, 9)
+        b = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 512, 9)
         assert a == b
 
     def test_values_increase_with_amplification(self, circuit):
         # Gate noise inflates the pair estimate, so amplified runs sit higher.
         model = NoiseModel.default(4)
-        result = zne_estimate(circuit, model, "p_pair", (1.0, 2.0), 20000, 2)
+        result = zne_estimate(circuit, model, (1.0, 2.0), 20000, 2)["p_pair"]
         assert result.values[1] > result.values[0]
         assert result.extrapolated < result.values[0]
 
+    def test_both_observables_come_from_the_same_runs(self, circuit):
+        model = NoiseModel.default(4)
+        result = zne_estimate(circuit, model, (1.0, 2.0), 256, 7)
+        for i, factor in enumerate((1.0, 2.0)):
+            counts = run_noisy_circuit(circuit, model.scaled(factor), 256, derived_seed(7, i))
+            obs = observables_from_counts(counts)
+            assert result["p_pair"].values[i] == obs.p_pair
+            assert result["leakage"].values[i] == obs.leakage
+            for name in ("p_pair", "leakage"):
+                v = result[name].values[i]
+                assert result[name].stderrs[i] == max(np.sqrt(v * (1 - v) / 256), 1 / 256)
+
     def test_leakage_extrapolates_toward_zero(self, circuit):
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=2.8e-3)
-        result = zne_estimate(circuit, model, "leakage", (1.0, 1.5, 2.0), 20000, 3)
+        result = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
         assert result.extrapolated < result.values[0]

@@ -126,6 +126,18 @@ class TestNoisyRunner:
         # Saturated injection scrambles the state far from the ideal output.
         assert obs.leakage > 0.3
 
+    def test_noisy_path_replays_the_circuit_once(self, monkeypatch):
+        # The prefix states already end in the ideal state; a separate
+        # ideal run is needed only on the gate-noiseless shortcut.
+        import cosmopair.noise as noise
+
+        def no_ideal_run(circuit):
+            raise AssertionError("ideal circuit replayed on the noisy path")
+
+        monkeypatch.setattr(noise, "run_circuit", no_ideal_run)
+        table = run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), 64, 3)
+        assert table.shots == 64
+
     def test_shots_accounted(self):
         table = run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), 777, 3)
         assert sum(table.counts.values()) == 777

@@ -19,7 +19,10 @@ from cosmopair.statevector import (
     StateVector,
     apply_gate,
     circuit_unitary,
+    counts_rng,
+    derived_seed,
     observables_from_counts,
+    observables_from_probabilities,
     probabilities,
     run_circuit,
     run_schedule,
@@ -172,6 +175,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_counts({"01": 0.5}, 50, seed=0)
 
+    def test_seed_streams_are_keyed_by_seed_sequence(self):
+        def philox(entropy):
+            return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+
+        assert np.array_equal(counts_rng(7).random(4), philox(7).random(4))
+        assert np.array_equal(counts_rng(7, 3).random(4), philox([7, 3]).random(4))
+        assert derived_seed(5, 1, 2) == int(
+            np.random.SeedSequence([5, 1, 2]).generate_state(1)[0]
+        )
+
 
 class TestObservables:
     def test_vacuum_counts(self):
@@ -188,6 +201,19 @@ class TestObservables:
         assert obs.stderr_pair == pytest.approx(
             np.sqrt(obs.p_pair * (1 - obs.p_pair) / 4096)
         )
+
+    def test_counts_and_distribution_share_one_definition(self):
+        table = CountsTable(
+            shots=1000, counts={"0101": 900, "1001": 30, "0110": 20, "1010": 40, "1111": 10},
+            seed=0,
+        )
+        from_counts = observables_from_counts(table)
+        exact = observables_from_probabilities({s: c / 1000 for s, c in table.counts.items()})
+        assert (from_counts.n_plus, from_counts.n_minus, from_counts.p_pair,
+                from_counts.leakage) == (exact.n_plus, exact.n_minus, exact.p_pair,
+                                         exact.leakage)
+        assert exact.stderr_pair == 0.0
+        assert from_counts.stderr_pair == np.sqrt(0.04 * 0.96 / 1000)
 
     def test_unphysical_string_counts_as_leakage(self):
         table = CountsTable(shots=4096, counts={"0101": 4000, "0000": 96}, seed=0)

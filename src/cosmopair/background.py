@@ -42,6 +42,11 @@ class OracleMismatchError(RuntimeError):
     """Extracted mixing coefficients drift between radiation-era probes."""
 
 
+#: Largest |y| of an evolution window: the de Sitter coefficient -1/y^2 of
+#: every slice stays a finite, nonzero float.
+MAX_ABS_Y = 1e150
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """Dimensionless problem definition for one comoving mode pair.
@@ -61,6 +66,11 @@ class ModeParams:
             raise ValueError(f"x must be positive, got {self.x}")
         if self.y_f is None:
             object.__setattr__(self, "y_f", -self.x + 2.0)
+        if not (abs(self.y_i) <= MAX_ABS_Y and abs(self.y_f) <= MAX_ABS_Y):
+            raise ValueError(
+                f"window (y_i, y_f) = ({self.y_i}, {self.y_f}) must be finite "
+                f"and within +-{MAX_ABS_Y:g}"
+            )
         if not self.y_i < -self.x < self.y_f:
             raise ValueError(
                 f"transition y_e = {-self.x} must lie inside (y_i, y_f) = "
@@ -142,7 +152,10 @@ def n_k_analytic(x: float) -> float:
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     x2 = x * x
-    return 1.0 / (4.0 * x2 * x2)
+    x4 = 4.0 * x2 * x2
+    if x4 == 0.0 or math.isinf(1.0 / x4):
+        raise ValueError(f"x = {x} is too small: 1/(4 x^4) overflows")
+    return 1.0 / x4
 
 
 def multi_pair_probability(n_k: float) -> float:

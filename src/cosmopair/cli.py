@@ -39,7 +39,12 @@ from .background import (
 )
 from .circuits import circuit_to_text
 from .encoding import build_full_circuit
-from .mitigation import SingularConfusionError, mitigate_readout, zne_estimate
+from .mitigation import (
+    SingularConfusionError,
+    mitigate_readout,
+    validate_factors,
+    zne_estimate,
+)
 from .noise import NoiseModel, run_noisy_circuit
 from .schedule import build_schedule
 from .selfcheck import format_report, run_checks
@@ -138,13 +143,13 @@ def _parse_x_grid(args) -> list[float]:
         xs = [float(v) for v in args.x.split(",") if v]
     else:
         xs = [float(v) for v in np.geomspace(args.x_min, args.x_max, args.x_points)]
-    if not xs or any(x <= 0 for x in xs):
-        raise UsageError(f"x grid must be nonempty and positive, got {xs}")
+    if not xs or not all(np.isfinite(x) and x > 0 for x in xs):
+        raise UsageError(f"x grid must be nonempty, finite and positive, got {xs}")
     return xs
 
 
 def _parse_factors(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v)
+    return validate_factors(float(v) for v in text.split(",") if v)
 
 
 def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
@@ -182,7 +187,9 @@ def _x_parameters(x: float, args, n_steps: int) -> dict:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) -> dict:
+def _sweep_point(
+    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int
+) -> dict:
     n_k_an = n_k_analytic(x)
     row = {
         "x": x,
@@ -224,7 +231,7 @@ def _sweep_point(x: float, method: str, args, model: NoiseModel, row_seed: int) 
         return row
     circuit = build_full_circuit(schedule)
     if method == "zne":
-        zne = zne_estimate(circuit, model, _parse_factors(args.factors), shots, row_seed)
+        zne = zne_estimate(circuit, model, factors, shots, row_seed)
         row.update(
             n_k=zne["p_pair"].extrapolated,
             stderr=zne["p_pair"].extrapolated_stderr,
@@ -246,10 +253,13 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
+    factors = _parse_factors(args.factors)
     model = _load_model(args.model_file)
 
     rows = [
-        _sweep_point(x, method, args, model, derived_seed(args.seed, xi, METHODS.index(method)))
+        _sweep_point(
+            x, method, args, model, factors, derived_seed(args.seed, xi, METHODS.index(method))
+        )
         for xi, x in enumerate(sorted(x_grid))
         for method in methods
     ]

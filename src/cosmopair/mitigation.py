@@ -14,7 +14,7 @@ value is the intercept at factor zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "mitigate_readout",
     "linear_extrapolate",
     "ZNEResult",
+    "validate_factors",
     "zne_estimate",
 ]
 
@@ -127,6 +128,20 @@ def linear_extrapolate(
     return float(np.polyval(coeffs, 0.0)), float(np.sqrt(cov[1, 1]))
 
 
+def validate_factors(factors: Iterable[float]) -> tuple[float, ...]:
+    """The noise factors as floats: at least two, finite, >= 1, strictly increasing."""
+    f = tuple(float(v) for v in factors)
+    if len(f) < 2:
+        raise ValueError("need at least two noise factors")
+    if not all(np.isfinite(f)):
+        raise ValueError(f"noise factors must be finite, got {f}")
+    if any(v < 1.0 for v in f):
+        raise ValueError(f"noise factors must be >= 1, got {f}")
+    if any(b <= a for a, b in zip(f, f[1:])):
+        raise ValueError(f"noise factors must be strictly increasing, got {f}")
+    return f
+
+
 @dataclass(frozen=True)
 class ZNEResult:
     """Per-factor estimates and the zero-noise intercept of the linear fit."""
@@ -152,13 +167,7 @@ def zne_estimate(
     those same counts.  The fit runs on raw (unmitigated) counts; per-point
     weights are binomial shot-noise estimates floored at 1/shots.
     """
-    f = tuple(float(v) for v in factors)
-    if len(f) < 2:
-        raise ValueError("need at least two noise factors")
-    if any(v < 1.0 for v in f):
-        raise ValueError(f"noise factors must be >= 1, got {f}")
-    if any(b <= a for a, b in zip(f, f[1:])):
-        raise ValueError(f"noise factors must be strictly increasing, got {f}")
+    f = validate_factors(factors)
     observed = [
         observables_from_counts(
             run_noisy_circuit(circuit, model.scaled(v), shots, derived_seed(seed, i))

@@ -13,7 +13,18 @@ target that hardware gate folding only approximates.
 
 `run_noisy_circuit` draws per-shot trajectories from independent streams
 keyed by (seed, shot index), in a fixed documented order, so runs are
-reproducible and shots can be parallelized without changing results.
+reproducible and do not depend on how shots are batched.  It works in two
+passes.  The draw pass takes every shot's draws up front, since none depends
+on the state, and lists each injection as a (gate, state row, Pauli) event.
+The state pass walks the gate list once over a (1 + injected shots, 2**n)
+array: row 0 is the ideal trajectory, read by every clean shot, and each
+injected shot has a row of its own.  Each gate is one kernel call on the
+whole array, followed by its Paulis, applied to the rows injected there one
+group of equal Paulis at a time.  Every shot is then sampled from its row's
+cumulative probabilities and read out through its pre-drawn uniforms.  Each
+amplitude sees the same floating-point operations as in a per-shot replay,
+so counts equal that replay's exactly; memory grows with the number of
+injected shots, not with the gate count.
 """
 
 from __future__ import annotations
@@ -27,7 +38,6 @@ from .circuits import Circuit
 from .encoding import _PAULI_MATS
 from .statevector import (
     CountsTable,
-    StateVector,
     _apply_1q_inplace,
     _apply_gate_inplace,
     counts_rng,
@@ -156,21 +166,6 @@ def apply_readout_noise(
     return {format(i, f"0{n}b"): float(flat[i]) for i in range(2**n)}
 
 
-def _sample_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
-    return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-
-
-def _measure_through_readout(
-    rng: np.random.Generator, true_index: int, model: NoiseModel
-) -> str:
-    n = model.n_qubits
-    bits = []
-    for q in range(n):
-        t = (true_index >> (n - 1 - q)) & 1
-        bits.append("0" if rng.random() < model.readout[q][0, t] else "1")
-    return "".join(bits)
-
-
 def run_noisy_circuit(
     circuit: Circuit, model: NoiseModel, shots: int, seed: int
 ) -> CountsTable:
@@ -180,10 +175,15 @@ def run_noisy_circuit(
     order: one uniform per gate deciding Pauli injection after that gate, one
     choice per injection (3 single-qubit / 15 two-qubit non-identity Paulis),
     one uniform selecting the measured string, and one uniform per qubit for
-    the readout flip.  When both gate rates are zero the trajectory state is
-    the ideal one for every shot, so the exact noisy distribution is sampled
-    directly through `sample_counts` with the same seed.
+    the readout flip.  No draw depends on the state, so every shot's draws
+    are taken first; then one pass over the gates evolves the ideal state and
+    every injected shot's state together (see the module docstring).  When
+    both gate rates are zero the trajectory state is the ideal one for every
+    shot, so the exact noisy distribution is sampled directly through
+    `sample_counts` with the same seed.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     if circuit.n_qubits != model.n_qubits:
         raise ValueError(
             f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
@@ -199,44 +199,55 @@ def run_noisy_circuit(
         [model.p2 if g.name == "CNOT" else model.p1 for g in gates]
     )
 
-    # State after each gate prefix of the ideal circuit: replay starts at the
-    # first injected gate instead of from scratch.
-    prefixes = np.empty((len(gates) + 1, 2**n), dtype=complex)
-    state = StateVector.zero(n)
-    prefixes[0] = state.amplitudes
-    for k, gate in enumerate(gates):
-        _apply_gate_inplace(state.amplitudes, n, gate)
-        prefixes[k + 1] = state.amplitudes
-    ideal_cum = np.cumsum(np.abs(prefixes[-1]) ** 2)
-
-    counts: dict[str, int] = {}
+    # Draw pass.  Row 0 of the state array is the ideal trajectory, read by
+    # every clean shot; each injected shot gets a row of its own.
+    events: dict[int, list[tuple[int, tuple[str, ...]]]] = {}  # gate -> (row, Pauli)
+    shot_rows = np.zeros(shots, dtype=np.intp)
+    uniforms = np.empty((shots, 1 + n))  # measurement, then one per qubit readout
+    n_rows = 1
     for shot in range(shots):
         rng = counts_rng(seed, shot)
-        u = rng.random(len(gates))
-        injected = np.nonzero(u < rates)[0]
-        if injected.size == 0:
-            cum = ideal_cum
-        else:
-            first = int(injected[0])
-            amps = prefixes[first + 1].copy()
-            inject_set = set(int(g) for g in injected)
-            _inject_pauli(rng, amps, n, gates[first])
-            for k in range(first + 1, len(gates)):
-                _apply_gate_inplace(amps, n, gates[k])
-                if k in inject_set:
-                    _inject_pauli(rng, amps, n, gates[k])
-            cum = np.cumsum(np.abs(amps) ** 2)
-        observed = _measure_through_readout(rng, _sample_index(rng, cum), model)
-        counts[observed] = counts.get(observed, 0) + 1
-    return CountsTable(shots=shots, counts=dict(sorted(counts.items())), seed=int(seed))
+        injected = np.nonzero(rng.random(len(gates)) < rates)[0]
+        if injected.size:
+            for k in injected.tolist():
+                events.setdefault(k, []).append((n_rows, _draw_pauli(rng, gates[k])))
+            shot_rows[shot] = n_rows
+            n_rows += 1
+        uniforms[shot] = rng.random(1 + n)
+
+    # State pass: each gate once on every row, then its Paulis, one gather,
+    # kernel call and scatter per distinct Pauli.
+    states = np.zeros((n_rows, 2**n), dtype=complex)
+    states[:, 0] = 1.0
+    for k, gate in enumerate(gates):
+        _apply_gate_inplace(states, n, gate)
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for row, pauli in events.pop(k, ()):
+            groups.setdefault(pauli, []).append(row)
+        for pauli, rows in groups.items():
+            block = states[rows]
+            for q, letter in zip(gate.qubits, pauli):
+                if letter != "I":
+                    _apply_1q_inplace(block, n, q, _PAULI_MATS[letter])
+            states[rows] = block
+
+    # Sampling: the first index whose cumulative weight exceeds u * total,
+    # i.e. searchsorted(cum, u * cum[-1], side="right"), for every shot.
+    cum = np.cumsum(np.abs(states) ** 2, axis=1)[shot_rows]
+    true = np.count_nonzero(cum <= (uniforms[:, 0] * cum[:, -1])[:, None], axis=1)
+    shift = n - 1 - np.arange(n)
+    true_bits = (true[:, None] >> shift) & 1
+    # Qubit q reads 0 when its uniform falls below C_q[0][true bit].
+    p_read0 = np.array([c[0] for c in model.readout])
+    read1 = uniforms[:, 1:] >= p_read0[np.arange(n), true_bits]
+    observed, freq = np.unique((read1 << shift).sum(axis=1), return_counts=True)
+    counts = {format(int(i), f"0{n}b"): int(c) for i, c in zip(observed, freq)}
+    return CountsTable(shots=shots, counts=counts, seed=int(seed))
 
 
-def _inject_pauli(rng: np.random.Generator, amps: np.ndarray, n: int, gate) -> None:
+def _draw_pauli(rng: np.random.Generator, gate) -> tuple[str, ...]:
+    """A uniformly random non-identity Pauli on the gate's operands, one letter each."""
     if gate.name == "CNOT":
         pair = int(rng.integers(15)) + 1  # 1..15 over {I,X,Y,Z}^2, skipping II
-        for q, letter in zip(gate.qubits, ("IXYZ"[pair // 4], "IXYZ"[pair % 4])):
-            if letter != "I":
-                _apply_1q_inplace(amps, n, q, _PAULI_MATS[letter])
-    else:
-        letter = "XYZ"[int(rng.integers(3))]
-        _apply_1q_inplace(amps, n, gate.qubits[0], _PAULI_MATS[letter])
+        return ("IXYZ"[pair // 4], "IXYZ"[pair % 4])
+    return ("XYZ"[int(rng.integers(3))],)

@@ -85,7 +85,8 @@ def _mat_1q(gate: Gate) -> np.ndarray:
 
 
 def _apply_1q_inplace(amps: np.ndarray, n: int, q: int, mat: np.ndarray):
-    view = amps.reshape(2**q, 2, -1)
+    # Leading axes (qubits before q, and any batch of states) fold into one.
+    view = amps.reshape(-1, 2, 2 ** (n - 1 - q))
     a0 = view[:, 0, :].copy()
     a1 = view[:, 1, :]
     view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
@@ -93,12 +94,12 @@ def _apply_1q_inplace(amps: np.ndarray, n: int, q: int, mat: np.ndarray):
 
 
 def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int):
-    view = amps.reshape((2,) * n)
-    sel: list = [slice(None)] * n
-    sel[control] = 1
+    view = amps.reshape((-1,) + (2,) * n)  # leading batch axis, maybe of one
+    sel: list = [slice(None)] * (n + 1)
+    sel[1 + control] = 1
     i0, i1 = sel.copy(), sel.copy()
-    i0[target] = 0
-    i1[target] = 1
+    i0[1 + target] = 0
+    i1[1 + target] = 1
     tmp = view[tuple(i0)].copy()
     view[tuple(i0)] = view[tuple(i1)]
     view[tuple(i1)] = tmp

@@ -32,6 +32,9 @@ class TestModeParams:
             {"x": 2.0, "y_i": -1.0},  # transition outside window
             {"x": 2.0, "y_f": -3.0},
             {"x": 2.0, "n_steps": 0},
+            {"x": 2.0, "y_i": -1e155},  # -1/y^2 of a slice would overflow
+            {"x": 2.0, "y_i": float("-inf")},
+            {"x": 2.0, "y_i": float("nan")},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -108,6 +111,11 @@ class TestNkAnalytic:
     )
     def test_reference_values(self, x, expected):
         assert round(n_k_analytic(x), 4) == expected
+
+    @pytest.mark.parametrize("x", [1e-80, 1e-200, 5e-324])
+    def test_rejects_x_whose_closed_form_overflows(self, x):
+        with pytest.raises(ValueError, match="too small"):
+            n_k_analytic(x)
 
     def test_matches_beta_squared(self):
         for x in np.geomspace(0.5, 10.0, 17):

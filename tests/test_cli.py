@@ -19,6 +19,10 @@ def read_csv_rows(path):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started before --factors was checked")
+
+
 class TestSweep:
     def test_analytic_single_point(self, tmp_path, capsys):
         assert main(["sweep", "--x", "2.0", "--methods", "analytic",
@@ -74,6 +78,44 @@ class TestSweep:
     def test_nonpositive_x_exits_2(self, tmp_path):
         assert main(["sweep", "--x", "-1.0", "--methods", "analytic",
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1.3,-inf"])
+    def test_nonfinite_x_exits_2(self, tmp_path, capsys, x):
+        assert main(["sweep", "--x", x, "--methods", "analytic",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x grid must be nonempty, finite and positive")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trajectory", "--x=1e-200", "--n-steps=1"], "too small"),
+            (["sweep", "--x=1e-100", "--methods", "analytic"], "too small"),
+            (["dump-circuit", "--x=0.8", "--y-i=-1e206"], "must be finite and within"),
+        ],
+        ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window"],
+    )
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [("1", "at least two"), ("1,nan", "finite"), ("1,inf", "finite"),
+         ("2,1", "strictly increasing"), ("0.5,1", ">= 1")],
+    )
+    def test_bad_factors_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                               factors, message):
+        import cosmopair.cli as cli
+
+        monkeypatch.setattr(cli, "run_noisy_circuit", _no_run)
+        monkeypatch.setattr(cli, "zne_estimate", _no_run)
+        assert main(["sweep", "--x", "2.0", "--methods", "analytic,noisy,zne",
+                     "--factors", factors, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
     def test_workers_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +239,34 @@ class TestNoiseStudy:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "singular" in err
+        assert not out.exists()
+
+    def test_factors_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        import cosmopair.cli as cli
+        import cosmopair.mitigation as mitigation
+
+        for module, name in ((cli, "run_circuit"), (cli, "run_noisy_circuit"),
+                             (mitigation, "run_noisy_circuit")):
+            monkeypatch.setattr(module, name, _no_run)
+        assert main(["noise-study", "--x", "1.3,1.5,2.0", "--factors", "1",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "need at least two noise factors" in capsys.readouterr().err
+        assert not tmp_path.joinpath("noise_study.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["noise-study", "--x", "2.0", "--shots", "0"],
+            ["noise-study", "--x", "2.0", "--shots", "-3"],
+            ["sweep", "--x", "2.0", "--methods", "noisy", "--shots", "0"],
+        ],
+        ids=["noise_study_zero", "noise_study_negative", "sweep_noisy_zero"],
+    )
+    def test_nonpositive_shots_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots must be >= 1") and err.count("\n") == 1
         assert not out.exists()
 
     def test_failed_counts_write_leaves_no_manifest(self, tmp_path, capsys):

@@ -126,6 +126,9 @@ class TestZNE:
             zne_estimate(circuit, model, (1.0, 1.0), 64, 0)
         with pytest.raises(ValueError):
             zne_estimate(circuit, model, (0.5, 1.0), 64, 0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                zne_estimate(circuit, model, (1.0, bad), 64, 0)
 
     def test_zero_noise_model_reproduces_ideal(self, circuit):
         model = NoiseModel.noiseless(4)

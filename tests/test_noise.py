@@ -1,16 +1,23 @@
 """Noise model validation, readout channel, and Monte-Carlo trajectories."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosmopair.background import ModeParams
-from cosmopair.circuits import Circuit
-from cosmopair.encoding import build_full_circuit
+from cosmopair.circuits import Circuit, Gate
+from cosmopair.encoding import _PAULI_MATS, build_full_circuit
 from cosmopair.noise import NoiseModel, apply_readout_noise, run_noisy_circuit
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
+    CountsTable,
+    StateVector,
+    _apply_1q_inplace,
+    _apply_gate_inplace,
+    counts_rng,
     observables_from_counts,
     probabilities,
     run_circuit,
@@ -18,8 +25,62 @@ from cosmopair.statevector import (
 )
 
 
-def single_step_circuit(x=1.3):
-    return build_full_circuit(build_schedule(ModeParams(x=x, n_steps=1)))
+def single_step_circuit(x=1.3, n_steps=1):
+    return build_full_circuit(build_schedule(ModeParams(x=x, n_steps=n_steps)))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-shot gate-by-gate replay that the batched run replaced.
+# Each injected shot replays every gate after its first injection on its own
+# vector, from the stored ideal state after that gate.  Same draws, same order.
+# ---------------------------------------------------------------------------
+
+def _replay_inject(rng, amps, n, gate):
+    if gate.name == "CNOT":
+        pair = int(rng.integers(15)) + 1
+        for q, letter in zip(gate.qubits, ("IXYZ"[pair // 4], "IXYZ"[pair % 4])):
+            if letter != "I":
+                _apply_1q_inplace(amps, n, q, _PAULI_MATS[letter])
+    else:
+        letter = "XYZ"[int(rng.integers(3))]
+        _apply_1q_inplace(amps, n, gate.qubits[0], _PAULI_MATS[letter])
+
+
+def replay_noisy_circuit(circuit, model, shots, seed):
+    n = circuit.n_qubits
+    gates = circuit.gates
+    rates = np.array([model.p2 if g.name == "CNOT" else model.p1 for g in gates])
+    prefixes = np.empty((len(gates) + 1, 2**n), dtype=complex)
+    state = StateVector.zero(n)
+    prefixes[0] = state.amplitudes
+    for k, gate in enumerate(gates):
+        _apply_gate_inplace(state.amplitudes, n, gate)
+        prefixes[k + 1] = state.amplitudes
+    ideal_cum = np.cumsum(np.abs(prefixes[-1]) ** 2)
+
+    counts = {}
+    for shot in range(shots):
+        rng = counts_rng(seed, shot)
+        injected = np.nonzero(rng.random(len(gates)) < rates)[0]
+        if injected.size == 0:
+            cum = ideal_cum
+        else:
+            first = int(injected[0])
+            amps = prefixes[first + 1].copy()
+            inject_set = set(int(g) for g in injected)
+            _replay_inject(rng, amps, n, gates[first])
+            for k in range(first + 1, len(gates)):
+                _apply_gate_inplace(amps, n, gates[k])
+                if k in inject_set:
+                    _replay_inject(rng, amps, n, gates[k])
+            cum = np.cumsum(np.abs(amps) ** 2)
+        index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        observed = "".join(
+            "0" if rng.random() < model.readout[q][0, (index >> (n - 1 - q)) & 1] else "1"
+            for q in range(n)
+        )
+        counts[observed] = counts.get(observed, 0) + 1
+    return CountsTable(shots=shots, counts=dict(sorted(counts.items())), seed=int(seed))
 
 
 class TestNoiseModel:
@@ -127,7 +188,7 @@ class TestNoisyRunner:
         assert obs.leakage > 0.3
 
     def test_noisy_path_replays_the_circuit_once(self, monkeypatch):
-        # The prefix states already end in the ideal state; a separate
+        # Row 0 of the batched state pass is the ideal trajectory; a separate
         # ideal run is needed only on the gate-noiseless shortcut.
         import cosmopair.noise as noise
 
@@ -147,3 +208,99 @@ class TestNoisyRunner:
         model = NoiseModel.default(2)
         with pytest.raises(ValueError):
             run_noisy_circuit(single_step_circuit(), model, 16, 0)
+
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_rejects_nonpositive_shots(self, shots):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), shots, 0)
+
+
+class TestBatchedRunMatchesReplay:
+    """The batched run gives exactly the counts of per-shot replay."""
+
+    @pytest.mark.parametrize("x, n_steps", [(1.3, 1), (1.3, 2), (2.2, 1), (2.2, 2)])
+    def test_schedule_circuits(self, x, n_steps):
+        circuit = single_step_circuit(x, n_steps)
+        for factor in (1.0, 2.0, 5.0):
+            model = NoiseModel.default(4).scaled(factor)
+            for seed in (0, 1, 2):
+                assert run_noisy_circuit(circuit, model, 128, seed) == \
+                    replay_noisy_circuit(circuit, model, 128, seed)
+
+    @pytest.mark.parametrize(
+        "p1, p2", [(1.0, 1.0), (0.0, 0.05), (0.02, 0.0)],
+        ids=["saturated", "p2-only", "p1-only"],
+    )
+    def test_rate_corners(self, p1, p2):
+        circuit = single_step_circuit(2.0)
+        model = NoiseModel.symmetric(4, epsilon=0.02, p2=p2, p1=p1)
+        for seed in (3, 4):
+            assert run_noisy_circuit(circuit, model, 128, seed) == \
+                replay_noisy_circuit(circuit, model, 128, seed)
+
+    def test_hand_built_two_qubit_circuit(self):
+        circuit = Circuit(n_qubits=2)
+        circuit.add("RX", 0, angle=0.7)
+        circuit.add("H", 1)
+        circuit.add("CNOT", 1, 0)
+        circuit.add("RX", 1, angle=-1.9)
+        circuit.add("CNOT", 0, 1)
+        circuit.add("H", 0)
+        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+        model = NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
+        for seed in range(4):
+            assert run_noisy_circuit(circuit, model, 256, seed) == \
+                replay_noisy_circuit(circuit, model, 256, seed)
+
+    def test_memory_does_not_grow_with_gate_count(self):
+        # The replay kept one stored state per gate (G+1 rows of 16); the
+        # batched run keeps one row per injected shot, so from 1 to 20 steps
+        # its peak grows only by the per-gate rates and uniforms (~50 KB).
+        model = NoiseModel.default(4)
+        peaks = {}
+        for n_steps in (1, 20):
+            circuit = single_step_circuit(2.0, n_steps)
+            run_noisy_circuit(circuit, model, 32, 0)
+            tracemalloc.start()
+            run_noisy_circuit(circuit, model, 32, 0)
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        prefix_bytes = (len(single_step_circuit(2.0, 20).gates) + 1) * 16 * 16
+        assert peaks[20] - peaks[1] < 128 * 1024 < prefix_bytes
+
+
+_GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "RX", "CNOT")
+
+
+@st.composite
+def _gates(draw):
+    name = draw(st.sampled_from(_GATE_NAMES))
+    if name == "CNOT":
+        control = draw(st.integers(0, 3))
+        target = draw(st.integers(0, 3).filter(lambda t: t != control))
+        return Gate(name, (control, target))
+    angle = draw(st.floats(-7.0, 7.0)) if name in ("RZ", "RX") else None
+    return Gate(name, (draw(st.integers(0, 3)),), angle)
+
+
+class TestBatchedKernels:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(_gates(), min_size=1, max_size=12),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batch_is_bitwise_row_by_row(self, gates, batch, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(batch, 16)) + 1j * rng.normal(size=(batch, 16))
+        rows = [row.copy() for row in states]
+        for gate in gates:
+            _apply_gate_inplace(states, 4, gate)
+            for row in rows:
+                _apply_gate_inplace(row, 4, gate)
+            letter = "XYZ"[int(rng.integers(3))]
+            q = int(rng.integers(4))
+            _apply_1q_inplace(states, 4, q, _PAULI_MATS[letter])
+            for row in rows:
+                _apply_1q_inplace(row, 4, q, _PAULI_MATS[letter])
+        assert states.tobytes() == np.array(rows).tobytes()

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .mitigation import (
     zne_estimate,
 )
 from .noise import NoiseModel, run_noisy_circuit
-from .schedule import build_schedule
+from .schedule import Branch, build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
     counts_to_csv,
@@ -92,18 +93,24 @@ SWEEP_COLUMNS = (
 
 TRAJECTORY_COLUMNS = ("y", "p_vac", "p_plus", "p_minus", "p_pair", "n_k_analytic")
 
+#: Trajectory rows formatted per chunk of streamed CSV text.
+_TRAJECTORY_CHUNK = 4096
+
 
 class UsageError(Exception):
     pass
 
 
-def _write_atomic(path: Path, text: str):
-    """Write through a uniquely named temp file beside `path`, then rename."""
+def _write_atomic(path: Path, text: str | Iterable[str]):
+    """Write through a uniquely named temp file beside `path`, then rename.
+
+    `text` is one string or an iterable of string chunks, streamed in order.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -142,14 +149,31 @@ def _parse_x_grid(args) -> list[float]:
     if args.x is not None:
         xs = [float(v) for v in args.x.split(",") if v]
     else:
+        for option, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+            if not (np.isfinite(value) and value > 0):
+                raise UsageError(f"{option} must be finite and positive, got {value}")
+        if args.x_points < 1:
+            raise UsageError(f"--x-points must be >= 1, got {args.x_points}")
         xs = [float(v) for v in np.geomspace(args.x_min, args.x_max, args.x_points)]
     if not xs or not all(np.isfinite(x) and x > 0 for x in xs):
         raise UsageError(f"x grid must be nonempty, finite and positive, got {xs}")
     return xs
 
 
-def _parse_factors(text: str) -> tuple[float, ...]:
-    return validate_factors(float(v) for v in text.split(",") if v)
+def _parse_factors(text: str, model: NoiseModel, zne: bool) -> tuple[float, ...]:
+    """Checked `--factors`; with `zne`, the model's rates at the largest too."""
+    factors = validate_factors(float(v) for v in text.split(",") if v)
+    if zne:
+        try:
+            model.scaled(max(factors))
+        except ValueError as exc:
+            raise UsageError(f"noise factor {max(factors):g}: {exc}") from None
+    return factors
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
@@ -253,8 +277,9 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
-    factors = _parse_factors(args.factors)
+    _check_seed(args.seed)
     model = _load_model(args.model_file)
+    factors = _parse_factors(args.factors, model, zne="zne" in methods)
 
     rows = [
         _sweep_point(
@@ -293,6 +318,19 @@ def cmd_sweep(args) -> int:
 # trajectory
 # ---------------------------------------------------------------------------
 
+def _trajectory_csv(
+    header: list[str], y: np.ndarray, pops: np.ndarray, n_k_an: float
+) -> Iterator[str]:
+    """CSV text of a trajectory in chunks: header, then one row per time."""
+    yield "\n".join([*header, ",".join(TRAJECTORY_COLUMNS)]) + "\n"
+    tail = f",{_fmt(n_k_an)}\n"  # the constant n_k_analytic column
+    for start in range(0, len(y), _TRAJECTORY_CHUNK):
+        stop = start + _TRAJECTORY_CHUNK
+        columns = [y[start:stop], *pops[start:stop].T]
+        rows = zip(*(map(repr, c.tolist()) for c in columns))
+        yield "".join([",".join(row) + tail for row in rows])
+
+
 def cmd_trajectory(args) -> int:
     x_grid = _parse_x_grid(args)
     n_steps = args.n_steps
@@ -300,17 +338,13 @@ def cmd_trajectory(args) -> int:
     for x in sorted(x_grid):
         n_k_an = n_k_analytic(x)
         if n_steps == 0:
-            rows = [(args.y_i, 1.0, 0.0, 0.0, 0.0)]
+            y, pops = np.array([args.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
         else:
             _, traj = evolve(build_schedule(_mode_params(x, args, n_steps)))
-            rows = traj.rows()
-        lines = _metadata_lines("trajectory", _x_parameters(x, args, n_steps))
-        lines.append(",".join(TRAJECTORY_COLUMNS))
-        lines.extend(
-            ",".join(_fmt(v) for v in (*r, n_k_an)) for r in rows
-        )
+            y, pops = traj.y, traj.populations
+        header = _metadata_lines("trajectory", _x_parameters(x, args, n_steps))
         path = out_dir / f"trajectory_x{x:g}.csv"
-        _write_atomic(path, "\n".join(lines) + "\n")
+        _write_atomic(path, _trajectory_csv(header, y, pops, n_k_an))
         print(f"wrote {path}")
     return 0
 
@@ -322,8 +356,9 @@ def cmd_trajectory(args) -> int:
 def cmd_noise_study(args) -> int:
     x_grid = _parse_x_grid(args)
     n_steps, shots = args.n_steps, args.shots
-    factors = _parse_factors(args.factors)
+    _check_seed(args.seed)
     model = _load_model(args.model_file)
+    factors = _parse_factors(args.factors, model, zne=True)
 
     out_dir = Path(args.out_dir)
     results = []
@@ -409,16 +444,19 @@ def cmd_dump_schedule(args) -> int:
     out_dir = Path(args.out_dir)
     for x in sorted(x_grid):
         schedule = build_schedule(_mode_params(x, args, n_steps))
+        columns = (schedule.y_mid, schedule.cz, schedule.ca, schedule.radiation)
         steps = [
             {
-                "index": s.index,
-                "y_mid": s.y_mid,
-                "dy": s.dy,
-                "cz": s.cz,
-                "ca": s.ca,
-                "branch": s.branch.value,
+                "index": n,
+                "y_mid": y_mid,
+                "dy": schedule.dy,
+                "cz": cz,
+                "ca": ca,
+                "branch": (Branch.RADIATION if radiation else Branch.DE_SITTER).value,
             }
-            for s in schedule
+            for n, (y_mid, cz, ca, radiation) in enumerate(
+                zip(*(c.tolist() for c in columns))
+            )
         ]
         path = out_dir / f"schedule_x{x:g}_n{n_steps}.json"
         parameters = _x_parameters(x, args, n_steps)

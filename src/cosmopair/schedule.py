@@ -7,14 +7,20 @@ the radiation era.  A slice whose midpoint has crossed y_e = -x counts as
 radiation even if the slice itself straddles the transition; the ambiguity
 of that single slice shrinks as the grid is refined.
 
-Both evolution engines and the circuit synthesizer consume the same schedule
-object, so their rotation angles are byte-identical by construction.
+The schedule is stored as float64 columns (one entry per slice), so its
+memory is a few dozen bytes per slice; a `StepCoeffs` is built only when a
+slice is indexed or iterated.  Both evolution engines and the circuit
+synthesizer consume the same schedule object, so their rotation angles are
+byte-identical by construction.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .background import ModeParams
 
@@ -38,46 +44,80 @@ class StepCoeffs:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class CoeffSchedule:
-    """Immutable ordered slice coefficients for one evolution window."""
+@dataclass(frozen=True, eq=False)
+class CoeffSchedule(Sequence):
+    """Immutable ordered slice coefficients for one evolution window.
+
+    Columns hold one read-only float64 (or bool) entry per slice; indexing
+    and iteration yield `StepCoeffs` built from them on demand.
+    """
 
     params: ModeParams
-    steps: tuple[StepCoeffs, ...]
+    dy: float
+    y_mid: np.ndarray
+    cz: np.ndarray
+    ca: np.ndarray
+    radiation: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.y_mid)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[n] for n in range(*index.indices(len(self)))]
+        n = range(len(self))[index]  # negative indices and IndexError as for a tuple
+        return StepCoeffs(
+            index=n,
+            y_mid=float(self.y_mid[n]),
+            dy=self.dy,
+            cz=float(self.cz[n]),
+            ca=float(self.ca[n]),
+            branch=Branch.RADIATION if self.radiation[n] else Branch.DE_SITTER,
+        )
 
     def __iter__(self):
-        return iter(self.steps)
+        return map(self.__getitem__, range(len(self)))
 
-    def boundaries(self) -> list[float]:
+    @property
+    def steps(self) -> "CoeffSchedule":
+        """The slices as a sequence of StepCoeffs: the schedule itself."""
+        return self
+
+    def boundaries(self) -> np.ndarray:
         """Slice-boundary times y_0 .. y_N (length n_steps + 1)."""
-        p = self.params
-        dy = (p.y_f - p.y_i) / p.n_steps
-        return [p.y_i + n * dy for n in range(p.n_steps + 1)]
+        return self.params.y_i + np.arange(len(self) + 1) * self.dy
 
-
-def _coeffs_at(y_mid: float, x: float) -> tuple[float, float, Branch]:
-    if y_mid >= -x:
-        return 1.0, 0.0, Branch.RADIATION
-    ca = -1.0 / y_mid**2
-    return 1.0 + ca, ca, Branch.DE_SITTER
+    def angles(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """`strang_angles` of slices start .. stop-1 as two float64 arrays."""
+        return _split_angles(self.cz[start:stop], self.ca[start:stop], self.dy)
 
 
 def build_schedule(params: ModeParams) -> CoeffSchedule:
-    """Evaluate midpoint coefficients on the uniform grid of `params`."""
+    """Evaluate midpoint coefficients on the uniform grid of `params`.
+
+    Every column entry equals the scalar formula y_i + (n + 0.5) * dy,
+    ca = -1.0 / y_mid**2, cz = 1.0 + ca evaluated on Python floats:
+    `np.float_power` is the libm `pow` behind `y**2`, which `y * y` is not.
+    """
     if params.n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {params.n_steps}")
     dy = (params.y_f - params.y_i) / params.n_steps
-    steps = []
-    for n in range(params.n_steps):
-        y_mid = params.y_i + (n + 0.5) * dy
-        cz, ca, branch = _coeffs_at(y_mid, params.x)
-        steps.append(
-            StepCoeffs(index=n, y_mid=y_mid, dy=dy, cz=cz, ca=ca, branch=branch)
-        )
-    return CoeffSchedule(params=params, steps=tuple(steps))
+    y_mid = params.y_i + (np.arange(params.n_steps) + 0.5) * dy
+    radiation = y_mid >= -params.x
+    de_sitter = ~radiation
+    ca = np.zeros_like(y_mid)
+    ca[de_sitter] = -1.0 / np.float_power(y_mid[de_sitter], 2.0)
+    cz = np.ones_like(y_mid)
+    cz[de_sitter] = 1.0 + ca[de_sitter]
+    for column in (y_mid, cz, ca, radiation):
+        column.flags.writeable = False
+    return CoeffSchedule(
+        params=params, dy=dy, y_mid=y_mid, cz=cz, ca=ca, radiation=radiation
+    )
+
+
+def _split_angles(cz, ca, dy):
+    return cz * dy / 2.0, ca * dy
 
 
 def strang_angles(step: StepCoeffs) -> tuple[float, float]:
@@ -86,4 +126,4 @@ def strang_angles(step: StepCoeffs) -> tuple[float, float]:
     The slice propagator is exp(-i theta_z_half Z) exp(-i theta_a A)
     exp(-i theta_z_half Z) with theta_z_half = cz*dy/2 and theta_a = ca*dy.
     """
-    return step.cz * step.dy / 2.0, step.ca * step.dy
+    return _split_angles(step.cz, step.ca, step.dy)

@@ -16,7 +16,6 @@ are clamped to zero before sampling.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .encoding import VACUUM_PREP, step_template
-from .schedule import strang_angles
 from .subspace import PHYS_LABELS
 
 __all__ = [
@@ -241,21 +239,20 @@ def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
 def run_schedule(schedule) -> StateVector:
     """Final state of `build_full_circuit(schedule)`, without building it.
 
-    Takes SCHEDULE_CHUNK slices at a time, builds each slice's 16x16 unitary
-    from its template's fused kernels (one numpy op per kernel for the whole
-    chunk), and chains the unitaries on the prepared vacuum.  Agrees with
-    gate-by-gate `run_circuit` to rounding; accepts a CoeffSchedule or any
-    iterable of StepCoeffs.
+    Takes SCHEDULE_CHUNK slices at a time, reads their angle columns,
+    builds each slice's 16x16 unitary from its template's fused kernels
+    (one numpy op per kernel for the whole chunk), and chains the unitaries
+    on the prepared vacuum.  Agrees with gate-by-gate `run_circuit` to
+    rounding; takes a CoeffSchedule (an empty sequence gives the vacuum).
     """
-    steps = iter(getattr(schedule, "steps", schedule))
     state = StateVector.zero(4)
     for gate in VACUUM_PREP:
         _apply_gate_inplace(state.amplitudes, 4, gate)
     amps = state.amplitudes
-    while chunk := list(itertools.islice(steps, SCHEDULE_CHUNK)):
-        thetas = np.array([strang_angles(step) for step in chunk])
+    for start in range(0, len(schedule), SCHEDULE_CHUNK):
+        thetas = np.column_stack(schedule.angles(start, start + SCHEDULE_CHUNK))
         with_pair = thetas[:, 1] != 0.0
-        blocks = np.empty((len(chunk), _DIM, _DIM), dtype=complex)
+        blocks = np.empty((len(thetas), _DIM, _DIM), dtype=complex)
         for shape in (False, True):
             rows = np.nonzero(with_pair == shape)[0]
             if rows.size:

@@ -7,6 +7,13 @@ pair.  Because the pair generator squares to a projector on that block, its
 exponential has an exact cos/sin form and each split step is assembled from
 closed-form factors rather than a generic matrix exponential.
 
+`evolve` computes those closed-form entries for a chunk of slices at once
+and advances the state slice by slice in Python complex arithmetic: the
+2x2 (vacuum, pair) block plus a phase on each single-quantum component.
+The operations are those of `strang_step_unitary(step) @ psi`, so both
+give the same bits.  Memory is the (n_steps + 1, 4) population array plus
+one chunk of per-slice values.
+
 This engine is the high-resolution reference for the circuit implementation
 and also produces the time-resolved pair-occupation trajectory.
 """
@@ -25,6 +32,7 @@ __all__ = [
     "Z_PHYS",
     "A_PHYS",
     "Trajectory",
+    "EVOLVE_CHUNK",
     "vacuum_state",
     "strang_step_unitary",
     "evolve",
@@ -44,6 +52,9 @@ Z_PHYS = np.diag([0.0, 1.0, 1.0, 2.0])
 A_PHYS = np.zeros((4, 4))
 A_PHYS[0, 3] = A_PHYS[3, 0] = 1.0
 
+#: Slices whose propagator entries `evolve` computes in one numpy pass.
+EVOLVE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -60,12 +71,6 @@ class Trajectory:
     def p_pair(self) -> np.ndarray:
         return self.populations[:, 3]
 
-    def rows(self) -> list[tuple[float, float, float, float, float]]:
-        return [
-            (float(t), *(float(p) for p in pops))
-            for t, pops in zip(self.y, self.populations)
-        ]
-
 
 def vacuum_state() -> np.ndarray:
     """Encoded vacuum |0101> as a physical-subspace amplitude vector."""
@@ -74,16 +79,34 @@ def vacuum_state() -> np.ndarray:
     return psi
 
 
+def _step_entries(theta_zh: np.ndarray, theta_a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nonzero propagator entries (u00, u03, u30, u33, u11, u22) per slice.
+
+    Takes equal-length angle arrays.  Each entry is (z_i * u_ij) * z_j with
+    z = exp(-1j theta_zh diag(Z)) and u the pair rotation: cos(theta_a) on
+    the (vacuum, pair) diagonal, -1j sin(theta_a) off it, and 1 for the
+    single-quantum states.  The arithmetic runs in numpy array loops, whose
+    complex products can round differently from numpy's scalar ones.
+    """
+    z0, z1, z2, z3 = np.exp((-1j * theta_zh)[:, None] * Z_PHYS.diagonal()).T
+    c, s = np.cos(theta_a), np.sin(theta_a)
+    return (
+        (z0 * c) * z0,
+        (z0 * (-1j * s)) * z3,
+        (z3 * (-1j * s)) * z0,
+        (z3 * c) * z3,
+        z1 * z1,
+        z2 * z2,
+    )
+
+
 def strang_step_unitary(step: StepCoeffs) -> np.ndarray:
     """Closed-form 4x4 propagator of one symmetric split slice."""
     theta_zh, theta_a = strang_angles(step)
-    z_half = np.exp(-1j * theta_zh * np.array([0.0, 1.0, 1.0, 2.0]))
+    entries = _step_entries(np.array([theta_zh]), np.array([theta_a]))
     u = np.zeros((4, 4), dtype=complex)
-    c, s = np.cos(theta_a), np.sin(theta_a)
-    u[0, 0] = u[3, 3] = c
-    u[0, 3] = u[3, 0] = -1j * s
-    u[1, 1] = u[2, 2] = 1.0
-    return (z_half[:, None] * u) * z_half[None, :]
+    u[0, 0], u[0, 3], u[3, 0], u[3, 3], u[1, 1], u[2, 2] = (e[0] for e in entries)
+    return u
 
 
 def evolve(
@@ -99,13 +122,22 @@ def evolve(
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized (norm = {norm})")
 
-    boundaries = schedule.boundaries()
-    pops = np.empty((len(schedule) + 1, 4))
+    n_steps = len(schedule)
+    pops = np.empty((n_steps + 1, 4))
     pops[0] = np.abs(psi) ** 2
-    for n, step in enumerate(schedule):
-        psi = strang_step_unitary(step) @ psi
-        pops[n + 1] = np.abs(psi) ** 2
-    return psi, Trajectory(y=np.asarray(boundaries), populations=pops)
+    p0, p1, p2, p3 = psi.tolist()
+    for start in range(0, n_steps, EVOLVE_CHUNK):
+        entries = _step_entries(*schedule.angles(start, start + EVOLVE_CHUNK))
+        states = []
+        for u00, u03, u30, u33, u11, u22 in zip(*(e.tolist() for e in entries)):
+            # u @ psi without the products by u's zero entries
+            p0, p3 = u00 * p0 + u03 * p3, u30 * p0 + u33 * p3
+            p1, p2 = u11 * p1, u22 * p2
+            states += (p0, p1, p2, p3)
+        block = np.array(states).reshape(-1, 4)
+        pops[start + 1 : start + 1 + len(block)] = np.abs(block) ** 2
+    final = np.array([p0, p1, p2, p3])
+    return final, Trajectory(y=schedule.boundaries(), populations=pops)
 
 
 def particle_number(state: np.ndarray) -> tuple[float, float, float]:

@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from cosmopair.background import ModeParams, n_k_analytic
 from cosmopair.circuits import circuit_from_text
 from cosmopair.cli import main
 from cosmopair.encoding import zq_pauli_sum, PauliString, PauliSum
 from cosmopair.noise import NoiseModel
+from cosmopair.schedule import build_schedule
 from cosmopair.selfcheck import format_report, run_checks
+from cosmopair.subspace import evolve
 
 
 def read_csv_rows(path):
@@ -117,6 +121,61 @@ class TestSweep:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--x", "2.0", "--methods", "shots", "--n-steps", "2", "--seed=-1"],
+            ["noise-study", "--x", "2.0", "--seed=-7"],
+        ],
+        ids=["sweep", "noise_study"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        import cosmopair.cli as cli
+
+        for name in ("run_schedule", "run_circuit", "run_noisy_circuit"):
+            monkeypatch.setattr(cli, name, _no_run)
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        seed = argv[-1].split("=")[1]
+        assert capsys.readouterr().err == f"error: --seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--x-min=-1.5", "--x-max=2", "--x-points=2"], "--x-min must be finite and positive"),
+            (["--x-min=1", "--x-max=nan"], "--x-max must be finite and positive"),
+            (["--x-min=0", "--x-max=inf"], "--x-min must be finite and positive"),
+            (["--x-min=1", "--x-max=2", "--x-points=0"], "--x-points must be >= 1"),
+            (["--x-min=1", "--x-max=2", "--x-points=-4"], "--x-points must be >= 1"),
+        ],
+        ids=["negative_min", "nan_max", "zero_min", "zero_points", "negative_points"],
+    )
+    def test_bad_x_range_is_one_error_line(self, tmp_path, capsys, grid, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", *grid, "--methods", "analytic", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+
+    def test_scaled_pauli_rates_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        import cosmopair.cli as cli
+        import cosmopair.mitigation as mitigation
+
+        for module, name in ((cli, "run_noisy_circuit"), (mitigation, "run_noisy_circuit")):
+            monkeypatch.setattr(module, name, _no_run)
+        # 500 x the default p2 = 2.8e-3 is a rate of 1.4.
+        assert main(["sweep", "--x", "1.3,2.0", "--methods", "analytic,zne",
+                     "--factors", "1,500", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: noise factor 500: Pauli rate 1.4 outside [0, 1]\n"
+        assert not (tmp_path / "sweep.csv").exists()
+        # Without a zne row the factors are never applied to the model.
+        assert main(["sweep", "--x", "1.3", "--methods", "analytic",
+                     "--factors", "1,500", "--out-dir", str(tmp_path)]) == 0
+
     def test_workers_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--x", "2.0", "--methods", "analytic", "--workers", "2",
@@ -162,6 +221,34 @@ class TestTrajectory:
         rows = read_csv_rows(tmp_path / "trajectory_x2.csv")
         assert len(rows) == 1
         assert float(rows[0]["p_pair"]) == 0.0
+
+    def test_streamed_rows_match_per_row_formatting(self, tmp_path):
+        # Several formatting chunks, the last one short.  The reference is the
+        # per-row formatting the streamed writer replaced.
+        x, n_steps = 1.5, 10_001
+        assert main(["trajectory", "--x", "1.5", "--n-steps", str(n_steps),
+                     "--out-dir", str(tmp_path)]) == 0
+        _, traj = evolve(build_schedule(ModeParams(x=x, n_steps=n_steps)))
+        rows = [
+            ",".join(repr(v) for v in (float(t), *(float(p) for p in pops), n_k_analytic(x)))
+            for t, pops in zip(traj.y, traj.populations)
+        ]
+        lines = (tmp_path / "trajectory_x1.5.csv").read_text().split("\n")
+        assert lines[3] == "y,p_vac,p_plus,p_minus,p_pair,n_k_analytic"
+        assert lines[4:] == rows + [""]
+
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        from cosmopair.cli import _write_atomic
+
+        def chunks():
+            yield "partial\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(tmp_path / "t.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
+        _write_atomic(tmp_path / "t.csv", iter(["a\n", "b\n"]))
+        assert (tmp_path / "t.csv").read_text() == "a\nb\n"
 
     def test_longer_wavelength_ends_higher(self, tmp_path):
         # Final pair occupation decreases with x, consistent with 1/(4x^4).
@@ -252,6 +339,19 @@ class TestNoiseStudy:
                      "--out-dir", str(tmp_path)]) == 2
         assert "need at least two noise factors" in capsys.readouterr().err
         assert not tmp_path.joinpath("noise_study.json").exists()
+
+    def test_scaled_pauli_rates_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        import cosmopair.cli as cli
+        import cosmopair.mitigation as mitigation
+
+        for module, name in ((cli, "run_circuit"), (cli, "run_noisy_circuit"),
+                             (mitigation, "run_noisy_circuit")):
+            monkeypatch.setattr(module, name, _no_run)
+        assert main(["noise-study", "--x", "1.3,2.0", "--factors", "1,500",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: noise factor 500: Pauli rate 1.4 outside [0, 1]\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,12 +1,106 @@
 """Grid construction, midpoint branch selection, and split-step angles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosmopair.background import ModeParams
 from cosmopair.schedule import Branch, StepCoeffs, build_schedule, strang_angles
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-step loop that the columnar build_schedule replaced, one
+# StepCoeffs per slice evaluated on Python floats.
+# ---------------------------------------------------------------------------
+
+def _reference_steps(params):
+    dy = (params.y_f - params.y_i) / params.n_steps
+    steps = []
+    for n in range(params.n_steps):
+        y_mid = params.y_i + (n + 0.5) * dy
+        if y_mid >= -params.x:
+            cz, ca, branch = 1.0, 0.0, Branch.RADIATION
+        else:
+            ca = -1.0 / y_mid**2
+            cz, branch = 1.0 + ca, Branch.DE_SITTER
+        steps.append(StepCoeffs(index=n, y_mid=y_mid, dy=dy, cz=cz, ca=ca, branch=branch))
+    return steps
+
+
+def _reference_boundaries(params):
+    dy = (params.y_f - params.y_i) / params.n_steps
+    return [params.y_i + n * dy for n in range(params.n_steps + 1)]
+
+
+def _assert_matches_reference(params):
+    sched = build_schedule(params)
+    ref = _reference_steps(params)
+    # Columns bit for bit; array_equal takes -0.0 == 0.0, so the sign of ca
+    # is compared on its own.
+    assert np.array_equal(sched.y_mid, [s.y_mid for s in ref])
+    assert np.array_equal(sched.cz, [s.cz for s in ref])
+    assert np.array_equal(sched.ca, [s.ca for s in ref])
+    assert np.array_equal(np.signbit(sched.ca), [np.signbit(s.ca) for s in ref])
+    assert np.array_equal(sched.radiation, [s.branch is Branch.RADIATION for s in ref])
+    assert sched.dy == ref[0].dy
+    assert np.array_equal(sched.boundaries(), _reference_boundaries(params))
+    return sched, ref
+
+
+class TestColumnarSchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.floats(min_value=0.6, max_value=5.0),
+        n_steps=st.integers(min_value=1, max_value=3000),
+        y_i=st.floats(min_value=-500.0, max_value=-6.0),
+    )
+    def test_columns_equal_scalar_loop(self, x, n_steps, y_i):
+        sched, ref = _assert_matches_reference(ModeParams(x=x, y_i=y_i, n_steps=n_steps))
+        assert list(sched) == ref
+
+    @pytest.mark.parametrize("x", [1.5, 2.0])
+    def test_columns_equal_scalar_loop_at_100k_steps(self, x):
+        # y * y and np.power(y, 2) differ from Python's y**2 on dozens of
+        # these midpoints; the columns must not.
+        _assert_matches_reference(ModeParams(x=x, n_steps=100_000))
+
+    def test_windows_with_one_branch(self):
+        for params in (
+            SimpleNamespace(x=2.0, y_i=-80.0, y_f=-3.0, n_steps=50),  # de Sitter only
+            SimpleNamespace(x=2.0, y_i=-2.0, y_f=0.0, n_steps=50),  # radiation only
+        ):
+            _assert_matches_reference(params)
+
+    def test_indexing_builds_the_same_steps(self):
+        params = ModeParams(x=2.0, n_steps=9)
+        sched, ref = build_schedule(params), _reference_steps(params)
+        assert sched.steps is sched
+        assert [sched[n] for n in range(9)] == ref
+        assert sched[-1] == ref[-1] and sched.steps[-9] == ref[0]
+        assert sched[2:7:2] == ref[2:7:2]
+        assert list(reversed(sched)) == ref[::-1]
+        assert isinstance(sched[0].y_mid, float) and isinstance(sched[0].index, int)
+        for bad in (9, -10):
+            with pytest.raises(IndexError):
+                sched[bad]
+
+    def test_columns_are_read_only(self):
+        sched = build_schedule(ModeParams(x=2.0, n_steps=3))
+        for column in (sched.y_mid, sched.cz, sched.ca, sched.radiation):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_angle_columns_equal_strang_angles(self):
+        sched = build_schedule(ModeParams(x=1.5, n_steps=1000))
+        theta_zh, theta_a = sched.angles(100, 900)
+        expected = np.array([strang_angles(step) for step in sched[100:900]])
+        assert np.array_equal(theta_zh, expected[:, 0])
+        assert np.array_equal(theta_a, expected[:, 1])
+        tail = sched.angles(990, 2000)  # a chunk may run past the end
+        assert len(tail[0]) == len(tail[1]) == 10
 
 
 def test_two_step_grid_hand_values():

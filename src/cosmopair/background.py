@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "ModeParams",
@@ -205,6 +204,9 @@ def bogoliubov_ode_oracle(
         raise ValueError(f"y_i = {y_i} is not deep de Sitter (need y_i <= {-10.0 * x})")
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tol must be in [1e-12, 1e-6], got {tol}")
+    # Imported here: scipy.integrate is most of the package's import time,
+    # and nothing else needs it.
+    from scipy.integrate import solve_ivp
 
     y_e = -x
     probes = (y_e + 0.5, y_e + 1.5)

@@ -11,42 +11,35 @@ Noise amplification for extrapolation scales the Pauli rates directly
 (`scaled`), which in a stochastic-Pauli simulator is the exact semantic
 target that hardware gate folding only approximates.
 
-`run_noisy_circuit` draws per-shot trajectories from independent streams
-keyed by (seed, shot index), in a fixed documented order, so runs are
-reproducible and do not depend on how shots are batched.  It works in two
-passes.  The draw pass takes every shot's draws up front, since none depends
-on the state, and lists each injection as a (gate, state row, Pauli) event.
-The state pass walks the gate list once over a (1 + injected shots, 2**n)
-array: row 0 is the ideal trajectory, read by every clean shot, and each
-injected shot has a row of its own.  Each gate is one kernel call on the
-whole array, followed by its Paulis, applied to the rows injected there one
-group of equal Paulis at a time.  Every shot is then sampled from its row's
-cumulative probabilities and read out through its pre-drawn uniforms.  Each
-amplitude sees the same floating-point operations as in a per-shot replay,
-so counts equal that replay's exactly; memory grows with the number of
-injected shots, not with the gate count.
+Injecting a uniformly random non-identity Pauli with probability p is
+exactly the depolarizing channel on the gate's operands, so
+`noisy_distribution` evolves the density matrix through the circuit and
+returns the exact outcome distribution, readout included.  Its cost is one
+pass over the gates, whatever the shot count.  The shots of a
+stochastic-Pauli model are independent and identically distributed, so
+`run_noisy_circuit` draws their counts as one multinomial over that
+distribution, seeded like `sample_counts`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit
-from .encoding import _PAULI_MATS
 from .statevector import (
     CountsTable,
     _apply_1q_inplace,
+    _apply_cnot_inplace,
     _apply_gate_inplace,
-    counts_rng,
-    probabilities,
-    run_circuit,
+    _mat_1q,
     sample_counts,
 )
 
-__all__ = ["NoiseModel", "apply_readout_noise", "run_noisy_circuit"]
+__all__ = ["NoiseModel", "apply_readout_noise", "noisy_distribution", "run_noisy_circuit"]
 
 
 @dataclass(frozen=True)
@@ -76,10 +69,6 @@ class NoiseModel:
     @property
     def n_qubits(self) -> int:
         return len(self.readout)
-
-    @property
-    def is_gate_noiseless(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0
 
     @classmethod
     def default(cls, n_qubits: int = 4) -> "NoiseModel":
@@ -166,88 +155,69 @@ def apply_readout_noise(
     return {format(i, f"0{n}b"): float(flat[i]) for i in range(2**n)}
 
 
+def noisy_distribution(circuit: Circuit, model: NoiseModel) -> dict[str, float]:
+    """Exact outcome distribution of the circuit under the noise model.
+
+    The density matrix rho is held as a 2n-qubit vector, row qubits 0..n-1
+    and column qubits n..2n-1, starting from |0...0><0...0|.  Each gate is
+    applied as U on the row qubits and conj(U) on the column qubits (rho ->
+    U rho U^dagger), followed by the depolarizing map on its operands, which
+    is exactly the injection of a uniformly random non-identity Pauli with
+    the gate's rate.  diag(rho) is then pushed through the readout.  Limited
+    to 12 qubits: the 4**n entries of rho are those of a dense unitary.
+    """
+    n = circuit.n_qubits
+    if n != model.n_qubits:
+        raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
+    if n > 12:
+        raise ValueError(f"dense density matrix limited to 12 qubits, got {n}")
+    rho = np.zeros(4**n, dtype=complex)
+    rho[0] = 1.0
+    for gate in circuit.gates:
+        _apply_gate_inplace(rho, 2 * n, gate)
+        columns = tuple(q + n for q in gate.qubits)
+        if gate.name == "CNOT":
+            _apply_cnot_inplace(rho, 2 * n, *columns)
+            _depolarize(rho, n, gate.qubits, model.p2)
+        else:
+            _apply_1q_inplace(rho, 2 * n, columns[0], _mat_1q(gate).conj())
+            _depolarize(rho, n, gate.qubits, model.p1)
+    diag = rho.reshape(2**n, 2**n).diagonal().real
+    return apply_readout_noise(
+        {format(i, f"0{n}b"): float(v) for i, v in enumerate(diag)}, model
+    )
+
+
+def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float):
+    """rho -> (1 - p d²/(d²-1)) rho + (p d/(d²-1)) Tr_Q(rho) ⊗ I_Q on Q = qubits.
+
+    With d = 2**len(qubits) this equals (1 - p) rho + p/(d²-1) Σ P rho P over
+    the d² - 1 non-identity Paulis P on Q, since Σ over all d² Paulis gives
+    d Tr_Q(rho) ⊗ I_Q.
+    """
+    d = 2 ** len(qubits)
+    t = rho.reshape((2,) * (2 * n))
+    diagonal = []  # the index of each (row, column) entry of Q with row == column
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        sel: list = [slice(None)] * (2 * n)
+        for q, b in zip(qubits, bits):
+            sel[q] = sel[n + q] = b
+        diagonal.append(tuple(sel))
+    traced = sum(t[s] for s in diagonal)
+    rho *= 1.0 - p * d * d / (d * d - 1)
+    for s in diagonal:
+        t[s] += (p * d / (d * d - 1)) * traced
+
+
 def run_noisy_circuit(
     circuit: Circuit, model: NoiseModel, shots: int, seed: int
 ) -> CountsTable:
-    """Monte-Carlo trajectory sampling of the circuit under the noise model.
+    """Finite-shot counts of the circuit under the noise model.
 
-    Per shot, an independent stream keyed by (seed, shot index) draws, in
-    order: one uniform per gate deciding Pauli injection after that gate, one
-    choice per injection (3 single-qubit / 15 two-qubit non-identity Paulis),
-    one uniform selecting the measured string, and one uniform per qubit for
-    the readout flip.  No draw depends on the state, so every shot's draws
-    are taken first; then one pass over the gates evolves the ideal state and
-    every injected shot's state together (see the module docstring).  When
-    both gate rates are zero the trajectory state is the ideal one for every
-    shot, so the exact noisy distribution is sampled directly through
-    `sample_counts` with the same seed.
+    Under a stochastic-Pauli model the shots are independent and identically
+    distributed, so their counts are one multinomial draw over the exact
+    `noisy_distribution`, seeded like `sample_counts`.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if circuit.n_qubits != model.n_qubits:
-        raise ValueError(
-            f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
-        )
-    if model.is_gate_noiseless:
-        return sample_counts(
-            apply_readout_noise(probabilities(run_circuit(circuit)), model), shots, seed
-        )
-
-    n = circuit.n_qubits
-    gates = circuit.gates
-    rates = np.array(
-        [model.p2 if g.name == "CNOT" else model.p1 for g in gates]
-    )
-
-    # Draw pass.  Row 0 of the state array is the ideal trajectory, read by
-    # every clean shot; each injected shot gets a row of its own.
-    events: dict[int, list[tuple[int, tuple[str, ...]]]] = {}  # gate -> (row, Pauli)
-    shot_rows = np.zeros(shots, dtype=np.intp)
-    uniforms = np.empty((shots, 1 + n))  # measurement, then one per qubit readout
-    n_rows = 1
-    for shot in range(shots):
-        rng = counts_rng(seed, shot)
-        injected = np.nonzero(rng.random(len(gates)) < rates)[0]
-        if injected.size:
-            for k in injected.tolist():
-                events.setdefault(k, []).append((n_rows, _draw_pauli(rng, gates[k])))
-            shot_rows[shot] = n_rows
-            n_rows += 1
-        uniforms[shot] = rng.random(1 + n)
-
-    # State pass: each gate once on every row, then its Paulis, one gather,
-    # kernel call and scatter per distinct Pauli.
-    states = np.zeros((n_rows, 2**n), dtype=complex)
-    states[:, 0] = 1.0
-    for k, gate in enumerate(gates):
-        _apply_gate_inplace(states, n, gate)
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for row, pauli in events.pop(k, ()):
-            groups.setdefault(pauli, []).append(row)
-        for pauli, rows in groups.items():
-            block = states[rows]
-            for q, letter in zip(gate.qubits, pauli):
-                if letter != "I":
-                    _apply_1q_inplace(block, n, q, _PAULI_MATS[letter])
-            states[rows] = block
-
-    # Sampling: the first index whose cumulative weight exceeds u * total,
-    # i.e. searchsorted(cum, u * cum[-1], side="right"), for every shot.
-    cum = np.cumsum(np.abs(states) ** 2, axis=1)[shot_rows]
-    true = np.count_nonzero(cum <= (uniforms[:, 0] * cum[:, -1])[:, None], axis=1)
-    shift = n - 1 - np.arange(n)
-    true_bits = (true[:, None] >> shift) & 1
-    # Qubit q reads 0 when its uniform falls below C_q[0][true bit].
-    p_read0 = np.array([c[0] for c in model.readout])
-    read1 = uniforms[:, 1:] >= p_read0[np.arange(n), true_bits]
-    observed, freq = np.unique((read1 << shift).sum(axis=1), return_counts=True)
-    counts = {format(int(i), f"0{n}b"): int(c) for i, c in zip(observed, freq)}
-    return CountsTable(shots=shots, counts=counts, seed=int(seed))
-
-
-def _draw_pauli(rng: np.random.Generator, gate) -> tuple[str, ...]:
-    """A uniformly random non-identity Pauli on the gate's operands, one letter each."""
-    if gate.name == "CNOT":
-        pair = int(rng.integers(15)) + 1  # 1..15 over {I,X,Y,Z}^2, skipping II
-        return ("IXYZ"[pair // 4], "IXYZ"[pair % 4])
-    return ("XYZ"[int(rng.integers(3))],)
+    return sample_counts(noisy_distribution(circuit, model), shots, seed)

@@ -267,11 +267,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > 12:
         raise ValueError(f"dense unitary limited to 12 qubits, got {n}")
-    # Rows are contiguous, so evolve basis states as rows and transpose.
+    # Evolve all basis states at once as a batch of rows, then transpose.
     rows = np.eye(2**n, dtype=complex)
-    for r in range(2**n):
-        for gate in circuit.gates:
-            _apply_gate_inplace(rows[r], n, gate)
+    for gate in circuit.gates:
+        _apply_gate_inplace(rows, n, gate)
     return rows.T.copy()
 
 

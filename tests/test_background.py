@@ -1,10 +1,16 @@
 """Background quantities, closed-form benchmark, and the mode-equation oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cosmopair
 from cosmopair.background import (
     BogoliubovPair,
     ModeParams,
@@ -186,3 +192,15 @@ def test_bogoliubov_pair_is_plain_container():
     pair = BogoliubovPair(alpha=1.0 + 0j, beta=0j)
     assert pair.n_k == 0.0
     assert pair.normalization_defect == 0.0
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only the ODE oracle integrates; importing scipy.integrate up front
+    # made up most of the CLI's start-up time.
+    src = str(Path(cosmopair.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, cosmopair.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,11 @@
 
 The digests were taken before the ZNE, observables, seed and Pauli code was
 folded into one implementation each; a refactor that changes any byte of
-these files changes behaviour.  `dump-circuit` has its own golden test in
+these files changes behaviour.  The `sweep` and `noise-study` digests were
+re-taken when noisy counts became one multinomial draw over the exact
+channel: the same law of the counts, different random draws.
+`sweep-noiseless` pins every noiseless row of the same sweep, which that
+change left byte-identical.  `dump-circuit` has its own golden test in
 test_cli.py.
 """
 
@@ -18,16 +22,24 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "0a62d291f78b0c2c0bf0c834112d43846a8724e64470956b2cdadc5abefa7c58",
-            "sweep.json": "2bf031d9cbf0071283a2b856a6614b323b5319949c2764017b4cac3500258ec5",
+            "sweep.csv": "e1344d95e34d89849567e5350a605724eebe4125a10cba38b128c25e46e0ee3a",
+            "sweep.json": "a3160e7a4e36fd68e6a80da6c5f80e5327fcd3ab93fe54fa2a21de2cd18d8ad9",
+        },
+    ),
+    "sweep-noiseless": (
+        ["sweep", "--x", "1.3,2.3", "--methods", "analytic,matrix,statevector,shots",
+         "--n-steps", "2", "--shots", "300", "--seed", "7"],
+        {
+            "sweep.csv": "1edd6bd82e62d776c03924fd76dc08d1291f9916847a6f59ebead7568d821c89",
+            "sweep.json": "d305ead51363f1781fbb81087b36a477ea9f335d8349ffc4579e09f410161aab",
         },
     ),
     "noise-study": (
         ["noise-study", "--x", "1.3,2.2", "--shots", "300", "--seed", "5"],
         {
-            "counts_x1.3.csv": "ff7f7a0e6a77c7dfed717908fc79c75dc37a0a679dba72cd893e9b761f3ccacf",
-            "counts_x2.2.csv": "8468e3ea7bd65998a190c92b3e54cd31365dbf93e03cb22a6f4a2263da401fe4",
-            "noise_study.json": "e91fa5874bdd4d25006f480bfad1b6e79315b50af6c842fa1f5f679ec0c0d95b",
+            "counts_x1.3.csv": "bb0250f6d425649683496de05fcc3647eb32962354975f93b18f687d20a5f9a0",
+            "counts_x2.2.csv": "87986ee80e22b272a112416b099353a4719b7d9d98b63284e512b104a9bb0626",
+            "noise_study.json": "bbb2c063823a1d6b87235a0be33b52a9eda363ef015759cb2ae72b3b49f908bf",
         },
     ),
     "trajectory": (

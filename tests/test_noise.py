@@ -1,4 +1,8 @@
-"""Noise model validation, readout channel, and Monte-Carlo trajectories."""
+"""Noise model validation, readout channel, and the exact noisy channel.
+
+The channel is checked against an independent per-shot Monte-Carlo replay of
+the same stochastic-Pauli model by a chi-squared test of the replay's counts.
+"""
 
 import tracemalloc
 
@@ -6,11 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
 from cosmopair.encoding import _PAULI_MATS, build_full_circuit
-from cosmopair.noise import NoiseModel, apply_readout_noise, run_noisy_circuit
+from cosmopair.noise import (
+    NoiseModel,
+    apply_readout_noise,
+    noisy_distribution,
+    run_noisy_circuit,
+)
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     CountsTable,
@@ -30,9 +40,11 @@ def single_step_circuit(x=1.3, n_steps=1):
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-shot gate-by-gate replay that the batched run replaced.
-# Each injected shot replays every gate after its first injection on its own
-# vector, from the stored ideal state after that gate.  Same draws, same order.
+# Reference: per-shot Monte-Carlo trajectories of the same model.  Each shot
+# draws an injection mask, one uniformly random non-identity Pauli per
+# injection, the measured string and the readout flips; an injected shot
+# replays every gate after its first injection on its own vector, from the
+# stored ideal state after that gate.
 # ---------------------------------------------------------------------------
 
 def _replay_inject(rng, amps, n, gate):
@@ -81,6 +93,26 @@ def replay_noisy_circuit(circuit, model, shots, seed):
         )
         counts[observed] = counts.get(observed, 0) + 1
     return CountsTable(shots=shots, counts=dict(sorted(counts.items())), seed=int(seed))
+
+
+def assert_counts_follow(table, probs):
+    """Pearson chi-squared of the counts against `probs`, below its 1 - 1e-6 quantile.
+
+    Bins are taken in increasing expected count and merged until each group
+    expects at least 5 shots; a short last group joins the one before it.
+    """
+    assert set(table.counts) <= set(probs)
+    groups, expected, observed = [], 0.0, 0
+    for e, o in sorted((table.shots * p, table.counts.get(k, 0)) for k, p in probs.items()):
+        expected, observed = expected + e, observed + o
+        if expected >= 5.0:
+            groups.append((expected, observed))
+            expected, observed = 0.0, 0
+    if expected:
+        e, o = groups.pop()
+        groups.append((e + expected, o + observed))
+    stat = sum((o - e) ** 2 / e for e, o in groups)
+    assert stat < chi2.isf(1e-6, len(groups) - 1), (stat, len(groups) - 1)
 
 
 class TestNoiseModel:
@@ -187,18 +219,6 @@ class TestNoisyRunner:
         # Saturated injection scrambles the state far from the ideal output.
         assert obs.leakage > 0.3
 
-    def test_noisy_path_replays_the_circuit_once(self, monkeypatch):
-        # Row 0 of the batched state pass is the ideal trajectory; a separate
-        # ideal run is needed only on the gate-noiseless shortcut.
-        import cosmopair.noise as noise
-
-        def no_ideal_run(circuit):
-            raise AssertionError("ideal circuit replayed on the noisy path")
-
-        monkeypatch.setattr(noise, "run_circuit", no_ideal_run)
-        table = run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), 64, 3)
-        assert table.shots == 64
-
     def test_shots_accounted(self):
         table = run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), 777, 3)
         assert sum(table.counts.values()) == 777
@@ -216,29 +236,36 @@ class TestNoisyRunner:
 
 
 class TestBatchedRunMatchesReplay:
-    """The batched run gives exactly the counts of per-shot replay."""
+    """Per-shot replay counts follow the law the run draws all shots from at once.
+
+    The noisy run is one multinomial draw over `noisy_distribution`; the
+    replay's counts are chi-squared tested against that distribution.
+    """
 
     @pytest.mark.parametrize("x, n_steps", [(1.3, 1), (1.3, 2), (2.2, 1), (2.2, 2)])
     def test_schedule_circuits(self, x, n_steps):
         circuit = single_step_circuit(x, n_steps)
-        for factor in (1.0, 2.0, 5.0):
+        for seed, factor in enumerate((1.0, 2.0, 5.0)):
             model = NoiseModel.default(4).scaled(factor)
-            for seed in (0, 1, 2):
-                assert run_noisy_circuit(circuit, model, 128, seed) == \
-                    replay_noisy_circuit(circuit, model, 128, seed)
+            assert_counts_follow(
+                replay_noisy_circuit(circuit, model, 600, seed),
+                noisy_distribution(circuit, model),
+            )
 
     @pytest.mark.parametrize(
-        "p1, p2", [(1.0, 1.0), (0.0, 0.05), (0.02, 0.0)],
+        "p1, p2, shots", [(1.0, 1.0, 300), (0.0, 0.05, 600), (0.02, 0.0, 600)],
         ids=["saturated", "p2-only", "p1-only"],
     )
-    def test_rate_corners(self, p1, p2):
+    def test_rate_corners(self, p1, p2, shots):
         circuit = single_step_circuit(2.0)
         model = NoiseModel.symmetric(4, epsilon=0.02, p2=p2, p1=p1)
-        for seed in (3, 4):
-            assert run_noisy_circuit(circuit, model, 128, seed) == \
-                replay_noisy_circuit(circuit, model, 128, seed)
+        assert_counts_follow(
+            replay_noisy_circuit(circuit, model, shots, seed=3),
+            noisy_distribution(circuit, model),
+        )
 
     def test_hand_built_two_qubit_circuit(self):
+        # Asymmetric readout, and two CNOTs for the d = 4 depolarizer.
         circuit = Circuit(n_qubits=2)
         circuit.add("RX", 0, angle=0.7)
         circuit.add("H", 1)
@@ -248,14 +275,14 @@ class TestBatchedRunMatchesReplay:
         circuit.add("H", 0)
         c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
         model = NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
-        for seed in range(4):
-            assert run_noisy_circuit(circuit, model, 256, seed) == \
-                replay_noisy_circuit(circuit, model, 256, seed)
+        assert_counts_follow(
+            replay_noisy_circuit(circuit, model, 4000, seed=1),
+            noisy_distribution(circuit, model),
+        )
 
     def test_memory_does_not_grow_with_gate_count(self):
-        # The replay kept one stored state per gate (G+1 rows of 16); the
-        # batched run keeps one row per injected shot, so from 1 to 20 steps
-        # its peak grows only by the per-gate rates and uniforms (~50 KB).
+        # The replay keeps one stored state per gate (G+1 rows of 16); the
+        # exact channel keeps one 4**n vector for rho whatever the gate count.
         model = NoiseModel.default(4)
         peaks = {}
         for n_steps in (1, 20):
@@ -267,6 +294,42 @@ class TestBatchedRunMatchesReplay:
             tracemalloc.stop()
         prefix_bytes = (len(single_step_circuit(2.0, 20).gates) + 1) * 16 * 16
         assert peaks[20] - peaks[1] < 128 * 1024 < prefix_bytes
+
+
+class TestNoisyDistribution:
+    def test_single_gates_at_rate_one(self):
+        # Of the 3 one-qubit Paulis, Z keeps X|0> = |1>; of the 15 two-qubit
+        # ones, 3 keep |00> (letters from {I, Z}) and 4 lead to each other string.
+        one = Circuit(n_qubits=1)
+        one.add("X", 0)
+        exact = noisy_distribution(one, NoiseModel.symmetric(1, epsilon=0.0, p2=0.0, p1=1.0))
+        assert exact == pytest.approx({"0": 2 / 3, "1": 1 / 3}, abs=1e-15)
+        two = Circuit(n_qubits=2)
+        two.add("CNOT", 0, 1)
+        exact = noisy_distribution(two, NoiseModel.symmetric(2, epsilon=0.0, p2=1.0, p1=0.0))
+        expected = {"00": 3 / 15, "01": 4 / 15, "10": 4 / 15, "11": 4 / 15}
+        assert exact == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [1.3, 2.2])
+    def test_zero_gate_rates_give_the_ideal_distribution(self, x):
+        circuit = single_step_circuit(x, 2)
+        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+        c1 = c0[::-1, ::-1].copy()
+        model = NoiseModel(readout=(c0, c1, c1, c0), p1=0.0, p2=0.0)
+        exact = noisy_distribution(circuit, model)
+        ideal = apply_readout_noise(probabilities(run_circuit(circuit)), model)
+        assert exact.keys() == ideal.keys()
+        assert max(abs(exact[k] - ideal[k]) for k in ideal) < 1e-14
+
+    def test_rejects_mismatched_register(self):
+        with pytest.raises(ValueError, match="model covers 2 qubits"):
+            noisy_distribution(single_step_circuit(), NoiseModel.default(2))
+
+    def test_rejects_registers_above_12_qubits(self):
+        circuit = Circuit(n_qubits=13)
+        circuit.add("H", 12)
+        with pytest.raises(ValueError, match="limited to 12 qubits"):
+            noisy_distribution(circuit, NoiseModel.default(13))
 
 
 _GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "RX", "CNOT")

@@ -160,6 +160,21 @@ def _parse_x_grid(args) -> list[float]:
     return xs
 
 
+def _file_grid(args) -> list[float]:
+    """Sorted x grid of a command writing one file per x, named by `x{x:g}`.
+
+    Refuses x values that share a label, and checks every window (at
+    --n-steps 0, no slices, as at 1), all before any run.
+    """
+    xs = sorted(_parse_x_grid(args))
+    for a, b in zip(xs, xs[1:]):  # :g rounds monotonically, so ties are adjacent
+        if f"{a:g}" == f"{b:g}":
+            raise UsageError(f"x = {a!r} and x = {b!r} share the file label x{a:g}")
+    for x in xs:
+        _mode_params(x, args, args.n_steps or 1)
+    return xs
+
+
 def _parse_factors(text: str, model: NoiseModel, zne: bool) -> tuple[float, ...]:
     """Checked `--factors`; with `zne`, the model's rates at the largest too."""
     factors = validate_factors(float(v) for v in text.split(",") if v)
@@ -332,10 +347,10 @@ def _trajectory_csv(
 
 
 def cmd_trajectory(args) -> int:
-    x_grid = _parse_x_grid(args)
+    x_grid = _file_grid(args)
     n_steps = args.n_steps
     out_dir = Path(args.out_dir)
-    for x in sorted(x_grid):
+    for x in x_grid:
         n_k_an = n_k_analytic(x)
         if n_steps == 0:
             y, pops = np.array([args.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
@@ -354,7 +369,7 @@ def cmd_trajectory(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_noise_study(args) -> int:
-    x_grid = _parse_x_grid(args)
+    x_grid = _file_grid(args)
     n_steps, shots = args.n_steps, args.shots
     _check_seed(args.seed)
     model = _load_model(args.model_file)
@@ -363,7 +378,7 @@ def cmd_noise_study(args) -> int:
     out_dir = Path(args.out_dir)
     results = []
     counts_files = []
-    for xi, x in enumerate(sorted(x_grid)):
+    for xi, x in enumerate(x_grid):
         schedule = build_schedule(_mode_params(x, args, n_steps))
         circuit = build_full_circuit(schedule)
         ideal = observables_from_probabilities(probabilities(run_circuit(circuit)))
@@ -414,7 +429,7 @@ def cmd_noise_study(args) -> int:
         )
 
     parameters = {
-        "x_grid": sorted(x_grid),
+        "x_grid": x_grid,
         "n_steps": n_steps,
         "shots": shots,
         "seed": args.seed,
@@ -439,10 +454,10 @@ def cmd_noise_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dump_schedule(args) -> int:
-    x_grid = _parse_x_grid(args)
+    x_grid = _file_grid(args)
     n_steps = args.n_steps
     out_dir = Path(args.out_dir)
-    for x in sorted(x_grid):
+    for x in x_grid:
         schedule = build_schedule(_mode_params(x, args, n_steps))
         columns = (schedule.y_mid, schedule.cz, schedule.ca, schedule.radiation)
         steps = [
@@ -466,14 +481,12 @@ def cmd_dump_schedule(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
-    x_grid = _parse_x_grid(args)
+    x_grid = _file_grid(args)
     n_steps = args.n_steps
     out_dir = Path(args.out_dir)
-    for x in sorted(x_grid):
-        if n_steps == 0:
-            circuit = build_full_circuit([])
-        else:
-            circuit = build_full_circuit(build_schedule(_mode_params(x, args, n_steps)))
+    for x in x_grid:
+        steps = build_schedule(_mode_params(x, args, n_steps)) if n_steps else []
+        circuit = build_full_circuit(steps)
         parameters = {
             **_x_parameters(x, args, n_steps),
             "gate_count": circuit.gate_count,
@@ -499,9 +512,6 @@ def cmd_verify(_args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, default_x: str | None):
     p.add_argument("--x", default=default_x, help="comma-separated x values")
-    p.add_argument("--x-min", type=float, default=1.0)
-    p.add_argument("--x-max", type=float, default=5.0)
-    p.add_argument("--x-points", type=int, default=40)
     p.add_argument("--n-steps", type=int, default=None)
     p.add_argument("--y-i", type=float, default=-80.0, help="grid start")
     p.add_argument(
@@ -521,6 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="pair number vs x for chosen methods")
     _add_common(p, default_x=None)
+    p.add_argument("--x-min", type=float, default=1.0)
+    p.add_argument("--x-max", type=float, default=5.0)
+    p.add_argument("--x-points", type=int, default=40)
     p.add_argument("--methods", default="analytic,matrix,statevector")
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -438,6 +438,52 @@ class TestDumps:
         assert circuit.gate_count == 2
 
 
+class TestPerXFiles:
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["trajectory", "--x", "2.0,2.0000001", "--n-steps", "4"], "x2"),
+            (["noise-study", "--x", "1.3,1.3000001", "--shots", "300"], "x1.3"),
+            (["dump-schedule", "--x", "1.3000001,1.3"], "x1.3"),
+            (["dump-circuit", "--x", "2.0,2.0000001"], "x2"),
+        ],
+        ids=["trajectory", "noise_study", "dump_schedule", "dump_circuit"],
+    )
+    def test_shared_file_label_exits_2_before_any_run(self, tmp_path, capsys, argv, label):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"share the file label {label}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trajectory", "--y-i", "5"], "transition y_e = -2.0 must lie inside"),
+            (["dump-circuit", "--y-f=-7"], "transition y_e = -2.0 must lie inside"),
+            (["trajectory", "--y-i=-1e300"], "must be finite and within"),
+            (["dump-circuit", "--y-i=-1e300"], "must be finite and within"),
+        ],
+        ids=["trajectory_y_i", "dump_circuit_y_f", "trajectory_huge", "dump_circuit_huge"],
+    )
+    def test_zero_steps_still_check_the_window(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--x", "2.0", "--n-steps", "0", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trajectory", "noise-study", "dump-schedule",
+                                         "dump-circuit"])
+    @pytest.mark.parametrize("option", ["--x-min=3", "--x-max=4", "--x-points=2"])
+    def test_grid_range_options_are_sweep_only(self, tmp_path, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_passes_and_is_deterministic(self, capsys):
         assert main(["verify"]) == 0

@@ -6,8 +6,12 @@ these files changes behaviour.  The `sweep` and `noise-study` digests were
 re-taken when noisy counts became one multinomial draw over the exact
 channel: the same law of the counts, different random draws.
 `sweep-noiseless` pins every noiseless row of the same sweep, which that
-change left byte-identical.  `dump-circuit` has its own golden test in
-test_cli.py.
+change left byte-identical.  Both sweep digests were re-taken again when
+`run_schedule` began building slice unitaries from the templates' fixed
+gate runs: the `statevector` rows sum in a new order, so their `n_k` moved
+in the 15th significant digit and their ~2e-14 `leakage` with it; every
+`shots` row and every other file stayed byte-identical.  `dump-circuit`
+has its own golden test in test_cli.py.
 """
 
 import hashlib
@@ -22,16 +26,16 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "e1344d95e34d89849567e5350a605724eebe4125a10cba38b128c25e46e0ee3a",
-            "sweep.json": "a3160e7a4e36fd68e6a80da6c5f80e5327fcd3ab93fe54fa2a21de2cd18d8ad9",
+            "sweep.csv": "8f06c825f861b9599165738a5514b4d8ed6f564aa8bfa81013e256f6cda4345b",
+            "sweep.json": "1549b8d7218c7abcdbc12fdec84657c4a9bde68260bb439da8b903ca7e26d769",
         },
     ),
     "sweep-noiseless": (
         ["sweep", "--x", "1.3,2.3", "--methods", "analytic,matrix,statevector,shots",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "1edd6bd82e62d776c03924fd76dc08d1291f9916847a6f59ebead7568d821c89",
-            "sweep.json": "d305ead51363f1781fbb81087b36a477ea9f335d8349ffc4579e09f410161aab",
+            "sweep.csv": "3177a0bd240c9510d45fd186f79872ea7abb0dbe730bc28c38695bee19532a56",
+            "sweep.json": "4156985aeda6653c1b9403d6c2a97d1d6916dc4a642afaf27df81a2779df36f2",
         },
     ),
     "noise-study": (

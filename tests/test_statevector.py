@@ -1,6 +1,11 @@
 """Gate kernels, probability extraction, seeded sampling, and observables."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
-from cosmopair.encoding import StepTemplate, build_full_circuit
+from cosmopair.encoding import StepTemplate, build_full_circuit, step_template
 from cosmopair.schedule import build_schedule
 import cosmopair.statevector as statevector
 from cosmopair.schedule import Branch
@@ -281,7 +286,7 @@ def _max_amplitude_diff(sched) -> float:
 
 
 class TestRunSchedule:
-    """The slice-fused runner against gate-by-gate replay of the same circuit."""
+    """The segment runner against gate-by-gate replay of the same circuit."""
 
     @pytest.mark.parametrize("window", sorted(SCHEDULE_WINDOWS))
     @pytest.mark.parametrize("n_steps", [1, 7, 1000])
@@ -309,8 +314,23 @@ class TestRunSchedule:
         assert [s.branch for s in sched][-2:] == [Branch.DE_SITTER, Branch.RADIATION]
         assert _max_amplitude_diff(sched) < 1e-12
 
-    def test_fusion_of_permuting_runs(self, monkeypatch):
-        # The real templates' monomial runs are all diagonal; this one is not.
+    @settings(deadline=None, max_examples=40)
+    @given(
+        with_pair=st.booleans(),
+        thetas=st.lists(
+            st.tuples(*[st.just(0.0) | st.floats(-1e3, 1e3)] * 2), min_size=1, max_size=5
+        ),
+    )
+    def test_blocks_match_instantiated_template(self, with_pair, thetas):
+        blocks = statevector._slice_unitaries(with_pair, np.array(thetas))
+        template = step_template(with_pair)
+        for block, (theta_zh, theta_a) in zip(blocks, thetas):
+            gatewise = circuit_unitary(Circuit(4, template.instantiate(theta_zh, theta_a)))
+            assert np.max(np.abs(block - gatewise)) < 1e-14
+
+    def test_segments_of_permuting_runs(self, monkeypatch):
+        # The real templates open with an RZ; this one opens with a fixed
+        # run, and its runs permute and hold H.
         gates = (
             Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)), Gate("RZ", (1,), angle=0.0),
             Gate("X", (2,)), Gate("S", (3,)), Gate("H", (1,)), Gate("CNOT", (1, 3)),
@@ -319,17 +339,17 @@ class TestRunSchedule:
         )  # the first run's permutation is a 3-cycle, not an involution
         template = StepTemplate(gates=gates, angles=((2, 0, 0.25), (8, 1, -0.125)))
         monkeypatch.setattr(statevector, "step_template", lambda with_pair: template)
-        statevector._slice_kernels.cache_clear()
+        statevector._slice_segments.cache_clear()
         try:
             thetas = np.array([[0.3, -0.7], [1.1, 0.05]])
-            fused = statevector._slice_unitaries(True, thetas)
-            for block, (theta_zh, theta_a) in zip(fused, thetas):
+            blocks = statevector._slice_unitaries(True, thetas)
+            for block, (theta_zh, theta_a) in zip(blocks, thetas):
                 gatewise = circuit_unitary(
                     Circuit(4, template.instantiate(theta_zh, theta_a))
                 )
                 assert np.max(np.abs(block - gatewise)) < 1e-14
         finally:
-            statevector._slice_kernels.cache_clear()
+            statevector._slice_segments.cache_clear()
 
     def test_empty_schedule_is_prepared_vacuum(self):
         amps = run_schedule([]).amplitudes
@@ -349,3 +369,24 @@ class TestRunSchedule:
         small, large = peak(1000), peak(20000)
         assert large <= small + 64 * 1024
         assert large < 4 * 1024 * 1024
+
+    def test_stacked_products_stay_on_one_thread(self):
+        # One tall (m*16, 16) product instead of the stack of 16x16 products
+        # lets BLAS start a second thread: CPU about 2x wall instead of 1x.
+        src = str(Path(statevector.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = textwrap.dedent("""
+            import time
+            from cosmopair.background import ModeParams
+            from cosmopair.schedule import build_schedule
+            from cosmopair.statevector import run_schedule
+            sched = build_schedule(ModeParams(x=2.0, n_steps=2000))
+            wall, cpu = time.perf_counter(), time.process_time()
+            run_schedule(sched)
+            print(time.process_time() - cpu, time.perf_counter() - wall)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        cpu, wall = map(float, out.stdout.split())
+        assert cpu <= 1.3 * wall, (cpu, wall)

@@ -161,16 +161,12 @@ def _parse_x_grid(args) -> list[float]:
 
 
 def _file_grid(args) -> list[float]:
-    """Sorted x grid of a command writing one file per x, named by `x{x:g}`.
-
-    Refuses x values that share a label, and checks every window (at
-    --n-steps 0, no slices, as at 1), all before any run.
-    """
+    """Sorted x grid of a command writing a file per x; checked before any run."""
     xs = sorted(_parse_x_grid(args))
     for a, b in zip(xs, xs[1:]):  # :g rounds monotonically, so ties are adjacent
         if f"{a:g}" == f"{b:g}":
             raise UsageError(f"x = {a!r} and x = {b!r} share the file label x{a:g}")
-    for x in xs:
+    for x in xs:  # every window, at --n-steps 0 (no slices) as at 1
         _mode_params(x, args, args.n_steps or 1)
     return xs
 

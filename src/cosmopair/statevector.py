@@ -9,10 +9,13 @@ coefficient schedule without building the circuit.  Every slice of a given
 shape is the same gate block with step-dependent RZ angles, so the block is
 cut at its RZs: each fixed gate run between them is built once, through
 `circuit_unitary`, as a dense 16x16 matrix, and each RZ is a per-slice
-diagonal phase.  A chunk of slices then costs one diagonal scaling per RZ
-and one stacked product per run.  The product stays a stack of 16x16 matrix
-products: collapsed into one tall product, it is large enough for BLAS to
-start a second thread, which doubles the CPU time for no gain in wall time.
+diagonal phase, one exp per RZ as in the gate itself.  Runs that only
+permute (CNOT ladders) are folded into their neighbours, so a chunk costs
+one diagonal scaling per RZ group and one stacked product per remaining
+run: 10 of each for the pair shape, and a single diagonal for the CNOT-only
+radiation shape.  The product stays a stack of 16x16 matrix products:
+collapsed into one tall product, it is large enough for BLAS to start a
+second thread, which doubles the CPU time for no gain in wall time.
 
 Shot sampling draws one multinomial per request from a Philox counter-based
 generator seeded through numpy's SeedSequence, so identical (probs, shots,
@@ -23,7 +26,6 @@ are clamped to zero before sampling.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -148,52 +150,54 @@ _DIM = 16  # four-qubit register
 
 
 @functools.lru_cache(maxsize=2)
-def _slice_segments(with_pair: bool) -> tuple[tuple[np.ndarray, ...], tuple[tuple, ...]]:
-    """A slice template cut at its RZ gates: the fixed runs and the RZ groups.
+def _slice_segments(with_pair: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+    """A slice template cut at its RZ gates, as (run, coef, neg) steps.
 
-    The gates before, between and after the RZ groups form len(groups) + 1
-    runs, the same for every slice (an empty run is the identity).  Each run
-    is one dense matrix in row form, its `circuit_unitary` transposed, so
-    stacked basis rows advance by `rows @ run`.  RZ(2 theta c) on qubit q is
-    listed as (angle source, basis): its diagonal is exp(1j * theta * basis),
-    basis = +c where q's bit is 1 and -c where it is 0.
+    A run is the `circuit_unitary` of the gates before a group of RZs; the
+    last step's group is empty.  The group's r-th RZ(2 theta c), on qubit q,
+    is exp(1j * thetas @ coef[r]), coef[r] = c at its angle source, taken
+    conjugate where neg[:, r] is 1 (q's bit is 0).  A permutation run P, an
+    empty run included, is folded into the step before it, as
+    P diag(d) = diag(P d) P: the radiation shape becomes one diagonal.
     """
     template = step_template(with_pair)
-    rz = {i: (source, coeff) for i, source, coeff in template.angles}
-    index = np.arange(_DIM)
-    runs, groups = [[]], []
-    for is_rz, items in itertools.groupby(enumerate(template.gates), lambda g: g[0] in rz):
-        if is_rz:
-            groups.append(tuple(
-                (rz[i][0], np.where(index & (8 >> gate.qubits[0]), rz[i][1], -rz[i][1]))
-                for i, gate in items
-            ))
-            runs.append([])
-        else:
-            runs[-1] = [gate for _, gate in items]
-    return tuple(circuit_unitary(Circuit(4, run)).T for run in runs), tuple(groups)
+    gates, index = list(template.gates), np.arange(_DIM)[:, None]
+    steps, start = [], 0
+    for i, source, c in template.angles:  # in gate order
+        neg = 1.0 * (index & (8 >> gates[i].qubits[0]) == 0)
+        steps.append((circuit_unitary(Circuit(4, gates[start:i])), np.eye(2)[[source]] * c, neg))
+        start = i + 1
+    steps.append((circuit_unitary(Circuit(4, gates[start:])), np.zeros((0, 2)), np.zeros((_DIM, 0))))
+    for k in range(len(steps) - 1, 0, -1):
+        (head, coef, neg), (perm, next_coef, next_neg) = steps[k - 1], steps[k]
+        if np.all((perm == 0) | (perm == 1)):
+            neg = np.hstack([perm.real @ neg, next_neg])
+            steps[k - 1:k + 1] = [(perm @ head, np.vstack([coef, next_coef]), neg)]
+    return tuple((run, coef, neg.astype(int)) for run, coef, neg in steps)
 
 
 def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
     """(len(thetas), 16, 16) stack of slice unitaries for (theta_zh, theta_a) rows."""
-    runs, groups = _slice_segments(with_pair)
-    rows = np.broadcast_to(runs[0], (len(thetas), _DIM, _DIM))
-    for group, run in zip(groups, runs[1:]):
-        for source, basis in group:
-            rows = rows * np.exp(1j * thetas[:, source, None] * basis)[:, None, :]
-        rows = rows @ run  # a stack of 16x16 products: see the module docstring
-    return rows.transpose(0, 2, 1)
+    def scale(u, coef, neg):  # one exp per RZ and slice, as in the gate itself
+        phase = np.exp(1j * (thetas @ coef.T))
+        both = np.stack([phase, phase.conj()], axis=1)
+        return both[:, neg, np.arange(len(coef))].prod(axis=2)[:, :, None] * u
+
+    (run, *group), *steps = _slice_segments(with_pair)
+    u = np.broadcast_to(run, (len(thetas), _DIM, _DIM))
+    for run, *next_group in steps:
+        u = run @ scale(u, *group)  # a stack of 16x16 products: see module docstring
+        group = next_group
+    return scale(u, *group)
 
 
 def run_schedule(schedule) -> StateVector:
     """Final state of `build_full_circuit(schedule)`, without building it.
 
-    Takes SCHEDULE_CHUNK slices at a time, reads their angle columns,
-    builds each slice's 16x16 unitary from its template's segments (one
-    diagonal scaling per RZ and one stacked product per fixed gate run for
-    the whole chunk), and chains the unitaries on the prepared vacuum.  Agrees
-    with gate-by-gate `run_circuit` to rounding; takes a CoeffSchedule (an
-    empty sequence gives the vacuum).
+    Builds SCHEDULE_CHUNK slice unitaries at a time from their angle columns
+    and the templates' segments, and chains them on the prepared vacuum.
+    Agrees with gate-by-gate `run_circuit` to rounding; takes a CoeffSchedule
+    (an empty sequence gives the vacuum).
     """
     amps = run_circuit(Circuit(4, list(VACUUM_PREP))).amplitudes
     for start in range(0, len(schedule), SCHEDULE_CHUNK):

@@ -9,7 +9,7 @@ channel: the same law of the counts, different random draws.
 change left byte-identical.  Both sweep digests were re-taken again when
 `run_schedule` began building slice unitaries from the templates' fixed
 gate runs: the `statevector` rows sum in a new order, so their `n_k` moved
-in the 15th significant digit and their ~2e-14 `leakage` with it; every
+in the 14th significant digit and their ~2e-14 `leakage` with it; every
 `shots` row and every other file stayed byte-identical.  `dump-circuit`
 has its own golden test in test_cli.py.
 """
@@ -26,16 +26,16 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "8f06c825f861b9599165738a5514b4d8ed6f564aa8bfa81013e256f6cda4345b",
-            "sweep.json": "1549b8d7218c7abcdbc12fdec84657c4a9bde68260bb439da8b903ca7e26d769",
+            "sweep.csv": "48915a5687504b5f6ec9669ed8028051849ed4f09b5c34457cb4d282ba603b90",
+            "sweep.json": "7a8bb7d7fb18433e7f92b0b5368b82bd8764bd4ee13d9d9d485815c0c1e810fa",
         },
     ),
     "sweep-noiseless": (
         ["sweep", "--x", "1.3,2.3", "--methods", "analytic,matrix,statevector,shots",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "3177a0bd240c9510d45fd186f79872ea7abb0dbe730bc28c38695bee19532a56",
-            "sweep.json": "4156985aeda6653c1b9403d6c2a97d1d6916dc4a642afaf27df81a2779df36f2",
+            "sweep.csv": "27a0688bdca6afc333af1aee9042605cb5194e55a2e8c0011334a842f27d7428",
+            "sweep.json": "5fce8fd9b612c195899bb12d762e472366cab8e11ce824489085a1eff3872bef",
         },
     ),
     "noise-study": (

@@ -351,6 +351,35 @@ class TestRunSchedule:
         finally:
             statevector._slice_segments.cache_clear()
 
+    def test_folded_permutations_keep_gate_order(self, monkeypatch):
+        # Each permutation run here fails to commute with the run before it,
+        # into which it is folded; the last run is one of them.
+        gates = (
+            Gate("H", (0,)), Gate("RZ", (0,), angle=0.0), Gate("CNOT", (0, 1)),
+            Gate("X", (2,)), Gate("RZ", (1,), angle=0.0), Gate("CNOT", (1, 2)),
+            Gate("H", (1,)), Gate("RZ", (2,), angle=0.0), Gate("CNOT", (2, 0)),
+        )
+        template = StepTemplate(gates=gates, angles=((1, 0, 0.5), (4, 1, -0.25), (7, 0, 0.125)))
+        monkeypatch.setattr(statevector, "step_template", lambda with_pair: template)
+        statevector._slice_segments.cache_clear()
+        try:
+            assert len(statevector._slice_segments(True)) == 2
+            thetas = np.array([[0.3, -0.7], [1.1, 0.05]])
+            for block, (theta_zh, theta_a) in zip(
+                statevector._slice_unitaries(True, thetas), thetas
+            ):
+                gatewise = circuit_unitary(Circuit(4, template.instantiate(theta_zh, theta_a)))
+                assert np.max(np.abs(block - gatewise)) < 1e-14
+        finally:
+            statevector._slice_segments.cache_clear()
+
+    def test_permuting_runs_fold_away(self):
+        # CNOT ladders fold into their neighbours: the radiation shape is one
+        # diagonal, the pair shape one stacked product per basis change.
+        (run, coef, neg), = statevector._slice_segments(False)
+        assert np.array_equal(run, np.eye(16)) and coef.shape == (12, 2)
+        assert len(statevector._slice_segments(True)) == 10
+
     def test_empty_schedule_is_prepared_vacuum(self):
         amps = run_schedule([]).amplitudes
         assert np.array_equal(amps, run_circuit(build_full_circuit([])).amplitudes)

@@ -36,7 +36,7 @@ from .mitigation import (
     mitigate_readout,
     zne_estimate,
 )
-from .noise import NoiseModel, apply_readout_noise, run_noisy_circuit
+from .noise import NoiseModel, apply_readout_noise, noisy_distribution
 from .schedule import Branch, CoeffSchedule, StepCoeffs, build_schedule, strang_angles
 from .statevector import (
     CountsTable,

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .mitigation import (
     validate_factors,
     zne_estimate,
 )
-from .noise import NoiseModel, run_noisy_circuit
+from .noise import NoiseModel, noisy_distribution
 from .schedule import Branch, build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
@@ -187,6 +188,11 @@ def _check_seed(seed: int):
         raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
+def _check_shots(shots: int | None):
+    if shots is not None and shots < 1:
+        raise UsageError(f"shots must be >= 1, got {shots}")
+
+
 def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
     if path is None:
         return NoiseModel.default(n_qubits)
@@ -218,12 +224,24 @@ def _x_parameters(x: float, args, n_steps: int) -> dict:
     return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
 
 
+def _noisy_levels(x: float, args, model: NoiseModel):
+    """`circuit(n_steps)` at x and `level(n_steps, factor)`, its exact distribution
+    under `model.scaled(factor)`: each built on first use, at most once."""
+    circuit = cache(lambda n: build_full_circuit(build_schedule(_mode_params(x, args, n))))
+    level = cache(lambda n, f: noisy_distribution(circuit(n), model.scaled(f)))
+    return circuit, level
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
+def _n_steps(args, method: str) -> int:
+    return args.n_steps if args.n_steps is not None else DEFAULT_N_STEPS[method]
+
+
 def _sweep_point(
-    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int
+    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int, level
 ) -> dict:
     n_k_an = n_k_analytic(x)
     row = {
@@ -241,18 +259,17 @@ def _sweep_point(
         row["n_k"] = n_k_an
         return row
 
-    n_steps = args.n_steps if args.n_steps is not None else DEFAULT_N_STEPS[method]
-    row["n_steps"] = n_steps
-    schedule = build_schedule(_mode_params(x, args, n_steps))
+    n_steps = row["n_steps"] = _n_steps(args, method)
+    params = _mode_params(x, args, n_steps)
 
     if method == "matrix":
-        final, _ = evolve(schedule)
+        final, _ = evolve(build_schedule(params))
         row["n_k"] = particle_number(final)[2]
         row["leakage"] = 0.0
         return row
 
     if method == "statevector":
-        obs = observables_from_probabilities(probabilities(run_schedule(schedule)))
+        obs = observables_from_probabilities(probabilities(run_schedule(build_schedule(params))))
         row.update(n_k=obs.p_pair, leakage=obs.leakage)
         return row
 
@@ -260,20 +277,19 @@ def _sweep_point(
     row["shots"] = shots
     row["seed"] = row_seed
     if method == "shots":
-        counts = sample_counts(probabilities(run_schedule(schedule)), shots, row_seed)
-        obs = observables_from_counts(counts)
+        probs = probabilities(run_schedule(build_schedule(params)))
+        obs = observables_from_counts(sample_counts(probs, shots, row_seed))
         row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
         return row
-    circuit = build_full_circuit(schedule)
     if method == "zne":
-        zne = zne_estimate(circuit, model, factors, shots, row_seed)
+        zne = zne_estimate(factors, [level(n_steps, f) for f in factors], shots, row_seed)
         row.update(
             n_k=zne["p_pair"].extrapolated,
             stderr=zne["p_pair"].extrapolated_stderr,
             leakage=zne["leakage"].extrapolated,
         )
         return row
-    counts = run_noisy_circuit(circuit, model, shots, row_seed)
+    counts = sample_counts(level(n_steps, 1.0), shots, row_seed)
     raw = observables_from_counts(counts)
     obs = raw
     if method == "mitigated":
@@ -282,27 +298,42 @@ def _sweep_point(
     return row
 
 
+def _sweep_grid(args, methods: list[str]) -> list[float]:
+    """Sorted x grid of `sweep`; no x repeated, every window checked before any run."""
+    xs = sorted(_parse_x_grid(args))
+    for a, b in zip(xs, xs[1:]):
+        if a == b:
+            raise UsageError(f"x = {a!r} appears more than once")
+    step_counts = {_n_steps(args, m) for m in methods if m != "analytic"} or {1}
+    for x in xs:
+        for n_steps in step_counts:
+            _mode_params(x, args, n_steps)
+    return xs
+
+
 def cmd_sweep(args) -> int:
-    x_grid = _parse_x_grid(args)
     methods = [m for m in args.methods.split(",") if m]
+    if not methods:
+        raise UsageError(f"method list must be nonempty, got {args.methods!r}")
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
+    x_grid = _sweep_grid(args, methods)
     _check_seed(args.seed)
+    _check_shots(args.shots)
     model = _load_model(args.model_file)
     factors = _parse_factors(args.factors, model, zne="zne" in methods)
 
-    rows = [
-        _sweep_point(
-            x, method, args, model, factors, derived_seed(args.seed, xi, METHODS.index(method))
-        )
-        for xi, x in enumerate(sorted(x_grid))
-        for method in methods
-    ]
+    rows = []
+    for xi, x in enumerate(x_grid):
+        _, level = _noisy_levels(x, args, model)
+        for m in methods:
+            seed = derived_seed(args.seed, xi, METHODS.index(m))
+            rows.append(_sweep_point(x, m, args, model, factors, seed, level))
     rows.sort(key=lambda r: (r["x"], METHODS.index(r["method"])))
 
     parameters = {
-        "x_grid": sorted(x_grid),
+        "x_grid": x_grid,
         "methods": methods,
         "n_steps": args.n_steps,
         "shots": args.shots,
@@ -368,6 +399,7 @@ def cmd_noise_study(args) -> int:
     x_grid = _file_grid(args)
     n_steps, shots = args.n_steps, args.shots
     _check_seed(args.seed)
+    _check_shots(shots)
     model = _load_model(args.model_file)
     factors = _parse_factors(args.factors, model, zne=True)
 
@@ -375,23 +407,22 @@ def cmd_noise_study(args) -> int:
     results = []
     counts_files = []
     for xi, x in enumerate(x_grid):
-        schedule = build_schedule(_mode_params(x, args, n_steps))
-        circuit = build_full_circuit(schedule)
-        ideal = observables_from_probabilities(probabilities(run_circuit(circuit)))
+        n_k_an = n_k_analytic(x)  # first: x is sorted, so an overflowing x fails before any run
+        circuit, level = _noisy_levels(x, args, model)
+        ideal = observables_from_probabilities(probabilities(run_circuit(circuit(n_steps))))
 
         seed = derived_seed(args.seed, xi)
-        counts = run_noisy_circuit(circuit, model, shots, seed)
+        counts = sample_counts(level(n_steps, 1.0), shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = zne_estimate(circuit, model, factors, shots, seed)
+        zne = zne_estimate(factors, [level(n_steps, f) for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"
         counts_files.append((out_dir / f"counts_x{x:g}.csv", counts_text + counts_to_csv(counts)))
 
-        n_k_an = n_k_analytic(x)
         record = observables_record(raw, x=x, n_steps=n_steps, shots=shots, seed=seed)
         results.append(
             {

@@ -5,10 +5,10 @@ observed bitstrings (never building the full 2^n assignment matrix) and
 reports both the raw quasi-probabilities, which may be slightly negative,
 and a clipped-renormalized variant; neither choice is hidden.
 
-Extrapolation estimates p_pair and leakage at several amplified gate-noise
-levels, from one noisy run per level, and fits a straight line in the
-amplification factor, weighted by per-point binomial errors; the reported
-value is the intercept at factor zero.
+Extrapolation samples the exact outcome distribution at each amplified
+gate-noise level, supplied by the caller, estimates p_pair and leakage from
+those counts and fits a straight line in the amplification factor, weighted
+by per-point binomial errors; the intercept at factor zero is reported.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import Circuit
-from .noise import NoiseModel, run_noisy_circuit
-from .statevector import CountsTable, derived_seed, observables_from_counts
+from .noise import NoiseModel
+from .statevector import CountsTable, derived_seed, observables_from_counts, sample_counts
 
 __all__ = [
     "SingularConfusionError",
@@ -154,25 +153,24 @@ class ZNEResult:
 
 
 def zne_estimate(
-    circuit: Circuit,
-    model: NoiseModel,
-    factors: Sequence[float] = (1.0, 1.5, 2.0),
+    factors: Sequence[float],
+    distributions: Sequence[Mapping[str, float]],
     shots: int = 4096,
     seed: int = 0,
 ) -> dict[str, ZNEResult]:
     """Estimate p_pair and leakage at amplified noise and extrapolate to zero.
 
-    Runs the circuit once per factor, under `model.scaled(factor)` with the
-    seed derived from (seed, factor index), and fits both observables from
-    those same counts.  The fit runs on raw (unmitigated) counts; per-point
-    weights are binomial shot-noise estimates floored at 1/shots.
+    `distributions[i]`, the exact outcome distribution at noise factor
+    `factors[i]`, is sampled once under the seed derived from (seed, i), and
+    both observables are fitted from those same raw (unmitigated) counts;
+    per-point weights are binomial shot-noise estimates floored at 1/shots.
     """
     f = validate_factors(factors)
+    if len(distributions) != len(f):
+        raise ValueError(f"{len(distributions)} distributions for {len(f)} noise factors")
     observed = [
-        observables_from_counts(
-            run_noisy_circuit(circuit, model.scaled(v), shots, derived_seed(seed, i))
-        )
-        for i, v in enumerate(f)
+        observables_from_counts(sample_counts(p, shots, derived_seed(seed, i)))
+        for i, p in enumerate(distributions)
     ]
     out = {}
     for name in ZNE_OBSERVABLES:

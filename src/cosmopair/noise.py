@@ -16,9 +16,9 @@ exactly the depolarizing channel on the gate's operands, so
 `noisy_distribution` evolves the density matrix through the circuit and
 returns the exact outcome distribution, readout included.  Its cost is one
 pass over the gates, whatever the shot count.  The shots of a
-stochastic-Pauli model are independent and identically distributed, so
-`run_noisy_circuit` draws their counts as one multinomial over that
-distribution, seeded like `sample_counts`.
+stochastic-Pauli model are independent and identically distributed, so a
+noisy run's counts are one `sample_counts` draw over that distribution; one
+distribution serves every run of the same circuit and noise level.
 """
 
 from __future__ import annotations
@@ -30,16 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .statevector import (
-    CountsTable,
-    _apply_1q_inplace,
-    _apply_cnot_inplace,
-    _apply_gate_inplace,
-    _mat_1q,
-    sample_counts,
-)
+from .statevector import _apply_1q_inplace, _apply_cnot_inplace, _apply_gate_inplace, _mat_1q
 
-__all__ = ["NoiseModel", "apply_readout_noise", "noisy_distribution", "run_noisy_circuit"]
+__all__ = ["NoiseModel", "apply_readout_noise", "noisy_distribution"]
 
 
 @dataclass(frozen=True)
@@ -208,16 +201,3 @@ def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float):
     for s in diagonal:
         t[s] += (p * d / (d * d - 1)) * traced
 
-
-def run_noisy_circuit(
-    circuit: Circuit, model: NoiseModel, shots: int, seed: int
-) -> CountsTable:
-    """Finite-shot counts of the circuit under the noise model.
-
-    Under a stochastic-Pauli model the shots are independent and identically
-    distributed, so their counts are one multinomial draw over the exact
-    `noisy_distribution`, seeded like `sample_counts`.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return sample_counts(noisy_distribution(circuit, model), shots, seed)

@@ -114,7 +114,7 @@ class TestSweep:
                                                factors, message):
         import cosmopair.cli as cli
 
-        monkeypatch.setattr(cli, "run_noisy_circuit", _no_run)
+        monkeypatch.setattr(cli, "noisy_distribution", _no_run)
         monkeypatch.setattr(cli, "zne_estimate", _no_run)
         assert main(["sweep", "--x", "2.0", "--methods", "analytic,noisy,zne",
                      "--factors", factors, "--out-dir", str(tmp_path)]) == 2
@@ -132,7 +132,7 @@ class TestSweep:
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         import cosmopair.cli as cli
 
-        for name in ("run_schedule", "run_circuit", "run_noisy_circuit"):
+        for name in ("run_schedule", "run_circuit", "noisy_distribution"):
             monkeypatch.setattr(cli, name, _no_run)
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 2
@@ -164,7 +164,7 @@ class TestSweep:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_noisy_circuit"), (mitigation, "run_noisy_circuit")):
+        for module, name in ((cli, "noisy_distribution"), (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         # 500 x the default p2 = 2.8e-3 is a rate of 1.4.
         assert main(["sweep", "--x", "1.3,2.0", "--methods", "analytic,zne",
@@ -332,8 +332,8 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "run_noisy_circuit"),
-                             (mitigation, "run_noisy_circuit")):
+        for module, name in ((cli, "run_circuit"), (cli, "noisy_distribution"),
+                             (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,1.5,2.0", "--factors", "1",
                      "--out-dir", str(tmp_path)]) == 2
@@ -344,8 +344,8 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "run_noisy_circuit"),
-                             (mitigation, "run_noisy_circuit")):
+        for module, name in ((cli, "run_circuit"), (cli, "noisy_distribution"),
+                             (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,2.0", "--factors", "1,500",
                      "--out-dir", str(tmp_path)]) == 2
@@ -436,6 +436,78 @@ class TestDumps:
                      "--out-dir", str(tmp_path)]) == 0
         circuit = circuit_from_text((tmp_path / "circuit_x2_n0.txt").read_text())
         assert circuit.gate_count == 2
+
+
+class TestChecksBeforeAnyRun:
+    """`sweep` and `noise-study` reject bad input before any engine starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_engines(self, monkeypatch):
+        import cosmopair.cli as cli
+
+        for name in ("build_schedule", "evolve", "run_schedule", "run_circuit",
+                     "noisy_distribution"):
+            monkeypatch.setattr(cli, name, _no_run)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--x", "2.0", "--methods", "matrix,noisy", "--n-steps", "200000",
+              "--shots", "0"], "shots must be >= 1, got 0"),
+            (["noise-study", "--x", "2.0", "--shots", "0"], "shots must be >= 1, got 0"),
+            (["sweep", "--x", "2.0,2.0", "--methods", "analytic,shots", "--n-steps", "3"],
+             "x = 2.0 appears more than once"),
+            (["sweep", "--x", "2.0,3.0", "--y-i=-2.5", "--methods", "matrix"],
+             "transition y_e = -3.0 must lie inside (y_i, y_f) = (-2.5, -1.0)"),
+            (["sweep", "--x", "2.0", "--methods", ","], "method list must be nonempty, got ','"),
+            (["noise-study", "--x", "1e-100,2.0", "--shots", "10"],
+             "x = 1e-100 is too small: 1/(4 x^4) overflows"),
+        ],
+        ids=["sweep_shots", "noise_study_shots", "sweep_repeated_x", "sweep_late_window",
+             "sweep_no_methods", "noise_study_tiny_x"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestNoiseLevelsComputedOnce:
+    """Each noisy row at an x reuses the exact distribution of its noise level."""
+
+    @pytest.fixture
+    def rates(self, monkeypatch):
+        """The (p1, p2) of every exact-channel evaluation, in call order."""
+        import cosmopair.cli as cli
+        import cosmopair.noise as noise
+
+        calls = []
+        channel = noise.noisy_distribution
+
+        def counted(circuit, model):
+            calls.append((model.p1, model.p2))
+            return channel(circuit, model)
+
+        monkeypatch.setattr(cli, "noisy_distribution", counted)
+        monkeypatch.setattr(noise, "noisy_distribution", counted)
+        return calls
+
+    def test_noise_study(self, tmp_path, capsys, rates):
+        assert main(["noise-study", "--shots", "512", "--out-dir", str(tmp_path)]) == 0
+        p2 = 2.8e-3
+        assert [r[1] for r in rates] == [p2, p2 * 1.5, p2 * 2.0] * 5
+
+    def test_golden_sweep_noisy_rows(self, tmp_path, capsys, rates):
+        argv = ["sweep", "--x", "1.3,2.3", "--methods", "analytic,noisy,mitigated,zne",
+                "--n-steps", "2", "--shots", "300", "--seed", "7"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert len(rates) == 6
+
+    def test_noisy_rows_never_scale_the_model(self, tmp_path, capsys, rates):
+        assert main(["sweep", "--x", "2.0", "--methods", "noisy", "--factors", "1,500",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert rates == [(2.8e-4, 2.8e-3)]
 
 
 class TestPerXFiles:

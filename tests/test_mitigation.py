@@ -13,9 +13,14 @@ from cosmopair.mitigation import (
     mitigate_readout,
     zne_estimate,
 )
-from cosmopair.noise import NoiseModel, apply_readout_noise, run_noisy_circuit
+from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distribution
 from cosmopair.schedule import build_schedule
-from cosmopair.statevector import CountsTable, derived_seed, observables_from_counts
+from cosmopair.statevector import (
+    CountsTable,
+    derived_seed,
+    observables_from_counts,
+    sample_counts,
+)
 
 
 class TestReadoutMitigation:
@@ -116,23 +121,34 @@ def circuit():
     return build_full_circuit(build_schedule(ModeParams(x=1.3, n_steps=1)))
 
 
+def run_zne(circuit, model, factors, shots, seed):
+    """`zne_estimate` over the exact distribution of `circuit` at each factor."""
+    levels = [noisy_distribution(circuit, model.scaled(f)) for f in factors]
+    return zne_estimate(factors, levels, shots, seed)
+
+
 class TestZNE:
 
     def test_factor_validation(self, circuit):
-        model = NoiseModel.default(4)
+        probs = noisy_distribution(circuit, NoiseModel.default(4))
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, (1.0,), 64, 0)
+            zne_estimate((1.0,), [probs], 64, 0)
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, (1.0, 1.0), 64, 0)
+            zne_estimate((1.0, 1.0), [probs] * 2, 64, 0)
         with pytest.raises(ValueError):
-            zne_estimate(circuit, model, (0.5, 1.0), 64, 0)
+            zne_estimate((0.5, 1.0), [probs] * 2, 64, 0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                zne_estimate(circuit, model, (1.0, bad), 64, 0)
+                zne_estimate((1.0, bad), [probs] * 2, 64, 0)
+
+    def test_one_distribution_per_factor(self, circuit):
+        probs = noisy_distribution(circuit, NoiseModel.default(4))
+        with pytest.raises(ValueError, match="1 distributions for 2 noise factors"):
+            zne_estimate((1.0, 2.0), [probs], 64, 0)
 
     def test_zero_noise_model_reproduces_ideal(self, circuit):
         model = NoiseModel.noiseless(4)
-        result = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
+        result = run_zne(circuit, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
         ideal = 0.0026326481467
         sigma = np.sqrt(ideal * (1 - ideal) / 20000)
         for v in result.values:
@@ -141,22 +157,23 @@ class TestZNE:
 
     def test_deterministic(self, circuit):
         model = NoiseModel.default(4)
-        a = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 512, 9)
-        b = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 512, 9)
+        a = run_zne(circuit, model, (1.0, 1.5, 2.0), 512, 9)
+        b = run_zne(circuit, model, (1.0, 1.5, 2.0), 512, 9)
         assert a == b
 
     def test_values_increase_with_amplification(self, circuit):
         # Gate noise inflates the pair estimate, so amplified runs sit higher.
         model = NoiseModel.default(4)
-        result = zne_estimate(circuit, model, (1.0, 2.0), 20000, 2)["p_pair"]
+        result = run_zne(circuit, model, (1.0, 2.0), 20000, 2)["p_pair"]
         assert result.values[1] > result.values[0]
         assert result.extrapolated < result.values[0]
 
     def test_both_observables_come_from_the_same_runs(self, circuit):
         model = NoiseModel.default(4)
-        result = zne_estimate(circuit, model, (1.0, 2.0), 256, 7)
+        result = run_zne(circuit, model, (1.0, 2.0), 256, 7)
         for i, factor in enumerate((1.0, 2.0)):
-            counts = run_noisy_circuit(circuit, model.scaled(factor), 256, derived_seed(7, i))
+            probs = noisy_distribution(circuit, model.scaled(factor))
+            counts = sample_counts(probs, 256, derived_seed(7, i))
             obs = observables_from_counts(counts)
             assert result["p_pair"].values[i] == obs.p_pair
             assert result["leakage"].values[i] == obs.leakage
@@ -166,5 +183,5 @@ class TestZNE:
 
     def test_leakage_extrapolates_toward_zero(self, circuit):
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=2.8e-3)
-        result = zne_estimate(circuit, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
+        result = run_zne(circuit, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
         assert result.extrapolated < result.values[0]

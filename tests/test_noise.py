@@ -19,7 +19,6 @@ from cosmopair.noise import (
     NoiseModel,
     apply_readout_noise,
     noisy_distribution,
-    run_noisy_circuit,
 )
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
@@ -192,47 +191,51 @@ class TestNoisyRunner:
     def test_zero_rate_model_equals_ideal_sampling(self):
         circuit = single_step_circuit()
         model = NoiseModel.noiseless(4)
-        noisy = run_noisy_circuit(circuit, model, 4096, seed=11)
+        noisy = sample_counts(noisy_distribution(circuit, model), 4096, seed=11)
         ideal = sample_counts(probabilities(run_circuit(circuit)), 4096, seed=11)
         assert noisy.counts == ideal.counts
 
     def test_deterministic_under_seed(self):
         circuit = single_step_circuit()
         model = NoiseModel.default(4)
-        a = run_noisy_circuit(circuit, model, 512, seed=5)
-        b = run_noisy_circuit(circuit, model, 512, seed=5)
+        a = sample_counts(noisy_distribution(circuit, model), 512, seed=5)
+        b = sample_counts(noisy_distribution(circuit, model), 512, seed=5)
         assert a.counts == b.counts
-        c = run_noisy_circuit(circuit, model, 512, seed=6)
+        c = sample_counts(noisy_distribution(circuit, model), 512, seed=6)
         assert c.counts != a.counts
 
     def test_default_rates_produce_leakage_and_bias(self):
         circuit = single_step_circuit()
         model = NoiseModel.default(4)
-        obs = observables_from_counts(run_noisy_circuit(circuit, model, 8192, seed=0))
+        probs = noisy_distribution(circuit, model)
+        obs = observables_from_counts(sample_counts(probs, 8192, seed=0))
         assert obs.leakage > 0.05  # noise floor, far above the ideal 0
         assert obs.p_pair > 0.0026  # biased above the ideal single-step value
 
     def test_always_inject_moves_distribution(self):
         circuit = single_step_circuit()
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=1.0, p1=1.0)
-        obs = observables_from_counts(run_noisy_circuit(circuit, model, 2048, seed=0))
+        probs = noisy_distribution(circuit, model)
+        obs = observables_from_counts(sample_counts(probs, 2048, seed=0))
         # Saturated injection scrambles the state far from the ideal output.
         assert obs.leakage > 0.3
 
     def test_shots_accounted(self):
-        table = run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), 777, 3)
+        probs = noisy_distribution(single_step_circuit(), NoiseModel.default(4))
+        table = sample_counts(probs, 777, 3)
         assert sum(table.counts.values()) == 777
         assert table.shots == 777
 
     def test_rejects_mismatched_register(self):
         model = NoiseModel.default(2)
         with pytest.raises(ValueError):
-            run_noisy_circuit(single_step_circuit(), model, 16, 0)
+            noisy_distribution(single_step_circuit(), model)
 
     @pytest.mark.parametrize("shots", [0, -3])
     def test_rejects_nonpositive_shots(self, shots):
+        probs = noisy_distribution(single_step_circuit(), NoiseModel.default(4))
         with pytest.raises(ValueError, match="shots must be >= 1"):
-            run_noisy_circuit(single_step_circuit(), NoiseModel.default(4), shots, 0)
+            sample_counts(probs, shots, 0)
 
 
 class TestBatchedRunMatchesReplay:
@@ -287,9 +290,9 @@ class TestBatchedRunMatchesReplay:
         peaks = {}
         for n_steps in (1, 20):
             circuit = single_step_circuit(2.0, n_steps)
-            run_noisy_circuit(circuit, model, 32, 0)
+            sample_counts(noisy_distribution(circuit, model), 32, 0)
             tracemalloc.start()
-            run_noisy_circuit(circuit, model, 32, 0)
+            sample_counts(noisy_distribution(circuit, model), 32, 0)
             peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         prefix_bytes = (len(single_step_circuit(2.0, 20).gates) + 1) * 16 * 16

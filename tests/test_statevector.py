@@ -404,12 +404,22 @@ class TestRunSchedule:
         # lets BLAS start a second thread: CPU about 2x wall instead of 1x.
         src = str(Path(statevector.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        # OpenBLAS's worker threads spin for a while after the library loads,
+        # so the timed region starts after a warm-up run and once this process
+        # uses no CPU while it sleeps.  No BLAS thread setting is made: it
+        # would hide the second thread this test exists to catch.
         code = textwrap.dedent("""
             import time
             from cosmopair.background import ModeParams
             from cosmopair.schedule import build_schedule
             from cosmopair.statevector import run_schedule
             sched = build_schedule(ModeParams(x=2.0, n_steps=2000))
+            run_schedule(sched)
+            for _ in range(100):
+                cpu = time.process_time()
+                time.sleep(0.05)
+                if time.process_time() - cpu < 0.005:
+                    break
             wall, cpu = time.perf_counter(), time.process_time()
             run_schedule(sched)
             print(time.process_time() - cpu, time.perf_counter() - wall)

@@ -37,12 +37,10 @@ from .mitigation import (
     zne_estimate,
 )
 from .noise import NoiseModel, apply_readout_noise, noisy_distribution
-from .schedule import Branch, CoeffSchedule, StepCoeffs, build_schedule, strang_angles
+from .schedule import CoeffSchedule, build_schedule
 from .statevector import (
     CountsTable,
     Observables,
-    StateVector,
-    apply_gate,
     observables_from_counts,
     probabilities,
     run_circuit,
@@ -54,7 +52,6 @@ from .subspace import (
     PHYS_INDICES,
     PHYS_LABELS,
     Z_PHYS,
-    Trajectory,
     evolve,
     particle_number,
     strang_step_unitary,

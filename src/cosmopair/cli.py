@@ -48,9 +48,10 @@ from .mitigation import (
     zne_estimate,
 )
 from .noise import NoiseModel, noisy_distribution
-from .schedule import Branch, build_schedule
+from .schedule import build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
+    check_shots,
     counts_to_csv,
     derived_seed,
     observables_from_counts,
@@ -188,11 +189,6 @@ def _check_seed(seed: int):
         raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
-def _check_shots(shots: int | None):
-    if shots is not None and shots < 1:
-        raise UsageError(f"shots must be >= 1, got {shots}")
-
-
 def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
     if path is None:
         return NoiseModel.default(n_qubits)
@@ -320,7 +316,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
     x_grid = _sweep_grid(args, methods)
     _check_seed(args.seed)
-    _check_shots(args.shots)
+    if args.shots is not None:
+        check_shots(args.shots)
     model = _load_model(args.model_file)
     factors = _parse_factors(args.factors, model, zne="zne" in methods)
 
@@ -382,8 +379,9 @@ def cmd_trajectory(args) -> int:
         if n_steps == 0:
             y, pops = np.array([args.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
         else:
-            _, traj = evolve(build_schedule(_mode_params(x, args, n_steps)))
-            y, pops = traj.y, traj.populations
+            schedule = build_schedule(_mode_params(x, args, n_steps))
+            _, pops = evolve(schedule)
+            y = schedule.boundaries()  # after evolve, whose chunk temporaries are then freed
         header = _metadata_lines("trajectory", _x_parameters(x, args, n_steps))
         path = out_dir / f"trajectory_x{x:g}.csv"
         _write_atomic(path, _trajectory_csv(header, y, pops, n_k_an))
@@ -399,7 +397,7 @@ def cmd_noise_study(args) -> int:
     x_grid = _file_grid(args)
     n_steps, shots = args.n_steps, args.shots
     _check_seed(args.seed)
-    _check_shots(shots)
+    check_shots(shots)
     model = _load_model(args.model_file)
     factors = _parse_factors(args.factors, model, zne=True)
 
@@ -494,7 +492,7 @@ def cmd_dump_schedule(args) -> int:
                 "dy": schedule.dy,
                 "cz": cz,
                 "ca": ca,
-                "branch": (Branch.RADIATION if radiation else Branch.DE_SITTER).value,
+                "branch": "radiation" if radiation else "de_sitter",
             }
             for n, (y_mid, cz, ca, radiation) in enumerate(
                 zip(*(c.tolist() for c in columns))

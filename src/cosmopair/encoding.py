@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .schedule import StepCoeffs, strang_angles
 
 __all__ = [
     "PauliString",
@@ -218,31 +217,29 @@ def step_template(with_pair: bool) -> StepTemplate:
     return StepTemplate(gates=tuple(gates), angles=tuple(angles))
 
 
-def synthesize_step(step: StepCoeffs) -> Circuit:
+def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
     """One symmetric split slice: Z half-block, pair block, Z half-block.
 
-    The pair block is the exact product of the eight commuting string
-    rotations.  Radiation-era slices (ca = 0) emit no four-qubit rotations at
-    all, leaving a purely diagonal circuit.
+    Takes the slice's `CoeffSchedule.angles`.  The pair block is the exact
+    product of the eight commuting string rotations.  Radiation-era slices
+    (theta_a = 0) emit no four-qubit rotations at all, leaving a purely
+    diagonal circuit.
     """
-    theta_zh, theta_a = strang_angles(step)
-    circuit = Circuit(n_qubits=4)
-    circuit.extend(step_template(theta_a != 0.0).instantiate(theta_zh, theta_a))
-    return circuit
+    return Circuit(4, step_template(theta_a != 0.0).instantiate(theta_zh, theta_a))
 
 
 def build_full_circuit(schedule) -> Circuit:
-    """Vacuum preparation followed by one synthesized block per slice.
+    """Vacuum preparation followed by one template instance per slice.
 
-    Accepts a CoeffSchedule or any iterable of StepCoeffs (possibly empty,
-    which yields the preparation-only circuit).
+    Walks a CoeffSchedule's angle columns as Python floats, so every RZ angle
+    is a float; each gate is range-checked once, by the returned Circuit.  An
+    empty sequence gives the preparation-only circuit.
     """
-    steps = getattr(schedule, "steps", schedule)
-    circuit = Circuit(n_qubits=4)
-    circuit.extend(VACUUM_PREP)
-    for step in steps:
-        circuit.extend(synthesize_step(step).gates)
-    return circuit
+    gates = list(VACUUM_PREP)
+    slices = zip(*(a.tolist() for a in schedule.angles())) if len(schedule) else ()
+    for theta_zh, theta_a in slices:
+        gates += step_template(theta_a != 0.0).instantiate(theta_zh, theta_a)
+    return Circuit(4, gates)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

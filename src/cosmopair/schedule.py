@@ -1,4 +1,4 @@
-"""Uniform conformal-time grid and per-step propagator coefficients.
+"""Uniform conformal-time grid and per-slice split-step angles.
 
 The evolution window [y_i, y_f] is cut into n_steps equal slices and the
 dimensionless generator coefficients are evaluated at each slice midpoint:
@@ -8,48 +8,28 @@ radiation even if the slice itself straddles the transition; the ambiguity
 of that single slice shrinks as the grid is refined.
 
 The schedule is stored as float64 columns (one entry per slice), so its
-memory is a few dozen bytes per slice; a `StepCoeffs` is built only when a
-slice is indexed or iterated.  Both evolution engines and the circuit
-synthesizer consume the same schedule object, so their rotation angles are
+memory is a few dozen bytes per slice.  `CoeffSchedule.angles` is the one
+split-step angle formula: the matrix engine, the statevector runner and the
+circuit synthesizer all read their rotation angles there, so the angles are
 byte-identical by construction.
 """
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .background import ModeParams
 
-__all__ = ["Branch", "StepCoeffs", "CoeffSchedule", "build_schedule", "strang_angles"]
-
-
-class Branch(enum.Enum):
-    DE_SITTER = "de_sitter"
-    RADIATION = "radiation"
-
-
-@dataclass(frozen=True)
-class StepCoeffs:
-    """Midpoint, width, and generator coefficients of one time slice."""
-
-    index: int
-    y_mid: float
-    dy: float
-    cz: float
-    ca: float
-    branch: Branch
+__all__ = ["CoeffSchedule", "build_schedule"]
 
 
 @dataclass(frozen=True, eq=False)
-class CoeffSchedule(Sequence):
-    """Immutable ordered slice coefficients for one evolution window.
+class CoeffSchedule:
+    """Immutable slice coefficients for one evolution window.
 
-    Columns hold one read-only float64 (or bool) entry per slice; indexing
-    and iteration yield `StepCoeffs` built from them on demand.
+    Columns hold one read-only float64 (or bool) entry per slice.
     """
 
     params: ModeParams
@@ -62,34 +42,19 @@ class CoeffSchedule(Sequence):
     def __len__(self) -> int:
         return len(self.y_mid)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[n] for n in range(*index.indices(len(self)))]
-        n = range(len(self))[index]  # negative indices and IndexError as for a tuple
-        return StepCoeffs(
-            index=n,
-            y_mid=float(self.y_mid[n]),
-            dy=self.dy,
-            cz=float(self.cz[n]),
-            ca=float(self.ca[n]),
-            branch=Branch.RADIATION if self.radiation[n] else Branch.DE_SITTER,
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    @property
-    def steps(self) -> "CoeffSchedule":
-        """The slices as a sequence of StepCoeffs: the schedule itself."""
-        return self
-
     def boundaries(self) -> np.ndarray:
         """Slice-boundary times y_0 .. y_N (length n_steps + 1)."""
         return self.params.y_i + np.arange(len(self) + 1) * self.dy
 
-    def angles(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """`strang_angles` of slices start .. stop-1 as two float64 arrays."""
-        return _split_angles(self.cz[start:stop], self.ca[start:stop], self.dy)
+    def angles(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Split-step angles (theta_z_half, theta_a) of slices start .. stop-1.
+
+        The slice propagator is exp(-i theta_z_half Z) exp(-i theta_a A)
+        exp(-i theta_z_half Z) with theta_z_half = cz*dy/2 and theta_a = ca*dy,
+        returned as two float64 arrays; each entry equals the same formula
+        evaluated on Python floats.
+        """
+        return self.cz[start:stop] * self.dy / 2.0, self.ca[start:stop] * self.dy
 
 
 def build_schedule(params: ModeParams) -> CoeffSchedule:
@@ -115,15 +80,3 @@ def build_schedule(params: ModeParams) -> CoeffSchedule:
         params=params, dy=dy, y_mid=y_mid, cz=cz, ca=ca, radiation=radiation
     )
 
-
-def _split_angles(cz, ca, dy):
-    return cz * dy / 2.0, ca * dy
-
-
-def strang_angles(step: StepCoeffs) -> tuple[float, float]:
-    """Rotation angles (theta_z_half, theta_a) of the symmetric split step.
-
-    The slice propagator is exp(-i theta_z_half Z) exp(-i theta_a A)
-    exp(-i theta_z_half Z) with theta_z_half = cz*dy/2 and theta_a = ca*dy.
-    """
-    return _split_angles(step.cz, step.ca, step.dy)

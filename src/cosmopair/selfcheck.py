@@ -113,8 +113,8 @@ def _check_engine_equivalence() -> CheckResult:
 def _check_schedule_runner() -> CheckResult:
     # Eight de Sitter slices then two radiation slices: both slice templates.
     sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=10))
-    fused = statevector.run_schedule(sched).amplitudes
-    gatewise = statevector.run_circuit(encoding.build_full_circuit(sched)).amplitudes
+    fused = statevector.run_schedule(sched)
+    gatewise = statevector.run_circuit(encoding.build_full_circuit(sched))
     worst = float(np.max(np.abs(fused - gatewise)))
     return CheckResult(
         "schedule_runner_n10", worst < 1e-12, f"max amplitude diff {worst:.3e}"
@@ -122,12 +122,11 @@ def _check_schedule_runner() -> CheckResult:
 
 
 def _check_step_synthesis() -> CheckResult:
-    sched = build_schedule(ModeParams(x=1.3, n_steps=1))
-    step = sched.steps[0]
+    angles = [a.item() for a in build_schedule(ModeParams(x=1.3, n_steps=1)).angles()]
     idx = np.array(subspace.PHYS_INDICES)
-    dense = statevector.circuit_unitary(encoding.synthesize_step(step))
+    dense = statevector.circuit_unitary(encoding.synthesize_step(*angles))
     dist = phase_aligned_distance(
-        dense[np.ix_(idx, idx)], subspace.strang_step_unitary(step)
+        dense[np.ix_(idx, idx)], subspace.strang_step_unitary(*angles)
     )
     return CheckResult(
         "step_circuit_synthesis", dist < 1e-10, f"phase-aligned distance {dist:.3e}"

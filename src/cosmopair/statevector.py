@@ -2,9 +2,11 @@
 
 Amplitude layout: qubit j is bit j counted from the left of the bitstring,
 i.e. the most significant bit of the flat index, so printed bitstrings read
-exactly like ket labels.  Registers up to 20 qubits are supported; the dense
-unitary builder is restricted to 12.  `run_circuit` replays any circuit gate
-by gate; `run_schedule` gives the same final state for the circuit of a
+exactly like ket labels.  A state is a plain complex amplitude array of
+length 2**n; registers up to 20 qubits are supported (the `Circuit` checks
+the register and every gate's qubits), and the dense unitary builder is
+restricted to 12.  `run_circuit` replays any circuit gate by gate;
+`run_schedule` gives the same final amplitudes for the circuit of a
 coefficient schedule without building the circuit.  Every slice of a given
 shape is the same gate block with step-dependent RZ angles, so the block is
 cut at its RZs: each fixed gate run between them is built once, through
@@ -36,14 +38,13 @@ from .encoding import VACUUM_PREP, step_template
 from .subspace import PHYS_LABELS
 
 __all__ = [
-    "StateVector",
     "CountsTable",
     "Observables",
-    "apply_gate",
     "run_circuit",
     "run_schedule",
     "SCHEDULE_CHUNK",
     "probabilities",
+    "check_shots",
     "sample_counts",
     "observables_from_counts",
     "observables_from_probabilities",
@@ -55,24 +56,6 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        if not 1 <= n_qubits <= 20:
-            raise ValueError(f"n_qubits must be in [1, 20], got {n_qubits}")
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits=n_qubits, amplitudes=amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _mat_1q(gate: Gate) -> np.ndarray:
@@ -120,23 +103,13 @@ def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate):
         _apply_1q_inplace(amps, n, gate.qubits[0], _mat_1q(gate))
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Return a new state with one gate applied."""
-    for q in gate.qubits:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    amps = state.amplitudes.copy()
-    _apply_gate_inplace(amps, state.n_qubits, gate)
-    return StateVector(n_qubits=state.n_qubits, amplitudes=amps)
-
-
-def run_circuit(circuit: Circuit) -> StateVector:
-    """Apply every gate in order starting from |0...0>."""
-    state = StateVector.zero(circuit.n_qubits)
-    amps = state.amplitudes
+def run_circuit(circuit: Circuit) -> np.ndarray:
+    """Amplitudes after every gate in order, starting from |0...0>."""
+    amps = np.zeros(2**circuit.n_qubits, dtype=complex)
+    amps[0] = 1.0
     for gate in circuit.gates:
         _apply_gate_inplace(amps, circuit.n_qubits, gate)
-    return state
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +164,15 @@ def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
     return scale(u, *group)
 
 
-def run_schedule(schedule) -> StateVector:
-    """Final state of `build_full_circuit(schedule)`, without building it.
+def run_schedule(schedule) -> np.ndarray:
+    """Final amplitudes of `build_full_circuit(schedule)`, without building it.
 
     Builds SCHEDULE_CHUNK slice unitaries at a time from their angle columns
     and the templates' segments, and chains them on the prepared vacuum.
-    Agrees with gate-by-gate `run_circuit` to rounding; takes a CoeffSchedule
-    (an empty sequence gives the vacuum).
+    Agrees with gate-by-gate `run_circuit` to rounding; an empty sequence
+    gives the prepared vacuum.
     """
-    amps = run_circuit(Circuit(4, list(VACUUM_PREP))).amplitudes
+    amps = run_circuit(Circuit(4, list(VACUUM_PREP)))
     for start in range(0, len(schedule), SCHEDULE_CHUNK):
         thetas = np.column_stack(schedule.angles(start, start + SCHEDULE_CHUNK))
         with_pair = thetas[:, 1] != 0.0
@@ -210,7 +183,7 @@ def run_schedule(schedule) -> StateVector:
                 blocks[rows] = _slice_unitaries(shape, thetas[rows])
         for block in blocks:
             amps = block @ amps
-    return StateVector(n_qubits=4, amplitudes=amps)
+    return amps
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -225,13 +198,16 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return rows.T.copy()
 
 
-def probabilities(state: StateVector) -> dict[str, float]:
-    """|amplitude|^2 keyed by bitstring; entries below 1e-15 are dropped."""
-    p = np.abs(state.amplitudes) ** 2
+def probabilities(amplitudes: np.ndarray) -> dict[str, float]:
+    """|amplitude|^2 keyed by bitstring; entries below 1e-15 are dropped.
+
+    The bitstring width is the qubit count, log2 of the array's length.
+    """
+    p = np.abs(amplitudes) ** 2
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized (sum of probs = {total})")
-    n = state.n_qubits
+    n = len(p).bit_length() - 1
     return {
         format(i, f"0{n}b"): float(p[i]) for i in np.nonzero(p >= 1e-15)[0]
     }
@@ -265,6 +241,18 @@ class CountsTable:
         return self.counts.get(bitstring, 0) / self.shots
 
 
+#: Most shots one draw takes: numpy's multinomial sampler counts in a C long.
+MAX_SHOTS = 2**63 - 1
+
+
+def check_shots(shots: int):
+    """Raise ValueError unless 1 <= shots <= MAX_SHOTS."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+
+
 def sample_counts(probs: Mapping[str, float], shots: int, seed: int) -> CountsTable:
     """One multinomial draw over the outcome distribution.
 
@@ -272,8 +260,7 @@ def sample_counts(probs: Mapping[str, float], shots: int, seed: int) -> CountsTa
     the draw.  Negative entries below -1e-12 are rejected; tiny negatives are
     clamped to zero and the distribution renormalized.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     keys = sorted(probs)
     p = np.array([probs[k] for k in keys], dtype=float)
     if np.any(p < -1e-12):

@@ -10,28 +10,27 @@ closed-form factors rather than a generic matrix exponential.
 `evolve` computes those closed-form entries for a chunk of slices at once
 and advances the state slice by slice in Python complex arithmetic: the
 2x2 (vacuum, pair) block plus a phase on each single-quantum component.
-The operations are those of `strang_step_unitary(step) @ psi`, so both
-give the same bits.  Memory is the (n_steps + 1, 4) population array plus
-one chunk of per-slice values.
+The operations are those of `strang_step_unitary(theta_zh, theta_a) @ psi`
+on the slice's `CoeffSchedule.angles`, so both give the same bits.  Memory
+is the (n_steps + 1, 4) population array plus one chunk of per-slice
+values.
 
 This engine is the high-resolution reference for the circuit implementation
-and also produces the time-resolved pair-occupation trajectory.
+and also produces the time-resolved pair-occupation trajectory: populations
+at the slice boundaries `CoeffSchedule.boundaries()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .schedule import CoeffSchedule, StepCoeffs, strang_angles
+from .schedule import CoeffSchedule
 
 __all__ = [
     "PHYS_LABELS",
     "PHYS_INDICES",
     "Z_PHYS",
     "A_PHYS",
-    "Trajectory",
     "EVOLVE_CHUNK",
     "vacuum_state",
     "strang_step_unitary",
@@ -54,22 +53,6 @@ A_PHYS[0, 3] = A_PHYS[3, 0] = 1.0
 
 #: Slices whose propagator entries `evolve` computes in one numpy pass.
 EVOLVE_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Populations of the four physical states at every slice boundary.
-
-    `populations[n]` holds (p_vac, p_plus, p_minus, p_pair) at time `y[n]`;
-    row 0 is the initial state.
-    """
-
-    y: np.ndarray
-    populations: np.ndarray
-
-    @property
-    def p_pair(self) -> np.ndarray:
-        return self.populations[:, 3]
 
 
 def vacuum_state() -> np.ndarray:
@@ -100,9 +83,8 @@ def _step_entries(theta_zh: np.ndarray, theta_a: np.ndarray) -> tuple[np.ndarray
     )
 
 
-def strang_step_unitary(step: StepCoeffs) -> np.ndarray:
-    """Closed-form 4x4 propagator of one symmetric split slice."""
-    theta_zh, theta_a = strang_angles(step)
+def strang_step_unitary(theta_zh: float, theta_a: float) -> np.ndarray:
+    """Closed-form 4x4 propagator of one symmetric split slice of these angles."""
     entries = _step_entries(np.array([theta_zh]), np.array([theta_a]))
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0], u[0, 3], u[3, 0], u[3, 3], u[1, 1], u[2, 2] = (e[0] for e in entries)
@@ -111,11 +93,12 @@ def strang_step_unitary(step: StepCoeffs) -> np.ndarray:
 
 def evolve(
     schedule: CoeffSchedule, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, Trajectory]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the slice propagators in order and record all populations.
 
-    Returns the final 4-component state and the boundary-time trajectory
-    (n_steps + 1 rows, the first being the initial state).
+    Returns the final 4-component state and the (n_steps + 1, 4) populations
+    (p_vac, p_plus, p_minus, p_pair) at the slice boundaries
+    `schedule.boundaries()`, row 0 being the initial state.
     """
     psi = vacuum_state() if initial is None else np.asarray(initial, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -136,8 +119,7 @@ def evolve(
             states += (p0, p1, p2, p3)
         block = np.array(states).reshape(-1, 4)
         pops[start + 1 : start + 1 + len(block)] = np.abs(block) ** 2
-    final = np.array([p0, p1, p2, p3])
-    return final, Trajectory(y=schedule.boundaries(), populations=pops)
+    return np.array([p0, p1, p2, p3]), pops
 
 
 def particle_number(state: np.ndarray) -> tuple[float, float, float]:

@@ -228,10 +228,11 @@ class TestTrajectory:
         x, n_steps = 1.5, 10_001
         assert main(["trajectory", "--x", "1.5", "--n-steps", str(n_steps),
                      "--out-dir", str(tmp_path)]) == 0
-        _, traj = evolve(build_schedule(ModeParams(x=x, n_steps=n_steps)))
+        sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
+        _, populations = evolve(sched)
         rows = [
             ",".join(repr(v) for v in (float(t), *(float(p) for p in pops), n_k_analytic(x)))
-            for t, pops in zip(traj.y, traj.populations)
+            for t, pops in zip(sched.boundaries(), populations)
         ]
         lines = (tmp_path / "trajectory_x1.5.csv").read_text().split("\n")
         assert lines[3] == "y,p_vac,p_plus,p_minus,p_pair,n_k_analytic"
@@ -455,6 +456,10 @@ class TestChecksBeforeAnyRun:
             (["sweep", "--x", "2.0", "--methods", "matrix,noisy", "--n-steps", "200000",
               "--shots", "0"], "shots must be >= 1, got 0"),
             (["noise-study", "--x", "2.0", "--shots", "0"], "shots must be >= 1, got 0"),
+            (["sweep", "--x", "2", "--methods", "shots", "--n-steps", "3",
+              "--shots", str(2**63)], f"shots must be <= {2**63 - 1}, got {2**63}"),
+            (["noise-study", "--x", "2", "--shots", str(2**63)],
+             f"shots must be <= {2**63 - 1}, got {2**63}"),
             (["sweep", "--x", "2.0,2.0", "--methods", "analytic,shots", "--n-steps", "3"],
              "x = 2.0 appears more than once"),
             (["sweep", "--x", "2.0,3.0", "--y-i=-2.5", "--methods", "matrix"],
@@ -463,7 +468,8 @@ class TestChecksBeforeAnyRun:
             (["noise-study", "--x", "1e-100,2.0", "--shots", "10"],
              "x = 1e-100 is too small: 1/(4 x^4) overflows"),
         ],
-        ids=["sweep_shots", "noise_study_shots", "sweep_repeated_x", "sweep_late_window",
+        ids=["sweep_shots", "noise_study_shots", "sweep_huge_shots", "noise_study_huge_shots",
+             "sweep_repeated_x", "sweep_late_window",
              "sweep_no_methods", "noise_study_tiny_x"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

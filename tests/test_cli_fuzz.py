@@ -69,7 +69,7 @@ def _argv(draw):
     if draw(st.booleans()):
         argv += [f"--y-i={draw(_mostly(st.floats(-100.0, -10.0), _any_float))!r}"]
     if command in ("sweep", "noise-study"):
-        argv += [f"--shots={draw(st.integers(-3, 32))}",
+        argv += [f"--shots={draw(_mostly(st.integers(-3, 32), st.integers(2**63, 2**70)))}",
                  f"--seed={draw(_mostly(st.integers(0, 2**40), st.integers(-2, -1)))}"]
         if draw(st.booleans()):
             argv += [f"--factors={draw(_factors_text)}"]

@@ -126,9 +126,8 @@ class TestRotationSynthesis:
 class TestStepSynthesis:
     def test_radiation_step_is_diagonal(self):
         sched = build_schedule(ModeParams(x=2.0, y_i=-2.5, y_f=-0.5, n_steps=4))
-        step = sched.steps[-1]
-        assert step.ca == 0.0
-        circuit = synthesize_step(step)
+        assert sched.ca[-1] == 0.0
+        circuit = synthesize_step(*(a[-1].item() for a in sched.angles()))
         assert all(g.name in ("RZ", "CNOT") for g in circuit.gates)
         u = circuit_unitary(circuit)
         off = u - np.diag(np.diag(u))
@@ -137,9 +136,9 @@ class TestStepSynthesis:
     @pytest.mark.parametrize("x,n_steps", [(1.3, 1), (2.0, 5), (3.0, 20)])
     def test_step_unitaries_match_subspace_engine(self, x, n_steps):
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
-        for step in sched.steps:
-            dense = circuit_unitary(synthesize_step(step))
-            dist = phase_aligned_distance(restrict(dense), strang_step_unitary(step))
+        for angles in zip(*(a.tolist() for a in sched.angles())):
+            dense = circuit_unitary(synthesize_step(*angles))
+            dist = phase_aligned_distance(restrict(dense), strang_step_unitary(*angles))
             assert dist < 1e-10
 
     def test_pair_block_preserves_physical_subspace(self):
@@ -163,10 +162,11 @@ class TestFullCircuit:
     def test_two_step_structure(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=2))
         circuit = build_full_circuit(sched)
-        one_step = synthesize_step(sched.steps[0]).gate_count
+        first, second = zip(*(a.tolist() for a in sched.angles()))
+        one_step = synthesize_step(*first).gate_count
         # Preparation plus two equal-shape split-step blocks.
-        assert circuit.gate_count == 2 + one_step + synthesize_step(sched.steps[1]).gate_count
-        assert one_step == synthesize_step(sched.steps[1]).gate_count
+        assert circuit.gate_count == 2 + one_step + synthesize_step(*second).gate_count
+        assert one_step == synthesize_step(*second).gate_count
 
     def test_single_step_gate_count_regression(self):
         # Frozen from the synthesis rules: 2 preparation X gates, two Z

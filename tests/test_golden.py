@@ -12,6 +12,11 @@ gate runs: the `statevector` rows sum in a new order, so their `n_k` moved
 in the 14th significant digit and their ~2e-14 `leakage` with it; every
 `shots` row and every other file stayed byte-identical.  `dump-circuit`
 has its own golden test in test_cli.py.
+
+The windows above hold de Sitter slices only.  The `radiation-*` entries
+start the grid at y_i = -10 with 10 slices, so at x = 2.0 (and at x = 1.3)
+the last two slices are radiation slices: they pin the radiation branch of
+the schedule dump, of circuit synthesis and of every sweep method.
 """
 
 import hashlib
@@ -57,6 +62,29 @@ GOLDEN = {
         {
             "schedule_x1.3_n4.json": "0e2c1dc955944baf2eddc8d494578c123fb6c1780876efbbbb4c96a109bdbe35",
             "schedule_x2_n4.json": "896e4bf3e2743e37c4b00f138ba895f4668b41201e72e384d9bcb86df2748135",
+        },
+    ),
+    "radiation-dump-schedule": (
+        ["dump-schedule", "--x", "1.3,2.0", "--y-i=-10", "--n-steps", "10"],
+        {
+            "schedule_x1.3_n10.json": "5a12d38a11cbb1f581d5e1165c6aeaf4d48e1104d71b02a876d752386a551bc1",
+            "schedule_x2_n10.json": "5f4d2b2572d7837e635edb809401b4c2c7985d1ca08e6d9fb662e6221470e22a",
+        },
+    ),
+    "radiation-dump-circuit": (
+        ["dump-circuit", "--x", "1.3,2.0", "--y-i=-10", "--n-steps", "10"],
+        {
+            "circuit_x1.3_n10.txt": "7582cc2464a45da4abac571fc598c631d05ecfb70c3ea7c22d4441539d104f1c",
+            "circuit_x2_n10.txt": "bcd1501f901a63c2f57bd9690276954fe79886ff1cd7366e8fce5c91be409540",
+        },
+    ),
+    "radiation-sweep": (
+        ["sweep", "--x", "1.3,2.0", "--y-i=-10",
+         "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
+         "--n-steps", "10", "--shots", "300", "--seed", "7"],
+        {
+            "sweep.csv": "7caef705571ff4b7822850ae1d0109ca45634cb1dfa8f731dad6eebd59a6a11f",
+            "sweep.json": "d7063aa553627157c3ae3d54f108562f89845f4937ef212eb7890be0372e3b94",
         },
     ),
 }

@@ -23,7 +23,6 @@ from cosmopair.noise import (
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     CountsTable,
-    StateVector,
     _apply_1q_inplace,
     _apply_gate_inplace,
     counts_rng,
@@ -62,11 +61,12 @@ def replay_noisy_circuit(circuit, model, shots, seed):
     gates = circuit.gates
     rates = np.array([model.p2 if g.name == "CNOT" else model.p1 for g in gates])
     prefixes = np.empty((len(gates) + 1, 2**n), dtype=complex)
-    state = StateVector.zero(n)
-    prefixes[0] = state.amplitudes
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    prefixes[0] = state
     for k, gate in enumerate(gates):
-        _apply_gate_inplace(state.amplitudes, n, gate)
-        prefixes[k + 1] = state.amplitudes
+        _apply_gate_inplace(state, n, gate)
+        prefixes[k + 1] = state
     ideal_cum = np.cumsum(np.abs(prefixes[-1]) ** 2)
 
     counts = {}

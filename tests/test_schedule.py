@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosmopair.background import ModeParams
-from cosmopair.schedule import Branch, StepCoeffs, build_schedule, strang_angles
+from cosmopair.schedule import CoeffSchedule, build_schedule
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-step loop that the columnar build_schedule replaced, one
-# StepCoeffs per slice evaluated on Python floats.
+# record per slice evaluated on Python floats.
 # ---------------------------------------------------------------------------
 
 def _reference_steps(params):
@@ -22,12 +22,17 @@ def _reference_steps(params):
     for n in range(params.n_steps):
         y_mid = params.y_i + (n + 0.5) * dy
         if y_mid >= -params.x:
-            cz, ca, branch = 1.0, 0.0, Branch.RADIATION
+            cz, ca, radiation = 1.0, 0.0, True
         else:
             ca = -1.0 / y_mid**2
-            cz, branch = 1.0 + ca, Branch.DE_SITTER
-        steps.append(StepCoeffs(index=n, y_mid=y_mid, dy=dy, cz=cz, ca=ca, branch=branch))
+            cz, radiation = 1.0 + ca, False
+        steps.append(SimpleNamespace(y_mid=y_mid, dy=dy, cz=cz, ca=ca, radiation=radiation))
     return steps
+
+
+def _reference_angles(cz, ca, dy):
+    """The split-step angles of each slice, on Python floats."""
+    return [(c * dy / 2.0, a * dy) for c, a in zip(cz, ca)]
 
 
 def _reference_boundaries(params):
@@ -44,7 +49,7 @@ def _assert_matches_reference(params):
     assert np.array_equal(sched.cz, [s.cz for s in ref])
     assert np.array_equal(sched.ca, [s.ca for s in ref])
     assert np.array_equal(np.signbit(sched.ca), [np.signbit(s.ca) for s in ref])
-    assert np.array_equal(sched.radiation, [s.branch is Branch.RADIATION for s in ref])
+    assert np.array_equal(sched.radiation, [s.radiation for s in ref])
     assert sched.dy == ref[0].dy
     assert np.array_equal(sched.boundaries(), _reference_boundaries(params))
     return sched, ref
@@ -59,7 +64,8 @@ class TestColumnarSchedule:
     )
     def test_columns_equal_scalar_loop(self, x, n_steps, y_i):
         sched, ref = _assert_matches_reference(ModeParams(x=x, y_i=y_i, n_steps=n_steps))
-        assert list(sched) == ref
+        expected = _reference_angles([s.cz for s in ref], [s.ca for s in ref], ref[0].dy)
+        assert list(zip(*(a.tolist() for a in sched.angles()))) == expected
 
     @pytest.mark.parametrize("x", [1.5, 2.0])
     def test_columns_equal_scalar_loop_at_100k_steps(self, x):
@@ -74,19 +80,6 @@ class TestColumnarSchedule:
         ):
             _assert_matches_reference(params)
 
-    def test_indexing_builds_the_same_steps(self):
-        params = ModeParams(x=2.0, n_steps=9)
-        sched, ref = build_schedule(params), _reference_steps(params)
-        assert sched.steps is sched
-        assert [sched[n] for n in range(9)] == ref
-        assert sched[-1] == ref[-1] and sched.steps[-9] == ref[0]
-        assert sched[2:7:2] == ref[2:7:2]
-        assert list(reversed(sched)) == ref[::-1]
-        assert isinstance(sched[0].y_mid, float) and isinstance(sched[0].index, int)
-        for bad in (9, -10):
-            with pytest.raises(IndexError):
-                sched[bad]
-
     def test_columns_are_read_only(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=3))
         for column in (sched.y_mid, sched.cz, sched.ca, sched.radiation):
@@ -96,7 +89,9 @@ class TestColumnarSchedule:
     def test_angle_columns_equal_strang_angles(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=1000))
         theta_zh, theta_a = sched.angles(100, 900)
-        expected = np.array([strang_angles(step) for step in sched[100:900]])
+        expected = np.array(
+            _reference_angles(sched.cz[100:900].tolist(), sched.ca[100:900].tolist(), sched.dy)
+        )
         assert np.array_equal(theta_zh, expected[:, 0])
         assert np.array_equal(theta_a, expected[:, 1])
         tail = sched.angles(990, 2000)  # a chunk may run past the end
@@ -107,39 +102,38 @@ def test_two_step_grid_hand_values():
     # Midpoints -60 and -20; the second interval [-40, 0] straddles the
     # transition at -2 but its midpoint selects the de Sitter branch.
     sched = build_schedule(ModeParams(x=2.0, y_i=-80.0, y_f=0.0, n_steps=2))
-    assert [s.y_mid for s in sched] == [-60.0, -20.0]
-    assert all(s.branch is Branch.DE_SITTER for s in sched)
-    assert [s.ca for s in sched] == pytest.approx([-1.0 / 3600.0, -1.0 / 400.0])
-    assert [s.cz for s in sched] == pytest.approx([1 - 1 / 3600, 1 - 1 / 400])
+    assert sched.y_mid.tolist() == [-60.0, -20.0]
+    assert not sched.radiation.any()
+    assert sched.ca.tolist() == pytest.approx([-1.0 / 3600.0, -1.0 / 400.0])
+    assert sched.cz.tolist() == pytest.approx([1 - 1 / 3600, 1 - 1 / 400])
 
 
 def test_radiation_step():
     sched = build_schedule(ModeParams(x=2.0, y_i=-80.0, y_f=0.0, n_steps=80))
-    last = sched.steps[-1]
-    assert last.y_mid == pytest.approx(-0.5)
-    assert last.branch is Branch.RADIATION
-    assert last.ca == 0.0
-    assert last.cz == 1.0
+    assert sched.y_mid[-1] == pytest.approx(-0.5)
+    assert sched.radiation[-1]
+    assert sched.ca[-1] == 0.0
+    assert sched.cz[-1] == 1.0
 
 
 def test_single_step_hardware_schedule():
     sched = build_schedule(ModeParams(x=1.3, y_i=-80.0, y_f=0.7, n_steps=1))
-    (step,) = sched.steps
-    assert step.y_mid == pytest.approx(-39.65)
-    assert step.dy == pytest.approx(80.7)
-    assert step.branch is Branch.DE_SITTER
-    assert step.ca == pytest.approx(-1.0 / 39.65**2)
-    theta_zh, theta_a = strang_angles(step)
+    assert len(sched) == 1
+    assert sched.y_mid[0] == pytest.approx(-39.65)
+    assert sched.dy == pytest.approx(80.7)
+    assert not sched.radiation[0]
+    assert sched.ca[0] == pytest.approx(-1.0 / 39.65**2)
+    (theta_zh,), (theta_a,) = sched.angles()
     assert theta_a == pytest.approx(-80.7 / 39.65**2)
     assert theta_a == pytest.approx(-0.051332, abs=1e-6)
-    assert theta_zh == pytest.approx(step.cz * 80.7 / 2.0)
+    assert theta_zh == pytest.approx(sched.cz[0] * 80.7 / 2.0)
 
 
 def test_branch_decided_by_midpoint_sign():
     # Midpoint exactly at the transition counts as radiation (half-open rule).
-    step = build_schedule(ModeParams(x=2.0, y_i=-3.0, y_f=-1.0, n_steps=1)).steps[0]
-    assert step.y_mid == -2.0
-    assert step.branch is Branch.RADIATION
+    sched = build_schedule(ModeParams(x=2.0, y_i=-3.0, y_f=-1.0, n_steps=1))
+    assert sched.y_mid[0] == -2.0
+    assert sched.radiation[0]
 
 
 def test_rejects_zero_steps():
@@ -147,13 +141,16 @@ def test_rejects_zero_steps():
         ModeParams(x=2.0, n_steps=0)
 
 
+def _one_slice(y_mid, dy, cz, ca):
+    y_mid, cz, ca = (np.array([v]) for v in (y_mid, cz, ca))
+    return CoeffSchedule(None, dy, y_mid, cz, ca, radiation=ca == 0.0)
+
+
 def test_strang_angles_trivial_cases():
-    rad = StepCoeffs(index=0, y_mid=1.0, dy=0.1, cz=1.0, ca=0.0, branch=Branch.RADIATION)
-    assert strang_angles(rad) == (0.05, 0.0)
-    degenerate = StepCoeffs(
-        index=0, y_mid=-10.0, dy=0.0, cz=0.99, ca=-0.01, branch=Branch.DE_SITTER
-    )
-    assert strang_angles(degenerate) == (0.0, 0.0)
+    rad = _one_slice(y_mid=1.0, dy=0.1, cz=1.0, ca=0.0)
+    assert [a.tolist() for a in rad.angles()] == [[0.05], [0.0]]
+    degenerate = _one_slice(y_mid=-10.0, dy=0.0, cz=0.99, ca=-0.01)
+    assert [a.tolist() for a in degenerate.angles()] == [[0.0], [0.0]]
 
 
 @given(
@@ -165,25 +162,25 @@ def test_grid_properties(x, n_steps):
     sched = build_schedule(params)
     assert len(sched) == n_steps
     # Total width matches the window.
-    assert sum(s.dy for s in sched) == pytest.approx(
+    assert sum([sched.dy] * len(sched)) == pytest.approx(
         params.y_f - params.y_i, abs=1e-12
     )
     # A contiguous de Sitter prefix followed by a radiation suffix.
-    branches = [s.branch for s in sched]
-    if Branch.RADIATION in branches:
-        first_rad = branches.index(Branch.RADIATION)
-        assert all(b is Branch.DE_SITTER for b in branches[:first_rad])
-        assert all(b is Branch.RADIATION for b in branches[first_rad:])
+    radiation = sched.radiation.tolist()
+    if True in radiation:
+        first_rad = radiation.index(True)
+        assert not any(radiation[:first_rad])
+        assert all(radiation[first_rad:])
     # Per-branch coefficient relations.
-    for s in sched:
-        if s.branch is Branch.RADIATION:
-            assert s.ca == 0.0 and s.cz == 1.0
-            assert s.y_mid >= -x
+    for y_mid, cz, ca, rad in zip(sched.y_mid, sched.cz, sched.ca, radiation):
+        if rad:
+            assert ca == 0.0 and cz == 1.0
+            assert y_mid >= -x
         else:
-            assert s.ca == pytest.approx(-1.0 / s.y_mid**2)
-            assert s.cz == pytest.approx(1.0 + s.ca)
-            assert s.ca < 0.0
-            assert s.y_mid < -x
+            assert ca == pytest.approx(-1.0 / y_mid**2)
+            assert cz == pytest.approx(1.0 + ca)
+            assert ca < 0.0
+            assert y_mid < -x
 
 
 @given(
@@ -193,17 +190,17 @@ def test_grid_properties(x, n_steps):
 def test_refinement_places_coarse_midpoints_between_fine(x, n_steps):
     coarse = build_schedule(ModeParams(x=x, n_steps=n_steps))
     fine = build_schedule(ModeParams(x=x, n_steps=2 * n_steps))
-    for n, step in enumerate(coarse):
-        mid = (fine.steps[2 * n].y_mid + fine.steps[2 * n + 1].y_mid) / 2.0
-        assert step.y_mid == pytest.approx(mid, abs=1e-12)
+    for n, y_mid in enumerate(coarse.y_mid):
+        mid = (fine.y_mid[2 * n] + fine.y_mid[2 * n + 1]) / 2.0
+        assert y_mid == pytest.approx(mid, abs=1e-12)
 
 
 def test_adiabatic_flat_space_limit():
     # Deep de Sitter midpoints give ca -> 0 and cz -> 1.
-    step = build_schedule(ModeParams(x=2.0, y_i=-1e8, y_f=0.0, n_steps=10)).steps[0]
-    assert step.branch is Branch.DE_SITTER
-    assert step.ca == pytest.approx(0.0, abs=1e-14)
-    assert step.cz == pytest.approx(1.0, abs=1e-14)
+    sched = build_schedule(ModeParams(x=2.0, y_i=-1e8, y_f=0.0, n_steps=10))
+    assert not sched.radiation[0]
+    assert sched.ca[0] == pytest.approx(0.0, abs=1e-14)
+    assert sched.cz[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boundaries_bracket_midpoints():
@@ -211,5 +208,5 @@ def test_boundaries_bracket_midpoints():
     bounds = sched.boundaries()
     assert len(bounds) == 8
     assert bounds[0] == -80.0 and bounds[-1] == pytest.approx(0.0)
-    for s in sched:
-        assert bounds[s.index] < s.y_mid < bounds[s.index + 1]
+    for n, y_mid in enumerate(sched.y_mid):
+        assert bounds[n] < y_mid < bounds[n + 1]

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cosmopair import subspace
 from cosmopair.background import ModeParams, n_k_analytic
-from cosmopair.schedule import Branch, StepCoeffs, build_schedule, strang_angles
+from cosmopair.schedule import build_schedule
 from cosmopair.subspace import (
     A_PHYS,
     Z_PHYS,
@@ -22,8 +22,8 @@ from cosmopair.subspace import (
 
 
 def make_step(cz, ca, dy):
-    branch = Branch.RADIATION if ca == 0.0 else Branch.DE_SITTER
-    return StepCoeffs(index=0, y_mid=-10.0, dy=dy, cz=cz, ca=ca, branch=branch)
+    """Split-step angles (theta_zh, theta_a) of one slice, on Python floats."""
+    return cz * dy / 2.0, ca * dy
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,7 @@ def make_step(cz, ca, dy):
 # slice builds its 4x4 propagator with numpy and multiplies the state by it.
 # ---------------------------------------------------------------------------
 
-def _reference_step_unitary(step):
-    theta_zh, theta_a = strang_angles(step)
+def _reference_step_unitary(theta_zh, theta_a):
     z_half = np.exp(-1j * theta_zh * np.array([0.0, 1.0, 1.0, 2.0]))
     u = np.zeros((4, 4), dtype=complex)
     c, s = np.cos(theta_a), np.sin(theta_a)
@@ -44,8 +43,8 @@ def _reference_step_unitary(step):
 
 def _reference_evolve(schedule, psi):
     pops = [np.abs(psi) ** 2]
-    for step in schedule:
-        psi = _reference_step_unitary(step) @ psi
+    for cz, ca in zip(schedule.cz.tolist(), schedule.ca.tolist()):
+        psi = _reference_step_unitary(*make_step(cz, ca, schedule.dy)) @ psi
         pops.append(np.abs(psi) ** 2)
     return psi, np.array(pops)
 
@@ -53,9 +52,9 @@ def _reference_evolve(schedule, psi):
 def _assert_evolve_matches_reference(schedule, initial=None):
     psi0 = vacuum_state() if initial is None else initial
     ref_final, ref_pops = _reference_evolve(schedule, psi0)
-    final, traj = evolve(schedule, initial=initial)
+    final, pops = evolve(schedule, initial=initial)
     assert np.array_equal(final, ref_final)
-    assert np.array_equal(traj.populations, ref_pops)
+    assert np.array_equal(pops, ref_pops)
 
 
 class TestChunkedEngine:
@@ -74,15 +73,15 @@ class TestChunkedEngine:
         psi /= np.linalg.norm(psi)
         sched = build_schedule(ModeParams(x=1.5, n_steps=5000))
         _assert_evolve_matches_reference(sched, initial=psi)
-        _, traj = evolve(sched, initial=psi)
-        assert np.min(traj.populations[:, 1:3]) > 0.0
+        _, pops = evolve(sched, initial=psi)
+        assert np.min(pops[:, 1:3]) > 0.0
 
     def test_chunk_edges(self, monkeypatch):
         # Chunks of 7 over 50 slices: the last chunk is short, and the de
         # Sitter to radiation switch falls inside one.
         monkeypatch.setattr(subspace, "EVOLVE_CHUNK", 7)
         sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=50))
-        first_rad = next(s.index for s in sched if s.branch is Branch.RADIATION)
+        first_rad = int(np.argmax(sched.radiation))
         assert first_rad % 7 != 0
         _assert_evolve_matches_reference(sched)
 
@@ -93,7 +92,7 @@ class TestChunkedEngine:
     )
     def test_step_unitary_matches_reference(self, cz, ca, dy):
         step = make_step(cz, ca, dy)
-        assert np.array_equal(strang_step_unitary(step), _reference_step_unitary(step))
+        assert np.array_equal(strang_step_unitary(*step), _reference_step_unitary(*step))
 
     def test_memory_grows_only_by_the_populations(self, monkeypatch):
         # With small chunks the working set is a few kilobytes, so a per-slice
@@ -110,9 +109,8 @@ class TestChunkedEngine:
                 tracemalloc.stop()
 
         small, large = peak(1000), peak(20_000)
-        # Per extra slice: 4 population floats, 1 boundary time and 1 float
-        # of the temporary that computes the boundaries.
-        arrays = (20_000 - 1000) * 6 * 8
+        # Per extra slice: the 4 population floats.
+        arrays = (20_000 - 1000) * 4 * 8
         assert large <= small + arrays + 64 * 1024
 
 
@@ -130,7 +128,7 @@ class TestOperators:
 
 class TestStepUnitary:
     def test_identity_step(self):
-        u = strang_step_unitary(make_step(cz=0.0, ca=0.0, dy=1.0))
+        u = strang_step_unitary(*make_step(cz=0.0, ca=0.0, dy=1.0))
         assert np.allclose(u, np.eye(4), atol=1e-15)
 
     @given(
@@ -139,14 +137,13 @@ class TestStepUnitary:
         dy=st.floats(min_value=0.0, max_value=5.0),
     )
     def test_matches_matrix_exponential_factors(self, cz, ca, dy):
-        step = make_step(cz, ca, dy)
-        theta_zh, theta_a = strang_angles(step)
+        theta_zh, theta_a = make_step(cz, ca, dy)
         expected = (
             expm(-1j * theta_zh * Z_PHYS)
             @ expm(-1j * theta_a * A_PHYS)
             @ expm(-1j * theta_zh * Z_PHYS)
         )
-        assert np.max(np.abs(strang_step_unitary(step) - expected)) < 1e-12
+        assert np.max(np.abs(strang_step_unitary(theta_zh, theta_a) - expected)) < 1e-12
 
     @given(
         cz=st.floats(min_value=-2.0, max_value=2.0),
@@ -154,7 +151,7 @@ class TestStepUnitary:
         dy=st.floats(min_value=0.0, max_value=5.0),
     )
     def test_unitarity(self, cz, ca, dy):
-        u = strang_step_unitary(make_step(cz, ca, dy))
+        u = strang_step_unitary(*make_step(cz, ca, dy))
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-14
 
     @given(
@@ -164,7 +161,7 @@ class TestStepUnitary:
     def test_pair_population_from_vacuum_is_sin_squared(self, theta_a, cz):
         # Number-operator phases are diagonal and drop out of populations.
         step = make_step(cz=cz, ca=theta_a, dy=1.0)
-        psi = strang_step_unitary(step) @ vacuum_state()
+        psi = strang_step_unitary(*step) @ vacuum_state()
         assert abs(psi[3]) ** 2 == pytest.approx(np.sin(theta_a) ** 2, abs=1e-12)
 
 
@@ -172,18 +169,19 @@ class TestEvolve:
     def test_zero_angle_step_is_identity_on_populations(self):
         sched = build_schedule(ModeParams(x=2.0, y_i=-80.0, y_f=0.0, n_steps=80))
         # Radiation-era slice alone leaves the vacuum invariant.
-        final = strang_step_unitary(sched.steps[-1]) @ vacuum_state()
+        step = make_step(float(sched.cz[-1]), float(sched.ca[-1]), sched.dy)
+        final = strang_step_unitary(*step) @ vacuum_state()
         assert abs(final[0]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_single_step_closed_form(self):
         sched = build_schedule(ModeParams(x=1.3, n_steps=1))
-        final, traj = evolve(sched)
-        _, theta_a = strang_angles(sched.steps[0])
+        final, pops = evolve(sched)
+        _, theta_a = make_step(float(sched.cz[0]), float(sched.ca[0]), sched.dy)
         assert abs(final[3]) ** 2 == pytest.approx(np.sin(theta_a) ** 2, abs=1e-15)
         # sin^2(-80.7 / 39.65^2), frozen from the closed form checked above.
         assert abs(final[3]) ** 2 == pytest.approx(0.0026326481467, abs=1e-12)
         assert round(abs(final[3]) ** 2, 4) == 0.0026
-        assert traj.populations.shape == (2, 4)
+        assert pops.shape == (2, 4)
 
     def test_norm_preserved_over_long_evolution(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=2500))
@@ -192,14 +190,14 @@ class TestEvolve:
 
     def test_parity_sector_never_populated(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=500))
-        _, traj = evolve(sched)
-        assert np.max(traj.populations[:, 1]) < 1e-12
-        assert np.max(traj.populations[:, 2]) < 1e-12
+        _, pops = evolve(sched)
+        assert np.max(pops[:, 1]) < 1e-12
+        assert np.max(pops[:, 2]) < 1e-12
 
     def test_rows_sum_to_one(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=300))
-        _, traj = evolve(sched)
-        assert np.max(np.abs(traj.populations.sum(axis=1) - 1.0)) < 1e-10
+        _, pops = evolve(sched)
+        assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-10
 
     def test_high_resolution_reference_x2(self):
         # Frozen by this engine at N=2500; deviation from 1/(4x^4) is the
@@ -212,9 +210,9 @@ class TestEvolve:
 
     def test_trajectory_shape_flat_rise_plateau(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=2500))
-        _, traj = evolve(sched)
-        p = traj.p_pair
-        y = traj.y
+        _, pops = evolve(sched)
+        p = pops[:, 3]
+        y = sched.boundaries()
         # Flat and tiny deep in the de Sitter era.
         assert np.max(p[y < -15.0]) < 1e-3
         # Rising near the transition: value just before -x is well below final.

@@ -36,7 +36,7 @@ from .mitigation import (
     mitigate_readout,
     zne_estimate,
 )
-from .noise import NoiseModel, apply_readout_noise, noisy_distribution
+from .noise import NoiseModel, apply_readout_noise, noisy_distributions
 from .schedule import CoeffSchedule, build_schedule
 from .statevector import (
     CountsTable,

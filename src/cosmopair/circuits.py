@@ -9,6 +9,7 @@ in radians with 17 significant digits so files round-trip bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 __all__ = ["GATE_NAMES", "Gate", "Circuit", "circuit_to_text", "circuit_from_text"]
@@ -101,30 +102,35 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse `circuit_to_text` output; a malformed gate line is a ValueError naming it.
+    """Parse `circuit_to_text` output; a malformed line is a ValueError naming it.
 
     The header is exactly `QUBITS n`; each gate line must hold exactly the
-    gate's qubits and, for RZ and RX, one finite angle.
+    gate's qubits, as integers inside the register, and, for RZ and RX, one
+    finite angle.
     """
     lines = [
         ln.strip()
         for ln in text.splitlines()
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != "QUBITS":
-        raise ValueError("circuit text must start with a 'QUBITS n' line")
+    first = lines[0] if lines else ""
+    head = re.fullmatch(r"QUBITS\s+(\d+)", first, re.ASCII)
+    if head is None:
+        raise ValueError(f"circuit text must start with a 'QUBITS n' line, got {first!r}")
     circuit = Circuit(n_qubits=int(head[1]))
     for ln in lines[1:]:
         name, _, rest = ln.partition(" ")
         fields = rest.split(",")
-        n_q, takes_angle = GATE_NAMES.get(name, (None, None))
-        if n_q is None:
-            raise ValueError(f"unknown gate line {ln!r}")
-        if len(fields) != n_q + takes_angle:
-            raise ValueError(f"gate line {ln!r}: {len(fields)} fields, expected {n_q + takes_angle}")
-        angle = float(fields[n_q]) if takes_angle else None
-        if angle is not None and not math.isfinite(angle):
-            raise ValueError(f"gate line {ln!r} has a non-finite angle")
-        circuit.add(name, *(int(f) for f in fields[:n_q]), angle=angle)
+        try:
+            if name not in GATE_NAMES:
+                raise ValueError("unknown gate")
+            n_q, takes_angle = GATE_NAMES[name]
+            if len(fields) != n_q + takes_angle:
+                raise ValueError(f"{len(fields)} fields, expected {n_q + takes_angle}")
+            angle = float(fields[n_q]) if takes_angle else None
+            if angle is not None and not math.isfinite(angle):
+                raise ValueError("non-finite angle")
+            circuit.add(name, *(int(f) for f in fields[:n_q]), angle=angle)
+        except ValueError as exc:
+            raise ValueError(f"gate line {ln!r}: {exc}") from None
     return circuit

@@ -47,7 +47,7 @@ from .mitigation import (
     validate_factors,
     zne_estimate,
 )
-from .noise import NoiseModel, noisy_distribution
+from .noise import NoiseModel, noisy_distributions
 from .schedule import build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
@@ -220,12 +220,15 @@ def _x_parameters(x: float, args, n_steps: int) -> dict:
     return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
 
 
-def _noisy_levels(x: float, args, model: NoiseModel):
-    """`circuit(n_steps)` at x and `level(n_steps, factor)`, its exact distribution
-    under `model.scaled(factor)`: each built on first use, at most once."""
+def _noisy_levels(x: float, args, model: NoiseModel, factors: Iterable[float]):
+    """`circuit(n_steps)` at x and `levels(n_steps)`, the exact distribution under
+    `model.scaled(f)` keyed by f for each f in `factors`: each built on first
+    use, at most once, and every factor in one channel pass."""
+    factors = tuple(dict.fromkeys(factors))
     circuit = cache(lambda n: build_full_circuit(build_schedule(_mode_params(x, args, n))))
-    level = cache(lambda n, f: noisy_distribution(circuit(n), model.scaled(f)))
-    return circuit, level
+    levels = cache(lambda n: dict(zip(factors, noisy_distributions(
+        circuit(n), [model.scaled(f) for f in factors]))))
+    return circuit, levels
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def _n_steps(args, method: str) -> int:
 
 
 def _sweep_point(
-    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int, level
+    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int, levels
 ) -> dict:
     n_k_an = n_k_analytic(x)
     row = {
@@ -278,14 +281,14 @@ def _sweep_point(
         row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
         return row
     if method == "zne":
-        zne = zne_estimate(factors, [level(n_steps, f) for f in factors], shots, row_seed)
+        zne = zne_estimate(factors, [levels(n_steps)[f] for f in factors], shots, row_seed)
         row.update(
             n_k=zne["p_pair"].extrapolated,
             stderr=zne["p_pair"].extrapolated_stderr,
             leakage=zne["leakage"].extrapolated,
         )
         return row
-    counts = sample_counts(level(n_steps, 1.0), shots, row_seed)
+    counts = sample_counts(levels(n_steps)[1.0], shots, row_seed)
     raw = observables_from_counts(counts)
     obs = raw
     if method == "mitigated":
@@ -320,13 +323,15 @@ def cmd_sweep(args) -> int:
         check_shots(args.shots)
     model = _load_model(args.model_file)
     factors = _parse_factors(args.factors, model, zne="zne" in methods)
+    needed = ((1.0,) if {"noisy", "mitigated"} & set(methods) else ()) + (
+        factors if "zne" in methods else ())
 
     rows = []
     for xi, x in enumerate(x_grid):
-        _, level = _noisy_levels(x, args, model)
+        _, levels = _noisy_levels(x, args, model, needed)
         for m in methods:
             seed = derived_seed(args.seed, xi, METHODS.index(m))
-            rows.append(_sweep_point(x, m, args, model, factors, seed, level))
+            rows.append(_sweep_point(x, m, args, model, factors, seed, levels))
     rows.sort(key=lambda r: (r["x"], METHODS.index(r["method"])))
 
     parameters = {
@@ -406,16 +411,16 @@ def cmd_noise_study(args) -> int:
     counts_files = []
     for xi, x in enumerate(x_grid):
         n_k_an = n_k_analytic(x)  # first: x is sorted, so an overflowing x fails before any run
-        circuit, level = _noisy_levels(x, args, model)
+        circuit, levels = _noisy_levels(x, args, model, (1.0, *factors))
         ideal = observables_from_probabilities(probabilities(run_circuit(circuit(n_steps))))
 
         seed = derived_seed(args.seed, xi)
-        counts = sample_counts(level(n_steps, 1.0), shots, seed)
+        counts = sample_counts(levels(n_steps)[1.0], shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = zne_estimate(factors, [level(n_steps, f) for f in factors], shots, seed)
+        zne = zne_estimate(factors, [levels(n_steps)[f] for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"

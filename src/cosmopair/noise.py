@@ -13,12 +13,13 @@ target that hardware gate folding only approximates.
 
 Injecting a uniformly random non-identity Pauli with probability p is
 exactly the depolarizing channel on the gate's operands, so
-`noisy_distribution` evolves the density matrix through the circuit and
-returns the exact outcome distribution, readout included.  Its cost is one
-pass over the gates, whatever the shot count.  The shots of a
-stochastic-Pauli model are independent and identically distributed, so a
-noisy run's counts are one `sample_counts` draw over that distribution; one
-distribution serves every run of the same circuit and noise level.
+`noisy_distributions` evolves the density matrix through the circuit and
+returns the exact outcome distribution, readout included, for each of a
+list of models: one pass over the gates for all of them, whatever the shot
+count.  The shots of a stochastic-Pauli model are independent and
+identically distributed, so a noisy run's counts are one `sample_counts`
+draw over that distribution; one distribution serves every run of the same
+circuit and noise level.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .circuits import Circuit
 from .statevector import _apply_1q_inplace, _apply_cnot_inplace, _apply_gate_inplace, _mat_1q
 
-__all__ = ["NoiseModel", "apply_readout_noise", "noisy_distribution"]
+__all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
 
 @dataclass(frozen=True)
@@ -148,56 +149,63 @@ def apply_readout_noise(
     return {format(i, f"0{n}b"): float(flat[i]) for i in range(2**n)}
 
 
-def noisy_distribution(circuit: Circuit, model: NoiseModel) -> dict[str, float]:
-    """Exact outcome distribution of the circuit under the noise model.
+def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[dict[str, float]]:
+    """Exact outcome distribution of the circuit under each noise model, in order.
 
-    The density matrix rho is held as a 2n-qubit vector, row qubits 0..n-1
-    and column qubits n..2n-1, starting from |0...0><0...0|.  Each gate is
-    applied as U on the row qubits and conj(U) on the column qubits (rho ->
-    U rho U^dagger), followed by the depolarizing map on its operands, which
-    is exactly the injection of a uniformly random non-identity Pauli with
-    the gate's rate.  diag(rho) is then pushed through the readout.  Limited
-    to 12 qubits: the 4**n entries of rho are those of a dense unitary.
+    Each model's density matrix rho is one row of a stack, held as a 2n-qubit
+    vector (row qubits 0..n-1, column qubits n..2n-1) from |0...0><0...0|.
+    Each gate is applied once to the stack as U on the row qubits and conj(U)
+    on the column qubits (rho -> U rho U^dagger), then the depolarizing map on
+    its operands at each row's rate, which is exactly the injection of a
+    uniformly random non-identity Pauli with the gate's rate.  Each diag(rho)
+    goes through its own model's readout.  A row's arithmetic is that of a
+    batch of one, bit for bit.  Limited to 12 qubits: the 4**n entries of rho
+    are those of a dense unitary.
     """
     n = circuit.n_qubits
-    if n != model.n_qubits:
-        raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
+    for model in models:
+        if n != model.n_qubits:
+            raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
     if n > 12:
         raise ValueError(f"dense density matrix limited to 12 qubits, got {n}")
-    rho = np.zeros(4**n, dtype=complex)
-    rho[0] = 1.0
+    p1 = np.array([model.p1 for model in models])
+    p2 = np.array([model.p2 for model in models])
+    rho = np.zeros((len(models), 4**n), dtype=complex)
+    rho[:, 0] = 1.0
     for gate in circuit.gates:
         _apply_gate_inplace(rho, 2 * n, gate)
         columns = tuple(q + n for q in gate.qubits)
         if gate.name == "CNOT":
             _apply_cnot_inplace(rho, 2 * n, *columns)
-            _depolarize(rho, n, gate.qubits, model.p2)
+            _depolarize(rho, n, gate.qubits, p2)
         else:
             _apply_1q_inplace(rho, 2 * n, columns[0], _mat_1q(gate).conj())
-            _depolarize(rho, n, gate.qubits, model.p1)
-    diag = rho.reshape(2**n, 2**n).diagonal().real
-    return apply_readout_noise(
-        {format(i, f"0{n}b"): float(v) for i, v in enumerate(diag)}, model
-    )
+            _depolarize(rho, n, gate.qubits, p1)
+    diags = rho.reshape(-1, 2**n, 2**n).diagonal(axis1=1, axis2=2).real
+    return [
+        apply_readout_noise({format(i, f"0{n}b"): float(v) for i, v in enumerate(diag)}, model)
+        for diag, model in zip(diags, models)
+    ]
 
 
-def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float):
+def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: np.ndarray):
     """rho -> (1 - p d²/(d²-1)) rho + (p d/(d²-1)) Tr_Q(rho) ⊗ I_Q on Q = qubits.
 
-    With d = 2**len(qubits) this equals (1 - p) rho + p/(d²-1) Σ P rho P over
-    the d² - 1 non-identity Paulis P on Q, since Σ over all d² Paulis gives
+    rho is a stack of rows, and p holds one rate per row.  With
+    d = 2**len(qubits) this equals (1 - p) rho + p/(d²-1) Σ P rho P over the
+    d² - 1 non-identity Paulis P on Q, since Σ over all d² Paulis gives
     d Tr_Q(rho) ⊗ I_Q.
     """
     d = 2 ** len(qubits)
-    t = rho.reshape((2,) * (2 * n))
+    t = rho.reshape((-1,) + (2,) * (2 * n))
     diagonal = []  # the index of each (row, column) entry of Q with row == column
     for bits in itertools.product((0, 1), repeat=len(qubits)):
-        sel: list = [slice(None)] * (2 * n)
+        sel: list = [slice(None)] * (2 * n + 1)
         for q, b in zip(qubits, bits):
-            sel[q] = sel[n + q] = b
+            sel[1 + q] = sel[1 + n + q] = b
         diagonal.append(tuple(sel))
     traced = sum(t[s] for s in diagonal)
-    rho *= 1.0 - p * d * d / (d * d - 1)
+    rho *= (1.0 - p * d * d / (d * d - 1))[:, None]
+    spread = (p * d / (d * d - 1)).reshape((-1,) + (1,) * (traced.ndim - 1))
     for s in diagonal:
-        t[s] += (p * d / (d * d - 1)) * traced
-
+        t[s] += spread * traced

@@ -25,7 +25,7 @@ from cosmopair.encoding import (
     zq_pauli_sum,
 )
 from cosmopair.mitigation import linear_extrapolate, mitigate_readout, zne_estimate
-from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distribution
+from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distributions
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     circuit_unitary,
@@ -277,7 +277,7 @@ def test_criterion_09_mitigation_properties():
     ideal = probabilities(run_circuit(circuit)).get("1010", 0.0)
     stochastic_model = NoiseModel.symmetric(4, epsilon=1.49e-2, p2=1e-3)
     factors = (1.0, 1.5, 2.0)
-    levels = [noisy_distribution(circuit, stochastic_model.scaled(f)) for f in factors]
+    levels = noisy_distributions(circuit, [stochastic_model.scaled(f) for f in factors])
     zne = zne_estimate(factors, levels, 100000, SEED)["p_pair"]
     pull = abs(zne.extrapolated - ideal) / zne.extrapolated_stderr
     elapsed = time.perf_counter() - t0

@@ -62,9 +62,13 @@ def test_text_parser_skips_comments_and_rejects_garbage():
         circuit_from_text("QUBITS 2\nFOO 0\n")
     with pytest.raises(ValueError, match="QUBITS n"):
         circuit_from_text("QUBITS 2 7\nX 0\n")
+    with pytest.raises(ValueError, match="QUBITS n' line, got 'QUBITS x'"):
+        circuit_from_text("QUBITS x\nX 0\n")
 
 
-@pytest.mark.parametrize("line", ["X 0,1", "H 0,0.5", "CNOT 0,1,2", "RZ 0", "RZ 0,nan"])
+@pytest.mark.parametrize(
+    "line", ["X 0,1", "H 0,0.5", "CNOT 0,1,2", "RZ 0", "RZ 0,nan", "X 0.5", "RZ 0,abc"]
+)
 def test_text_parser_rejects_malformed_gate_lines(line):
     with pytest.raises(ValueError, match=f"gate line '{line}'"):
         circuit_from_text(f"QUBITS 3\n{line}\n")

@@ -114,7 +114,7 @@ class TestSweep:
                                                factors, message):
         import cosmopair.cli as cli
 
-        monkeypatch.setattr(cli, "noisy_distribution", _no_run)
+        monkeypatch.setattr(cli, "noisy_distributions", _no_run)
         monkeypatch.setattr(cli, "zne_estimate", _no_run)
         assert main(["sweep", "--x", "2.0", "--methods", "analytic,noisy,zne",
                      "--factors", factors, "--out-dir", str(tmp_path)]) == 2
@@ -132,7 +132,7 @@ class TestSweep:
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         import cosmopair.cli as cli
 
-        for name in ("run_schedule", "run_circuit", "noisy_distribution"):
+        for name in ("run_schedule", "run_circuit", "noisy_distributions"):
             monkeypatch.setattr(cli, name, _no_run)
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 2
@@ -164,7 +164,7 @@ class TestSweep:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "noisy_distribution"), (mitigation, "sample_counts")):
+        for module, name in ((cli, "noisy_distributions"), (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         # 500 x the default p2 = 2.8e-3 is a rate of 1.4.
         assert main(["sweep", "--x", "1.3,2.0", "--methods", "analytic,zne",
@@ -333,7 +333,7 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "noisy_distribution"),
+        for module, name in ((cli, "run_circuit"), (cli, "noisy_distributions"),
                              (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,1.5,2.0", "--factors", "1",
@@ -345,7 +345,7 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "noisy_distribution"),
+        for module, name in ((cli, "run_circuit"), (cli, "noisy_distributions"),
                              (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,2.0", "--factors", "1,500",
@@ -447,7 +447,7 @@ class TestChecksBeforeAnyRun:
         import cosmopair.cli as cli
 
         for name in ("build_schedule", "evolve", "run_schedule", "run_circuit",
-                     "noisy_distribution"):
+                     "noisy_distributions"):
             monkeypatch.setattr(cli, name, _no_run)
 
     @pytest.mark.parametrize(
@@ -480,40 +480,48 @@ class TestChecksBeforeAnyRun:
 
 
 class TestNoiseLevelsComputedOnce:
-    """Each noisy row at an x reuses the exact distribution of its noise level."""
+    """Each x computes the noise levels its rows need in one channel pass."""
 
     @pytest.fixture
-    def rates(self, monkeypatch):
-        """The (p1, p2) of every exact-channel evaluation, in call order."""
+    def passes(self, monkeypatch):
+        """The (p1, p2) of every model of every exact-channel pass, in call order."""
         import cosmopair.cli as cli
         import cosmopair.noise as noise
 
         calls = []
-        channel = noise.noisy_distribution
+        channel = noise.noisy_distributions
 
-        def counted(circuit, model):
-            calls.append((model.p1, model.p2))
-            return channel(circuit, model)
+        def counted(circuit, models):
+            calls.append([(model.p1, model.p2) for model in models])
+            return channel(circuit, models)
 
-        monkeypatch.setattr(cli, "noisy_distribution", counted)
-        monkeypatch.setattr(noise, "noisy_distribution", counted)
+        monkeypatch.setattr(cli, "noisy_distributions", counted)
+        monkeypatch.setattr(noise, "noisy_distributions", counted)
         return calls
 
-    def test_noise_study(self, tmp_path, capsys, rates):
+    def test_noise_study(self, tmp_path, capsys, passes):
         assert main(["noise-study", "--shots", "512", "--out-dir", str(tmp_path)]) == 0
         p2 = 2.8e-3
-        assert [r[1] for r in rates] == [p2, p2 * 1.5, p2 * 2.0] * 5
+        assert len(passes) == 5
+        assert [r[1] for rates in passes for r in rates] == [p2, p2 * 1.5, p2 * 2.0] * 5
 
-    def test_golden_sweep_noisy_rows(self, tmp_path, capsys, rates):
+    def test_golden_sweep_noisy_rows(self, tmp_path, capsys, passes):
         argv = ["sweep", "--x", "1.3,2.3", "--methods", "analytic,noisy,mitigated,zne",
                 "--n-steps", "2", "--shots", "300", "--seed", "7"]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-        assert len(rates) == 6
+        assert len(passes) == 2
+        assert sum(map(len, passes)) == 6
 
-    def test_noisy_rows_never_scale_the_model(self, tmp_path, capsys, rates):
+    def test_noisy_rows_never_scale_the_model(self, tmp_path, capsys, passes):
         assert main(["sweep", "--x", "2.0", "--methods", "noisy", "--factors", "1,500",
                      "--out-dir", str(tmp_path)]) == 0
-        assert rates == [(2.8e-4, 2.8e-3)]
+        assert passes == [[(2.8e-4, 2.8e-3)]]
+
+    def test_noisy_and_zne_rows_share_one_pass(self, tmp_path, capsys, passes):
+        assert main(["sweep", "--x", "2.0", "--methods", "noisy,zne", "--factors", "1.5,3",
+                     "--out-dir", str(tmp_path)]) == 0
+        p2 = 2.8e-3
+        assert [[r[1] for r in rates] for rates in passes] == [[p2, p2 * 1.5, p2 * 3.0]]
 
 
 class TestPerXFiles:

@@ -13,7 +13,7 @@ from cosmopair.mitigation import (
     mitigate_readout,
     zne_estimate,
 )
-from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distribution
+from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distributions
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     CountsTable,
@@ -123,14 +123,14 @@ def circuit():
 
 def run_zne(circuit, model, factors, shots, seed):
     """`zne_estimate` over the exact distribution of `circuit` at each factor."""
-    levels = [noisy_distribution(circuit, model.scaled(f)) for f in factors]
+    levels = noisy_distributions(circuit, [model.scaled(f) for f in factors])
     return zne_estimate(factors, levels, shots, seed)
 
 
 class TestZNE:
 
     def test_factor_validation(self, circuit):
-        probs = noisy_distribution(circuit, NoiseModel.default(4))
+        probs = noisy_distributions(circuit, [NoiseModel.default(4)])[0]
         with pytest.raises(ValueError):
             zne_estimate((1.0,), [probs], 64, 0)
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestZNE:
                 zne_estimate((1.0, bad), [probs] * 2, 64, 0)
 
     def test_one_distribution_per_factor(self, circuit):
-        probs = noisy_distribution(circuit, NoiseModel.default(4))
+        probs = noisy_distributions(circuit, [NoiseModel.default(4)])[0]
         with pytest.raises(ValueError, match="1 distributions for 2 noise factors"):
             zne_estimate((1.0, 2.0), [probs], 64, 0)
 
@@ -172,7 +172,7 @@ class TestZNE:
         model = NoiseModel.default(4)
         result = run_zne(circuit, model, (1.0, 2.0), 256, 7)
         for i, factor in enumerate((1.0, 2.0)):
-            probs = noisy_distribution(circuit, model.scaled(factor))
+            probs = noisy_distributions(circuit, [model.scaled(factor)])[0]
             counts = sample_counts(probs, 256, derived_seed(7, i))
             obs = observables_from_counts(counts)
             assert result["p_pair"].values[i] == obs.p_pair

@@ -18,7 +18,7 @@ from cosmopair.encoding import _PAULI_MATS, build_full_circuit
 from cosmopair.noise import (
     NoiseModel,
     apply_readout_noise,
-    noisy_distribution,
+    noisy_distributions,
 )
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
@@ -191,23 +191,23 @@ class TestNoisyRunner:
     def test_zero_rate_model_equals_ideal_sampling(self):
         circuit = single_step_circuit()
         model = NoiseModel.noiseless(4)
-        noisy = sample_counts(noisy_distribution(circuit, model), 4096, seed=11)
+        noisy = sample_counts(noisy_distributions(circuit, [model])[0], 4096, seed=11)
         ideal = sample_counts(probabilities(run_circuit(circuit)), 4096, seed=11)
         assert noisy.counts == ideal.counts
 
     def test_deterministic_under_seed(self):
         circuit = single_step_circuit()
         model = NoiseModel.default(4)
-        a = sample_counts(noisy_distribution(circuit, model), 512, seed=5)
-        b = sample_counts(noisy_distribution(circuit, model), 512, seed=5)
+        a = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=5)
+        b = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=5)
         assert a.counts == b.counts
-        c = sample_counts(noisy_distribution(circuit, model), 512, seed=6)
+        c = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=6)
         assert c.counts != a.counts
 
     def test_default_rates_produce_leakage_and_bias(self):
         circuit = single_step_circuit()
         model = NoiseModel.default(4)
-        probs = noisy_distribution(circuit, model)
+        probs = noisy_distributions(circuit, [model])[0]
         obs = observables_from_counts(sample_counts(probs, 8192, seed=0))
         assert obs.leakage > 0.05  # noise floor, far above the ideal 0
         assert obs.p_pair > 0.0026  # biased above the ideal single-step value
@@ -215,13 +215,13 @@ class TestNoisyRunner:
     def test_always_inject_moves_distribution(self):
         circuit = single_step_circuit()
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=1.0, p1=1.0)
-        probs = noisy_distribution(circuit, model)
+        probs = noisy_distributions(circuit, [model])[0]
         obs = observables_from_counts(sample_counts(probs, 2048, seed=0))
         # Saturated injection scrambles the state far from the ideal output.
         assert obs.leakage > 0.3
 
     def test_shots_accounted(self):
-        probs = noisy_distribution(single_step_circuit(), NoiseModel.default(4))
+        probs = noisy_distributions(single_step_circuit(), [NoiseModel.default(4)])[0]
         table = sample_counts(probs, 777, 3)
         assert sum(table.counts.values()) == 777
         assert table.shots == 777
@@ -229,11 +229,11 @@ class TestNoisyRunner:
     def test_rejects_mismatched_register(self):
         model = NoiseModel.default(2)
         with pytest.raises(ValueError):
-            noisy_distribution(single_step_circuit(), model)
+            noisy_distributions(single_step_circuit(), [model])[0]
 
     @pytest.mark.parametrize("shots", [0, -3])
     def test_rejects_nonpositive_shots(self, shots):
-        probs = noisy_distribution(single_step_circuit(), NoiseModel.default(4))
+        probs = noisy_distributions(single_step_circuit(), [NoiseModel.default(4)])[0]
         with pytest.raises(ValueError, match="shots must be >= 1"):
             sample_counts(probs, shots, 0)
 
@@ -241,7 +241,7 @@ class TestNoisyRunner:
 class TestBatchedRunMatchesReplay:
     """Per-shot replay counts follow the law the run draws all shots from at once.
 
-    The noisy run is one multinomial draw over `noisy_distribution`; the
+    The noisy run is one multinomial draw over `noisy_distributions`; the
     replay's counts are chi-squared tested against that distribution.
     """
 
@@ -252,7 +252,7 @@ class TestBatchedRunMatchesReplay:
             model = NoiseModel.default(4).scaled(factor)
             assert_counts_follow(
                 replay_noisy_circuit(circuit, model, 600, seed),
-                noisy_distribution(circuit, model),
+                noisy_distributions(circuit, [model])[0],
             )
 
     @pytest.mark.parametrize(
@@ -264,7 +264,7 @@ class TestBatchedRunMatchesReplay:
         model = NoiseModel.symmetric(4, epsilon=0.02, p2=p2, p1=p1)
         assert_counts_follow(
             replay_noisy_circuit(circuit, model, shots, seed=3),
-            noisy_distribution(circuit, model),
+            noisy_distributions(circuit, [model])[0],
         )
 
     def test_hand_built_two_qubit_circuit(self):
@@ -280,7 +280,7 @@ class TestBatchedRunMatchesReplay:
         model = NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
         assert_counts_follow(
             replay_noisy_circuit(circuit, model, 4000, seed=1),
-            noisy_distribution(circuit, model),
+            noisy_distributions(circuit, [model])[0],
         )
 
     def test_memory_does_not_grow_with_gate_count(self):
@@ -290,9 +290,9 @@ class TestBatchedRunMatchesReplay:
         peaks = {}
         for n_steps in (1, 20):
             circuit = single_step_circuit(2.0, n_steps)
-            sample_counts(noisy_distribution(circuit, model), 32, 0)
+            sample_counts(noisy_distributions(circuit, [model])[0], 32, 0)
             tracemalloc.start()
-            sample_counts(noisy_distribution(circuit, model), 32, 0)
+            sample_counts(noisy_distributions(circuit, [model])[0], 32, 0)
             peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         prefix_bytes = (len(single_step_circuit(2.0, 20).gates) + 1) * 16 * 16
@@ -305,11 +305,13 @@ class TestNoisyDistribution:
         # ones, 3 keep |00> (letters from {I, Z}) and 4 lead to each other string.
         one = Circuit(n_qubits=1)
         one.add("X", 0)
-        exact = noisy_distribution(one, NoiseModel.symmetric(1, epsilon=0.0, p2=0.0, p1=1.0))
+        model = NoiseModel.symmetric(1, epsilon=0.0, p2=0.0, p1=1.0)
+        exact = noisy_distributions(one, [model])[0]
         assert exact == pytest.approx({"0": 2 / 3, "1": 1 / 3}, abs=1e-15)
         two = Circuit(n_qubits=2)
         two.add("CNOT", 0, 1)
-        exact = noisy_distribution(two, NoiseModel.symmetric(2, epsilon=0.0, p2=1.0, p1=0.0))
+        model = NoiseModel.symmetric(2, epsilon=0.0, p2=1.0, p1=0.0)
+        exact = noisy_distributions(two, [model])[0]
         expected = {"00": 3 / 15, "01": 4 / 15, "10": 4 / 15, "11": 4 / 15}
         assert exact == pytest.approx(expected, abs=1e-15)
 
@@ -319,20 +321,48 @@ class TestNoisyDistribution:
         c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
         c1 = c0[::-1, ::-1].copy()
         model = NoiseModel(readout=(c0, c1, c1, c0), p1=0.0, p2=0.0)
-        exact = noisy_distribution(circuit, model)
+        exact = noisy_distributions(circuit, [model])[0]
         ideal = apply_readout_noise(probabilities(run_circuit(circuit)), model)
         assert exact.keys() == ideal.keys()
         assert max(abs(exact[k] - ideal[k]) for k in ideal) < 1e-14
 
     def test_rejects_mismatched_register(self):
         with pytest.raises(ValueError, match="model covers 2 qubits"):
-            noisy_distribution(single_step_circuit(), NoiseModel.default(2))
+            noisy_distributions(single_step_circuit(), [NoiseModel.default(2)])[0]
 
     def test_rejects_registers_above_12_qubits(self):
         circuit = Circuit(n_qubits=13)
         circuit.add("H", 12)
         with pytest.raises(ValueError, match="limited to 12 qubits"):
-            noisy_distribution(circuit, NoiseModel.default(13))
+            noisy_distributions(circuit, [NoiseModel.default(13)])[0]
+
+
+class TestBatchIsExact:
+    """Each row of a batched pass is its model's one-model pass, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    @pytest.mark.parametrize("x", [1.3, 2.2])
+    def test_rows_equal_one_model_passes(self, x, n_steps):
+        circuit = single_step_circuit(x, n_steps)
+        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+        c1 = c0[::-1, ::-1].copy()
+        models = [NoiseModel.default(4).scaled(f) for f in (1.0, 1.5, 2.0, 5.0)] + [
+            NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
+            NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
+            NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
+            NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
+        ]
+        batch = noisy_distributions(circuit, models)
+        assert len(batch) == len(models)
+        for model, row in zip(models, batch):
+            assert row == noisy_distributions(circuit, [model])[0]
+        # The rows differ, the last two through their readout alone.
+        assert len({tuple(row.values()) for row in batch}) == len(models)
+
+    def test_rejects_a_mismatched_model_in_the_batch(self):
+        models = [NoiseModel.default(4), NoiseModel.default(2)]
+        with pytest.raises(ValueError, match="model covers 2 qubits"):
+            noisy_distributions(single_step_circuit(), models)
 
 
 _GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "RX", "CNOT")

@@ -1,6 +1,6 @@
 """Gate records, circuits over a small fixed gate set, and text serialization.
 
-Gate set: X, H, S, Sdg, RZ(theta), RX(theta), CNOT.  Qubit 0 is the leftmost
+Gate set: X, H, S, Sdg, RZ(theta), CNOT.  Qubit 0 is the leftmost
 position of a measurement bitstring (most significant bit of the state
 index).  The text format is one gate per line, `NAME q[,q2][,angle]`, angles
 in radians with 17 significant digits so files round-trip bit-exactly.
@@ -21,7 +21,6 @@ GATE_NAMES = {
     "S": (1, False),
     "SDG": (1, False),
     "RZ": (1, True),
-    "RX": (1, True),
     "CNOT": (2, False),
 }
 
@@ -105,8 +104,8 @@ def circuit_from_text(text: str) -> Circuit:
     """Parse `circuit_to_text` output; a malformed line is a ValueError naming it.
 
     The header is exactly `QUBITS n`; each gate line must hold exactly the
-    gate's qubits, as integers inside the register, and, for RZ and RX, one
-    finite angle.
+    gate's qubits, as integers inside the register, and, for RZ, one finite
+    angle.
     """
     lines = [
         ln.strip()

@@ -16,7 +16,7 @@ Every file starts with a metadata header (tool version, parameters, seed)
 sufficient to regenerate it bit-exactly, and files are written atomically.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure (singular readout correction, failed ODE integration, oracle
-mismatch).
+mismatch, a state that is not normalized).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cache
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .background import (
     multi_pair_probability,
     n_k_analytic,
 )
-from .circuits import circuit_to_text
+from .circuits import Circuit, circuit_to_text
 from .encoding import build_full_circuit
 from .mitigation import (
     SingularConfusionError,
@@ -51,12 +51,12 @@ from .noise import NoiseModel, noisy_distributions
 from .schedule import build_schedule
 from .selfcheck import format_report, run_checks
 from .statevector import (
+    NotNormalizedError,
     check_shots,
     counts_to_csv,
     derived_seed,
     observables_from_counts,
     observables_from_probabilities,
-    observables_record,
     probabilities,
     run_circuit,
     run_schedule,
@@ -66,31 +66,8 @@ from .subspace import evolve, particle_number
 
 SCHEMA_VERSION = 1
 
-METHODS = ("analytic", "matrix", "statevector", "shots", "noisy", "mitigated", "zne")
-
-#: Step-count defaults per method when --n-steps is not given.
-DEFAULT_N_STEPS = {
-    "matrix": 2500,
-    "statevector": 1000,
-    "shots": 500,
-    "noisy": 1,
-    "mitigated": 1,
-    "zne": 1,
-}
-
-#: Shot defaults per sampling method when --shots is not given.
-DEFAULT_SHOTS = {"shots": 8192, "noisy": 4096, "mitigated": 4096, "zne": 4096}
-
 SWEEP_COLUMNS = (
-    "x",
-    "n_steps",
-    "method",
-    "shots",
-    "seed",
-    "n_k",
-    "stderr",
-    "leakage",
-    "multi_pair_bound",
+    "x", "n_steps", "method", "shots", "seed", "n_k", "stderr", "leakage", "multi_pair_bound",
 )
 
 TRAJECTORY_COLUMNS = ("y", "p_vac", "p_plus", "p_minus", "p_pair", "n_k_analytic")
@@ -173,20 +150,21 @@ def _file_grid(args) -> list[float]:
     return xs
 
 
-def _parse_factors(text: str, model: NoiseModel, zne: bool) -> tuple[float, ...]:
-    """Checked `--factors`; with `zne`, the model's rates at the largest too."""
-    factors = validate_factors(float(v) for v in text.split(",") if v)
+def _noise_inputs(args, zne: bool) -> tuple[NoiseModel, tuple[float, ...]]:
+    """Check --seed and --shots, then load the model and check --factors;
+    with `zne`, the model's rates at the largest factor too."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.shots is not None:
+        check_shots(args.shots)
+    model = _load_model(args.model_file)
+    factors = validate_factors(float(v) for v in args.factors.split(",") if v)
     if zne:
         try:
             model.scaled(max(factors))
         except ValueError as exc:
             raise UsageError(f"noise factor {max(factors):g}: {exc}") from None
-    return factors
-
-
-def _check_seed(seed: int):
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+    return model, factors
 
 
 def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
@@ -220,81 +198,75 @@ def _x_parameters(x: float, args, n_steps: int) -> dict:
     return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
 
 
-def _noisy_levels(x: float, args, model: NoiseModel, factors: Iterable[float]):
-    """`circuit(n_steps)` at x and `levels(n_steps)`, the exact distribution under
-    `model.scaled(f)` keyed by f for each f in `factors`: each built on first
-    use, at most once, and every factor in one channel pass."""
+def _noisy_levels(circuit: Circuit, model: NoiseModel, factors: Iterable[float]) -> dict:
+    """The exact distribution of `circuit` under `model.scaled(f)`, keyed by f,
+    for each distinct f in `factors`: all of them in one channel pass."""
     factors = tuple(dict.fromkeys(factors))
-    circuit = cache(lambda n: build_full_circuit(build_schedule(_mode_params(x, args, n))))
-    levels = cache(lambda n: dict(zip(factors, noisy_distributions(
-        circuit(n), [model.scaled(f) for f in factors]))))
-    return circuit, levels
+    return dict(zip(factors, noisy_distributions(circuit, [model.scaled(f) for f in factors])))
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-def _n_steps(args, method: str) -> int:
-    return args.n_steps if args.n_steps is not None else DEFAULT_N_STEPS[method]
+# A row function takes the point's inputs by keyword, those it reads by name,
+# and returns (n_k, stderr, leakage).
+
+def _analytic_row(x, **_):
+    return n_k_analytic(x), None, None
 
 
-def _sweep_point(
-    x: float, method: str, args, model: NoiseModel, factors: tuple[float, ...], row_seed: int, levels
-) -> dict:
-    n_k_an = n_k_analytic(x)
-    row = {
-        "x": x,
-        "n_steps": 0,
-        "method": method,
-        "shots": None,
-        "seed": None,
-        "n_k": None,
-        "stderr": None,
-        "leakage": None,
-        "multi_pair_bound": multi_pair_probability(n_k_an),
-    }
-    if method == "analytic":
-        row["n_k"] = n_k_an
-        return row
+def _matrix_row(params, **_):
+    final = evolve(build_schedule(params))[0]
+    return particle_number(final)[2], None, 0.0
 
-    n_steps = row["n_steps"] = _n_steps(args, method)
-    params = _mode_params(x, args, n_steps)
 
-    if method == "matrix":
-        final, _ = evolve(build_schedule(params))
-        row["n_k"] = particle_number(final)[2]
-        row["leakage"] = 0.0
-        return row
+def _statevector_row(params, **_):
+    obs = observables_from_probabilities(probabilities(run_schedule(build_schedule(params))))
+    return obs.p_pair, None, obs.leakage
 
-    if method == "statevector":
-        obs = observables_from_probabilities(probabilities(run_schedule(build_schedule(params))))
-        row.update(n_k=obs.p_pair, leakage=obs.leakage)
-        return row
 
-    shots = args.shots if args.shots is not None else DEFAULT_SHOTS[method]
-    row["shots"] = shots
-    row["seed"] = row_seed
-    if method == "shots":
-        probs = probabilities(run_schedule(build_schedule(params)))
-        obs = observables_from_counts(sample_counts(probs, shots, row_seed))
-        row.update(n_k=obs.p_pair, stderr=obs.stderr_pair, leakage=obs.leakage)
-        return row
-    if method == "zne":
-        zne = zne_estimate(factors, [levels(n_steps)[f] for f in factors], shots, row_seed)
-        row.update(
-            n_k=zne["p_pair"].extrapolated,
-            stderr=zne["p_pair"].extrapolated_stderr,
-            leakage=zne["leakage"].extrapolated,
-        )
-        return row
-    counts = sample_counts(levels(n_steps)[1.0], shots, row_seed)
-    raw = observables_from_counts(counts)
-    obs = raw
-    if method == "mitigated":
-        obs = observables_from_probabilities(mitigate_readout(counts, model).clipped)
-    row.update(n_k=obs.p_pair, stderr=raw.stderr_pair, leakage=obs.leakage)
-    return row
+def _shots_row(params, shots, seed, **_):
+    probs = probabilities(run_schedule(build_schedule(params)))
+    obs = observables_from_counts(sample_counts(probs, shots, seed))
+    return obs.p_pair, obs.stderr_pair, obs.leakage
+
+
+def _noisy_row(levels, shots, seed, **_):
+    obs = observables_from_counts(sample_counts(levels[1.0], shots, seed))
+    return obs.p_pair, obs.stderr_pair, obs.leakage
+
+
+def _mitigated_row(levels, shots, seed, model, **_):
+    counts = sample_counts(levels[1.0], shots, seed)
+    obs = observables_from_probabilities(mitigate_readout(counts, model).clipped)
+    return obs.p_pair, observables_from_counts(counts).stderr_pair, obs.leakage
+
+
+def _zne_row(levels, shots, seed, factors, **_):
+    zne = zne_estimate(factors, [levels[f] for f in factors], shots, seed)
+    p_pair = zne["p_pair"]
+    return p_pair.extrapolated, p_pair.extrapolated_stderr, zne["leakage"].extrapolated
+
+
+#: method -> (default --n-steps, default --shots, row function), in the order
+#: that derives row seeds and sorts rows.  None: no steps, or no sampling.  The
+#: noisy methods share one step count, so one channel pass serves them all.
+_SWEEP_METHODS = {
+    "analytic": (None, None, _analytic_row),
+    "matrix": (2500, None, _matrix_row),
+    "statevector": (1000, None, _statevector_row),
+    "shots": (500, 8192, _shots_row),
+    "noisy": (1, 4096, _noisy_row),
+    "mitigated": (1, 4096, _mitigated_row),
+    "zne": (1, 4096, _zne_row),
+}
+METHODS = tuple(_SWEEP_METHODS)
+
+
+def _n_steps(args, method: str) -> int | None:
+    default = _SWEEP_METHODS[method][0]
+    return default if default is None or args.n_steps is None else args.n_steps
 
 
 def _sweep_grid(args, methods: list[str]) -> list[float]:
@@ -303,7 +275,7 @@ def _sweep_grid(args, methods: list[str]) -> list[float]:
     for a, b in zip(xs, xs[1:]):
         if a == b:
             raise UsageError(f"x = {a!r} appears more than once")
-    step_counts = {_n_steps(args, m) for m in methods if m != "analytic"} or {1}
+    step_counts = {_n_steps(args, m) for m in methods} - {None} or {1}
     for x in xs:
         for n_steps in step_counts:
             _mode_params(x, args, n_steps)
@@ -318,20 +290,27 @@ def cmd_sweep(args) -> int:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
     x_grid = _sweep_grid(args, methods)
-    _check_seed(args.seed)
-    if args.shots is not None:
-        check_shots(args.shots)
-    model = _load_model(args.model_file)
-    factors = _parse_factors(args.factors, model, zne="zne" in methods)
+    model, factors = _noise_inputs(args, zne="zne" in methods)
     needed = ((1.0,) if {"noisy", "mitigated"} & set(methods) else ()) + (
         factors if "zne" in methods else ())
 
     rows = []
     for xi, x in enumerate(x_grid):
-        _, levels = _noisy_levels(x, args, model, needed)
+        levels = {}
+        if needed:
+            params = _mode_params(x, args, _n_steps(args, "noisy"))
+            levels = _noisy_levels(build_full_circuit(build_schedule(params)), model, needed)
         for m in methods:
+            _, default_shots, row = _SWEEP_METHODS[m]
+            n_steps = _n_steps(args, m)
+            shots = default_shots if default_shots is None or args.shots is None else args.shots
             seed = derived_seed(args.seed, xi, METHODS.index(m))
-            rows.append(_sweep_point(x, m, args, model, factors, seed, levels))
+            params = None if n_steps is None else _mode_params(x, args, n_steps)
+            estimate = row(x=x, params=params, shots=shots, seed=seed, model=model,
+                           factors=factors, levels=levels)
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                x, n_steps or 0, m, shots, None if shots is None else seed, *estimate,
+                multi_pair_probability(n_k_analytic(x))))))
     rows.sort(key=lambda r: (r["x"], METHODS.index(r["method"])))
 
     parameters = {
@@ -401,62 +380,54 @@ def cmd_trajectory(args) -> int:
 def cmd_noise_study(args) -> int:
     x_grid = _file_grid(args)
     n_steps, shots = args.n_steps, args.shots
-    _check_seed(args.seed)
-    check_shots(shots)
-    model = _load_model(args.model_file)
-    factors = _parse_factors(args.factors, model, zne=True)
+    model, factors = _noise_inputs(args, zne=True)
 
     out_dir = Path(args.out_dir)
     results = []
     counts_files = []
     for xi, x in enumerate(x_grid):
         n_k_an = n_k_analytic(x)  # first: x is sorted, so an overflowing x fails before any run
-        circuit, levels = _noisy_levels(x, args, model, (1.0, *factors))
-        ideal = observables_from_probabilities(probabilities(run_circuit(circuit(n_steps))))
+        circuit = build_full_circuit(build_schedule(_mode_params(x, args, n_steps)))
+        levels = _noisy_levels(circuit, model, (1.0, *factors))
+        ideal = observables_from_probabilities(probabilities(run_circuit(circuit)))
 
         seed = derived_seed(args.seed, xi)
-        counts = sample_counts(levels(n_steps)[1.0], shots, seed)
+        counts = sample_counts(levels[1.0], shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = zne_estimate(factors, [levels(n_steps)[f] for f in factors], shots, seed)
+        zne = zne_estimate(factors, [levels[f] for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"
         counts_files.append((out_dir / f"counts_x{x:g}.csv", counts_text + counts_to_csv(counts)))
 
-        record = observables_record(raw, x=x, n_steps=n_steps, shots=shots, seed=seed)
-        results.append(
-            {
-                "x": x,
-                "n_steps": n_steps,
-                "shots": shots,
-                "seed": seed,
-                "analytic_n_k": n_k_an,
-                "multi_pair_bound": multi_pair_probability(n_k_an),
-                "ideal": {"p_pair": ideal.p_pair, "leakage": ideal.leakage},
-                "raw": {"n_k": raw.p_pair, "stderr": raw.stderr_pair, **record},
-                "mitigated": {
-                    "n_k": mitigated.p_pair,
-                    "n_k_quasi": quasi.p_pair,
-                    "leakage": mitigated.leakage,
-                    "leakage_quasi": quasi.leakage,
-                    "condition_number": fixed.condition_number,
-                    "ill_conditioned": fixed.ill_conditioned,
-                },
-                "zne": {
-                    "n_k": zne["p_pair"].extrapolated,
-                    "stderr": zne["p_pair"].extrapolated_stderr,
-                    "leakage": zne["leakage"].extrapolated,
-                    "leakage_stderr": zne["leakage"].extrapolated_stderr,
-                    "factors": list(factors),
-                    "p_pair_values": list(zne["p_pair"].values),
-                    "p_pair_stderrs": list(zne["p_pair"].stderrs),
-                    "leakage_values": list(zne["leakage"].values),
-                },
-            }
-        )
+        results.append({
+            **counts_meta,
+            "analytic_n_k": n_k_an,
+            "multi_pair_bound": multi_pair_probability(n_k_an),
+            "ideal": {"p_pair": ideal.p_pair, "leakage": ideal.leakage},
+            "raw": {"n_k": raw.p_pair, "stderr": raw.stderr_pair, **asdict(raw), **counts_meta},
+            "mitigated": {
+                "n_k": mitigated.p_pair,
+                "n_k_quasi": quasi.p_pair,
+                "leakage": mitigated.leakage,
+                "leakage_quasi": quasi.leakage,
+                "condition_number": fixed.condition_number,
+                "ill_conditioned": fixed.ill_conditioned,
+            },
+            "zne": {
+                "n_k": zne["p_pair"].extrapolated,
+                "stderr": zne["p_pair"].extrapolated_stderr,
+                "leakage": zne["leakage"].extrapolated,
+                "leakage_stderr": zne["leakage"].extrapolated_stderr,
+                "factors": list(factors),
+                "p_pair_values": list(zne["p_pair"].values),
+                "p_pair_stderrs": list(zne["p_pair"].stderrs),
+                "leakage_values": list(zne["leakage"].values),
+            },
+        })
 
     parameters = {
         "x_grid": x_grid,
@@ -550,6 +521,14 @@ def _add_common(p: argparse.ArgumentParser, default_x: str | None):
     p.add_argument("--out-dir", default="out")
 
 
+def _add_noise_options(p: argparse.ArgumentParser, shots: int | None):
+    """The sampling and noise options of `sweep` and `noise-study`."""
+    p.add_argument("--shots", type=int, default=shots)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--factors", default="1,1.5,2")
+    p.add_argument("--model-file", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosmopair",
@@ -565,10 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--x-points", type=int, default=40)
     p.add_argument("--methods", default="analytic,matrix,statevector")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--factors", default="1,1.5,2")
-    p.add_argument("--model-file", default=None)
+    _add_noise_options(p, shots=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trajectory", help="time-resolved pair occupation")
@@ -577,10 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-study", help="raw/mitigated/extrapolated estimates")
     _add_common(p, default_x="1.3,1.5,1.8,2.0,2.2")
-    p.add_argument("--shots", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--factors", default="1,1.5,2")
-    p.add_argument("--model-file", default=None)
+    _add_noise_options(p, shots=4096)
     p.set_defaults(func=cmd_noise_study, n_steps=1)
 
     p = sub.add_parser("dump-schedule", help="per-slice coefficients as JSON")
@@ -602,12 +575,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (SingularConfusionError, OdeIntegrationError, OracleMismatchError,
+            NotNormalizedError) as exc:  # before ValueError, which NotNormalizedError is
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularConfusionError, OdeIntegrationError, OracleMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

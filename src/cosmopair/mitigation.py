@@ -1,7 +1,7 @@
 """Readout-error correction and zero-noise extrapolation.
 
 Readout correction solves the confusion linear system restricted to the
-observed bitstrings (never building the full 2^n assignment matrix) and
+observed basis states (never building the full 2^n assignment matrix) and
 reports both the raw quasi-probabilities, which may be slightly negative,
 and a clipped-renormalized variant; neither choice is hidden.
 
@@ -14,7 +14,7 @@ by per-point binomial errors; the intercept at factor zero is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,41 +43,38 @@ class SingularConfusionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReadoutMitigation:
-    """Corrected distribution in raw quasi-probability and clipped form."""
+    """Corrected distribution, raw quasi-probability and clipped, zero off the observed states."""
 
-    quasi: dict[str, float]
-    clipped: dict[str, float]
+    quasi: np.ndarray
+    clipped: np.ndarray
     condition_number: float
     ill_conditioned: bool
 
 
-def _restricted_confusion(observed: list[str], model: NoiseModel) -> np.ndarray:
-    m = np.empty((len(observed), len(observed)))
-    for i, obs in enumerate(observed):
-        for j, true in enumerate(observed):
-            v = 1.0
-            for q, c in enumerate(model.readout):
-                v *= c[int(obs[q]), int(true[q])]
-            m[i, j] = v
+def _restricted_confusion(observed: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """C[obs][true] over the observed states: per-qubit entries multiplied in qubit order."""
+    bits = (observed[:, None] >> np.arange(model.n_qubits - 1, -1, -1)) & 1
+    m = np.ones((len(observed), len(observed)))
+    for q, c in enumerate(model.readout):
+        m = m * c[bits[:, None, q], bits[None, :, q]]
     return m
 
 
-def mitigate_readout(
-    counts: CountsTable | Mapping[str, float], model: NoiseModel
-) -> ReadoutMitigation:
-    """Invert the readout channel on the subspace of observed bitstrings.
+def mitigate_readout(counts: CountsTable | np.ndarray, model: NoiseModel) -> ReadoutMitigation:
+    """Invert the readout channel on the subspace of observed basis states.
 
-    Accepts a counts table or any bitstring -> weight mapping (weights are
+    Accepts a counts table or any basis-indexed weight array (weights are
     normalized internally), so exact distributions can be corrected too.  In
     the exact-distribution, fully-supported limit the correction recovers the
     true distribution to solver precision.
     """
-    raw = counts.counts if isinstance(counts, CountsTable) else counts
-    observed = sorted(s for s, v in raw.items() if v > 0)
-    if not observed:
+    raw = np.asarray(counts.counts if isinstance(counts, CountsTable) else counts)
+    if raw.shape != (2**model.n_qubits,):
+        raise ValueError(f"weights of shape {raw.shape} do not match {model.n_qubits} qubits")
+    observed = np.flatnonzero(raw > 0)
+    if not observed.size:
         raise ValueError("no observed bitstrings to mitigate")
-    total = float(sum(raw[s] for s in observed))
-    freq = np.array([raw[s] / total for s in observed])
+    freq = raw[observed] / float(raw[observed].sum())
 
     m = _restricted_confusion(observed, model)
     cond = float(np.linalg.cond(m))
@@ -93,9 +90,11 @@ def mitigate_readout(
     clipped_total = clipped.sum()
     if clipped_total > 0:
         clipped = clipped / clipped_total
+    full = np.zeros((2, len(raw)))
+    full[:, observed] = quasi, clipped
     return ReadoutMitigation(
-        quasi={s: float(v) for s, v in zip(observed, quasi)},
-        clipped={s: float(v) for s, v in zip(observed, clipped)},
+        quasi=full[0],
+        clipped=full[1],
         condition_number=cond,
         ill_conditioned=cond > ILL_CONDITION_THRESHOLD,
     )
@@ -154,7 +153,7 @@ class ZNEResult:
 
 def zne_estimate(
     factors: Sequence[float],
-    distributions: Sequence[Mapping[str, float]],
+    distributions: Sequence[np.ndarray],
     shots: int = 4096,
     seed: int = 0,
 ) -> dict[str, ZNEResult]:

@@ -126,30 +126,25 @@ class NoiseModel:
             raise ValueError(f"noise model has a non-numeric entry: {exc}") from None
 
 
-def apply_readout_noise(
-    probs: dict[str, float], model: NoiseModel
-) -> dict[str, float]:
+def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Push an outcome distribution through the tensor-product confusion.
 
-    Returns the full distribution over all 2^n strings (tiny entries kept),
-    normalized to the input total.
+    Takes and returns the 2^n basis-indexed array (tiny entries kept); the
+    total is preserved.
     """
     n = model.n_qubits
     if n > 16:
         raise ValueError("dense confusion product limited to 16 qubits")
-    p = np.zeros(2**n)
-    for s, v in probs.items():
-        if len(s) != n:
-            raise ValueError(f"bitstring {s!r} does not match {n} qubits")
-        p[int(s, 2)] = v
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (2**n,):
+        raise ValueError(f"distribution of shape {p.shape} does not match {n} qubits")
     t = p.reshape((2,) * n)
     for q, c in enumerate(model.readout):
         t = np.moveaxis(np.tensordot(c, t, axes=([1], [q])), 0, q)
-    flat = t.reshape(-1)
-    return {format(i, f"0{n}b"): float(flat[i]) for i in range(2**n)}
+    return t.reshape(-1)
 
 
-def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[dict[str, float]]:
+def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[np.ndarray]:
     """Exact outcome distribution of the circuit under each noise model, in order.
 
     Each model's density matrix rho is one row of a stack, held as a 2n-qubit
@@ -182,10 +177,7 @@ def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[dict
             _apply_1q_inplace(rho, 2 * n, columns[0], _mat_1q(gate).conj())
             _depolarize(rho, n, gate.qubits, p1)
     diags = rho.reshape(-1, 2**n, 2**n).diagonal(axis1=1, axis2=2).real
-    return [
-        apply_readout_noise({format(i, f"0{n}b"): float(v) for i, v in enumerate(diag)}, model)
-        for diag, model in zip(diags, models)
-    ]
+    return [apply_readout_noise(diag, model) for diag, model in zip(diags, models)]
 
 
 def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: np.ndarray):

@@ -102,8 +102,7 @@ def _check_engine_equivalence() -> CheckResult:
         statevector.run_circuit(encoding.build_full_circuit(sched))
     )
     worst = max(
-        abs(abs(final[i]) ** 2 - probs.get(label, 0.0))
-        for i, label in enumerate(subspace.PHYS_LABELS)
+        abs(abs(final[i]) ** 2 - probs[j]) for i, j in enumerate(subspace.PHYS_INDICES)
     )
     return CheckResult(
         "engine_equivalence_n10", worst < 1e-10, f"max population diff {worst:.3e}"

@@ -19,6 +19,10 @@ radiation shape.  The product stays a stack of 16x16 matrix products:
 collapsed into one tall product, it is large enough for BLAS to start a
 second thread, which doubles the CPU time for no gain in wall time.
 
+An outcome distribution is a float array of length 2**n indexed by basis
+state, in the amplitude layout above; counts are an int array in the same
+layout.  Only `counts_to_csv` writes a basis state as a bitstring.
+
 Shot sampling draws one multinomial per request from a Philox counter-based
 generator seeded through numpy's SeedSequence, so identical (probs, shots,
 seed) give identical counts on every platform.  Probabilities below 1e-15
@@ -29,16 +33,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
 from .circuits import Circuit, Gate
 from .encoding import VACUUM_PREP, step_template
-from .subspace import PHYS_LABELS
+from .subspace import PHYS_INDICES
 
 __all__ = [
     "CountsTable",
+    "NotNormalizedError",
     "Observables",
     "run_circuit",
     "run_schedule",
@@ -49,7 +53,6 @@ __all__ = [
     "observables_from_counts",
     "observables_from_probabilities",
     "counts_to_csv",
-    "observables_record",
     "circuit_unitary",
     "counts_rng",
     "derived_seed",
@@ -69,9 +72,6 @@ def _mat_1q(gate: Gate) -> np.ndarray:
         return np.diag([1.0, -1j])
     if gate.name == "RZ":
         return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    if gate.name == "RX":
-        c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
-        return np.array([[c, -1j * s], [-1j * s, c]])
     raise ValueError(f"not a single-qubit gate: {gate.name}")
 
 
@@ -198,19 +198,17 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return rows.T.copy()
 
 
-def probabilities(amplitudes: np.ndarray) -> dict[str, float]:
-    """|amplitude|^2 keyed by bitstring; entries below 1e-15 are dropped.
+class NotNormalizedError(ValueError):
+    """A state's probabilities do not sum to 1: a numerical failure."""
 
-    The bitstring width is the qubit count, log2 of the array's length.
-    """
+
+def probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 indexed by basis state, once the norm is checked."""
     p = np.abs(amplitudes) ** 2
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized (sum of probs = {total})")
-    n = len(p).bit_length() - 1
-    return {
-        format(i, f"0{n}b"): float(p[i]) for i in np.nonzero(p >= 1e-15)[0]
-    }
+        raise NotNormalizedError(f"state is not normalized (sum of probs = {total})")
+    return p
 
 
 def counts_rng(*entropy: int) -> np.random.Generator:
@@ -231,14 +229,11 @@ def derived_seed(*entropy: int) -> int:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Measurement outcomes of a finite-shot run; zero-count strings omitted."""
+    """Measurement outcomes of a finite-shot run, counts indexed by basis state."""
 
     shots: int
-    counts: dict[str, int]
+    counts: np.ndarray
     seed: int
-
-    def frequency(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
 
 
 #: Most shots one draw takes: numpy's multinomial sampler counts in a C long.
@@ -253,26 +248,24 @@ def check_shots(shots: int):
         raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
 
 
-def sample_counts(probs: Mapping[str, float], shots: int, seed: int) -> CountsTable:
-    """One multinomial draw over the outcome distribution.
+def sample_counts(probs: np.ndarray, shots: int, seed: int) -> CountsTable:
+    """One multinomial draw over the outcome distribution's nonzero entries.
 
-    Keys are processed in lexicographic order, so dict ordering never affects
-    the draw.  Negative entries below -1e-12 are rejected; tiny negatives are
-    clamped to zero and the distribution renormalized.
+    Negative entries below -1e-12 are rejected; tiny negatives are clamped
+    to zero and the distribution renormalized.  numpy's draw hands its last
+    category what the others leave: at large shot counts, rounding residue.
     """
     check_shots(shots)
-    keys = sorted(probs)
-    p = np.array([probs[k] for k in keys], dtype=float)
+    p = np.asarray(probs, dtype=float)
     if np.any(p < -1e-12):
         raise ValueError(f"negative probability: min = {p.min()}")
-    p = np.clip(p, 0.0, None)
-    p[p < 1e-15] = 0.0
+    support = np.flatnonzero(p >= 1e-15)
+    p = p[support]
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, expected 1")
-    p /= total
-    draws = counts_rng(seed).multinomial(shots, p)
-    counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
+    counts = np.zeros(len(probs), dtype=np.int64)
+    counts[support] = counts_rng(seed).multinomial(shots, p / total)
     return CountsTable(shots=shots, counts=counts, seed=int(seed))
 
 
@@ -287,46 +280,30 @@ class Observables:
     stderr_pair: float
 
 
-def observables_from_probabilities(probs: Mapping[str, float]) -> Observables:
-    """Occupations from an outcome distribution (stderr 0)."""
-    p = {s: float(probs.get(s, 0.0)) for s in PHYS_LABELS}
+def observables_from_probabilities(probs) -> Observables:
+    """Occupations from an outcome distribution indexed by basis state (stderr 0)."""
+    vac, plus, minus, pair = (float(probs[i]) for i in PHYS_INDICES)
     return Observables(
-        n_plus=p["1001"] + p["1010"],
-        n_minus=p["0110"] + p["1010"],
-        p_pair=p["1010"],
-        leakage=1.0 - sum(p.values()),
+        n_plus=plus + pair,
+        n_minus=minus + pair,
+        p_pair=pair,
+        leakage=1.0 - sum((vac, plus, minus, pair)),
         stderr_pair=0.0,
     )
 
 
 def observables_from_counts(counts: CountsTable) -> Observables:
     """Occupations from measured frequencies, with the binomial p_pair stderr."""
-    obs = observables_from_probabilities(
-        {s: counts.frequency(s) for s in PHYS_LABELS}
-    )
+    # A Python-int division rounds once, also above 2**53 shots.
+    freq = {i: int(counts.counts[i]) / counts.shots for i in PHYS_INDICES}
+    obs = observables_from_probabilities(freq)
     stderr = float(np.sqrt(obs.p_pair * (1.0 - obs.p_pair) / counts.shots))
     return replace(obs, stderr_pair=stderr)
 
 
 def counts_to_csv(table: CountsTable) -> str:
-    """`bitstring,count` lines sorted lexicographically by bitstring."""
+    """`bitstring,count` lines of the observed states, in basis order."""
+    n = len(table.counts).bit_length() - 1
     lines = ["bitstring,count"]
-    lines.extend(f"{s},{table.counts[s]}" for s in sorted(table.counts))
+    lines.extend(f"{i:0{n}b},{c}" for i, c in enumerate(table.counts.tolist()) if c)
     return "\n".join(lines) + "\n"
-
-
-def observables_record(
-    obs: Observables, *, x: float, n_steps: int, shots: int | None, seed: int | None
-) -> dict:
-    """Flat JSON-ready record of one observables extraction."""
-    return {
-        "x": x,
-        "n_steps": n_steps,
-        "shots": shots,
-        "seed": seed,
-        "n_plus": obs.n_plus,
-        "n_minus": obs.n_minus,
-        "p_pair": obs.p_pair,
-        "leakage": obs.leakage,
-        "stderr_pair": obs.stderr_pair,
-    }

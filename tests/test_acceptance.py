@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from bitstrings import dist
 from cosmopair.background import (
     ModeParams,
     bogoliubov_ode_oracle,
@@ -37,7 +38,6 @@ from cosmopair.statevector import (
 from cosmopair.subspace import (
     A_PHYS,
     PHYS_INDICES,
-    PHYS_LABELS,
     Z_PHYS,
     evolve,
     particle_number,
@@ -61,8 +61,8 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def statevector_runs():
-    """Physical-string probability maps for every noiseless circuit run used
-    by criteria 2, 3, and 7."""
+    """Outcome distributions of every noiseless circuit run used by criteria
+    2, 3, and 7."""
     runs = {}
     combos = [(x, 1) for x in REFERENCE_X]
     combos += [(x, n) for x in (1.3, 2.0, 3.0) for n in (1, 10, 100, 1000)]
@@ -106,7 +106,7 @@ def test_criterion_02_single_step_values(statevector_runs, matrix_runs):
         theta_a = float(sched.ca[0]) * sched.dy  # the split-step theta_a
         closed_form = np.sin(theta_a) ** 2
         from_matrix = particle_number(matrix_runs[(x, 1)])[2]
-        from_circuit = statevector_runs[(x, 1)].get("1010", 0.0)
+        from_circuit = statevector_runs[(x, 1)][0b1010]
         ok &= round(from_matrix, 4) == expected
         ok &= round(from_circuit, 4) == expected
         ok &= abs(from_matrix - closed_form) < 1e-12
@@ -123,8 +123,8 @@ def test_criterion_03_engine_equivalence(statevector_runs, matrix_runs):
         for n in (1, 10, 100, 1000):
             probs = statevector_runs[(x, n)]
             final = matrix_runs[(x, n)]
-            for i, label in enumerate(PHYS_LABELS):
-                worst = max(worst, abs(probs.get(label, 0.0) - abs(final[i]) ** 2))
+            for i, j in enumerate(PHYS_INDICES):
+                worst = max(worst, abs(probs[j] - abs(final[i]) ** 2))
     elapsed = time.perf_counter() - t0
     report(
         3,
@@ -214,11 +214,9 @@ def test_criterion_07_noiseless_structural_invariants(statevector_runs):
     worst_leak = 0.0
     worst_single = 0.0
     for probs in statevector_runs.values():
-        leak = 1.0 - sum(probs.get(s, 0.0) for s in PHYS_LABELS)
+        leak = 1.0 - sum(probs[list(PHYS_INDICES)].tolist())
         worst_leak = max(worst_leak, abs(leak))
-        worst_single = max(
-            worst_single, probs.get("1001", 0.0), probs.get("0110", 0.0)
-        )
+        worst_single = max(worst_single, probs[0b1001], probs[0b0110])
     report(
         7,
         "noiseless structural invariants",
@@ -231,7 +229,7 @@ def test_criterion_08_shot_statistics():
     t0 = time.perf_counter()
     sched = build_schedule(ModeParams(x=2.0, n_steps=500))
     probs = probabilities(run_circuit(build_full_circuit(sched)))
-    p_true = probs.get("1010", 0.0)
+    p_true = probs[0b1010]
     shot_list = (8192, 32768, 131072)
 
     within = True
@@ -261,8 +259,8 @@ def test_criterion_09_mitigation_properties():
     # (a) Readout round trip on an exact distribution.
     model = NoiseModel.default(4)
     true = {"0101": 0.96, "1010": 0.025, "1001": 0.01, "0110": 0.005}
-    fixed = mitigate_readout(apply_readout_noise(true, model), model)
-    round_trip = max(abs(fixed.quasi[s] - v) for s, v in true.items())
+    fixed = mitigate_readout(apply_readout_noise(dist(true), model), model)
+    round_trip = max(abs(fixed.quasi[int(s, 2)] - v) for s, v in true.items())
 
     # (b1) Exactly affine observable: intercept to machine precision.
     intercept, _ = linear_extrapolate((1.0, 1.5, 2.0), (0.0125, 0.0175, 0.0225))
@@ -274,7 +272,7 @@ def test_criterion_09_mitigation_properties():
     # saturation curvature of the injection process biases the intercept.
     sched = build_schedule(ModeParams(x=1.3, n_steps=1))
     circuit = build_full_circuit(sched)
-    ideal = probabilities(run_circuit(circuit)).get("1010", 0.0)
+    ideal = probabilities(run_circuit(circuit))[0b1010]
     stochastic_model = NoiseModel.symmetric(4, epsilon=1.49e-2, p2=1e-3)
     factors = (1.0, 1.5, 2.0)
     levels = noisy_distributions(circuit, [stochastic_model.scaled(f) for f in factors])

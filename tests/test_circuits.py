@@ -43,7 +43,7 @@ def test_text_round_trip():
     c.add("H", 0)
     c.add("SDG", 2)
     c.add("RZ", 3, angle=-0.05133175791223)
-    c.add("RX", 0, angle=3.141592653589793)
+    c.add("RZ", 0, angle=3.141592653589793)
     c.add("CNOT", 2, 3)
     text = circuit_to_text(c)
     back = circuit_from_text(text)
@@ -67,7 +67,8 @@ def test_text_parser_skips_comments_and_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "line", ["X 0,1", "H 0,0.5", "CNOT 0,1,2", "RZ 0", "RZ 0,nan", "X 0.5", "RZ 0,abc"]
+    "line",
+    ["X 0,1", "H 0,0.5", "CNOT 0,1,2", "RZ 0", "RZ 0,nan", "X 0.5", "RZ 0,abc", "RX 0,0.5"],
 )
 def test_text_parser_rejects_malformed_gate_lines(line):
     with pytest.raises(ValueError, match=f"gate line '{line}'"):

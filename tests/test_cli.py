@@ -191,6 +191,20 @@ class TestSweep:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["sweep.csv", "sweep.csv.tmp", "sweep.json"]
 
+    def test_state_that_is_not_normalized_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Norm drift is a numerical failure, not bad usage.
+        import cosmopair.cli as cli
+
+        drifted = np.zeros(16, dtype=complex)
+        drifted[0b0101] = 1.0 + 1e-6
+        monkeypatch.setattr(cli, "run_schedule", lambda schedule: drifted)
+        out = tmp_path / "out"
+        assert main(["sweep", "--x", "2.0", "--methods", "statevector", "--n-steps", "3",
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: state is not normalized") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_single_step_statevector_five_points(self, tmp_path):
         assert main(["sweep", "--x", "1.3,1.5,1.8,2.0,2.2", "--n-steps", "1",
                      "--methods", "statevector", "--out-dir", str(tmp_path)]) == 0

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitstrings import dist
 from cosmopair.background import ModeParams
 from cosmopair.encoding import build_full_circuit
 from cosmopair.mitigation import (
     SingularConfusionError,
+    _restricted_confusion,
     linear_extrapolate,
     mitigate_readout,
     zne_estimate,
@@ -23,68 +25,123 @@ from cosmopair.statevector import (
 )
 
 
+def reference_confusion(observed: list[str], model: NoiseModel) -> np.ndarray:
+    """The restricted confusion matrix entry by entry, over bitstrings."""
+    m = np.empty((len(observed), len(observed)))
+    for i, obs in enumerate(observed):
+        for j, true in enumerate(observed):
+            v = 1.0
+            for q, c in enumerate(model.readout):
+                v *= c[int(obs[q]), int(true[q])]
+            m[i, j] = v
+    return m
+
+
+_C0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+_ASYMMETRIC = NoiseModel(
+    readout=(_C0, _C0[::-1, ::-1].copy(), np.array([[0.99, 0.02], [0.01, 0.98]]),
+             np.array([[0.985, 0.0], [0.015, 1.0]])),
+    p1=0.0, p2=0.0,
+)
+
+
+class TestRestrictedConfusion:
+    """The vectorized matrix is the entry-by-entry loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model", [NoiseModel.default(4), _ASYMMETRIC], ids=["default", "asymmetric"]
+    )
+    def test_four_qubit_models(self, model):
+        rng = np.random.default_rng(0)
+        subsets = [range(16), [5, 9, 6, 10], [0], [15, 0], [3, 12, 7]]
+        subsets += [sorted(rng.choice(16, size=k, replace=False)) for k in (2, 5, 11)]
+        for subset in subsets:
+            observed = [format(i, "04b") for i in subset]
+            got = _restricted_confusion(np.array(subset, dtype=np.int64), model)
+            assert np.array_equal(got, reference_confusion(observed, model))
+
+    def test_one_qubit_model(self):
+        c = np.array([[0.99, 0.02], [0.01, 0.98]])
+        model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
+        for subset in ([0], [1], [0, 1]):
+            got = _restricted_confusion(np.array(subset, dtype=np.int64), model)
+            assert np.array_equal(got, reference_confusion([str(i) for i in subset], model))
+
+
 class TestReadoutMitigation:
     def test_identity_model_returns_frequencies(self):
-        counts = CountsTable(shots=100, counts={"0101": 75, "1010": 25}, seed=0)
+        counts = CountsTable(shots=100, counts=dist({"0101": 75, "1010": 25}, int), seed=0)
         fixed = mitigate_readout(counts, NoiseModel.noiseless(4))
-        assert fixed.quasi == pytest.approx({"0101": 0.75, "1010": 0.25})
-        assert fixed.clipped == pytest.approx({"0101": 0.75, "1010": 0.25})
+        assert fixed.quasi == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
+        assert fixed.clipped == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert not fixed.ill_conditioned
+
+    def test_zero_off_the_observed_states(self):
+        counts = CountsTable(shots=64, counts=dist({"0101": 60, "1010": 3, "0000": 1}, int),
+                             seed=0)
+        fixed = mitigate_readout(counts, _ASYMMETRIC)
+        unobserved = counts.counts == 0
+        assert fixed.quasi.shape == fixed.clipped.shape == (16,)
+        assert not np.any(fixed.quasi[unobserved]) and not np.any(fixed.clipped[unobserved])
+        assert np.all(fixed.quasi[~unobserved] != 0.0)
+
+    @pytest.mark.parametrize("shape", [(8,), (32,), (4, 4)])
+    def test_rejects_weights_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="do not match 4 qubits"):
+            mitigate_readout(np.ones(shape), NoiseModel.default(4))
 
     def test_single_qubit_exact_recovery(self):
         c = np.array([[0.99, 0.02], [0.01, 0.98]])
         model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
-        fixed = mitigate_readout({"0": 0.99, "1": 0.01}, model)
-        assert fixed.quasi["0"] == pytest.approx(1.0, abs=1e-12)
-        assert fixed.quasi["1"] == pytest.approx(0.0, abs=1e-12)
+        fixed = mitigate_readout(dist({"0": 0.99, "1": 0.01}), model)
+        assert fixed.quasi[0] == pytest.approx(1.0, abs=1e-12)
+        assert fixed.quasi[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_four_qubit_round_trip(self):
         model = NoiseModel.default(4)
         true = {"0101": 0.92, "1010": 0.05, "1001": 0.02, "0110": 0.01}
-        noisy = apply_readout_noise(true, model)
+        noisy = apply_readout_noise(dist(true), model)
         fixed = mitigate_readout(noisy, model)
         for s, v in true.items():
-            assert fixed.quasi[s] == pytest.approx(v, abs=1e-10)
-            assert fixed.clipped[s] == pytest.approx(v, abs=1e-10)
+            assert fixed.quasi[int(s, 2)] == pytest.approx(v, abs=1e-10)
+            assert fixed.clipped[int(s, 2)] == pytest.approx(v, abs=1e-10)
 
     @settings(deadline=None, max_examples=20)
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=16, max_size=16))
     def test_round_trip_random_distributions(self, weights):
-        total = sum(weights)
-        true = {format(i, "04b"): w / total for i, w in enumerate(weights)}
+        true = np.array(weights) / sum(weights)
         model = NoiseModel.default(4)
         fixed = mitigate_readout(apply_readout_noise(true, model), model)
-        for s, v in true.items():
-            assert fixed.quasi[s] == pytest.approx(v, abs=1e-10)
+        assert fixed.quasi == pytest.approx(true, abs=1e-10)
 
     def test_leakage_restored_on_exact_distribution(self):
         # Readout noise leaks an in-subspace state; correcting the exact noisy
         # distribution removes the leakage again.
         model = NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0)
-        true = {"0101": 0.997, "1010": 0.003}
+        true = dist({"0101": 0.997, "1010": 0.003})
         noisy = apply_readout_noise(true, model)
-        physical = ("0101", "1001", "0110", "1010")
-        leak_noisy = 1.0 - sum(noisy.get(s, 0.0) for s in physical)
+        physical = [0b0101, 0b1001, 0b0110, 0b1010]
+        leak_noisy = 1.0 - sum(noisy[physical].tolist())
         assert leak_noisy > 0.0
         fixed = mitigate_readout(noisy, model)
-        leak_fixed = 1.0 - sum(fixed.clipped.get(s, 0.0) for s in physical)
+        leak_fixed = 1.0 - sum(fixed.clipped[physical].tolist())
         assert abs(leak_fixed) < 1e-10
 
     def test_clipped_variant_is_renormalized(self):
-        counts = CountsTable(shots=64, counts={"0101": 63, "1010": 1}, seed=0)
+        counts = CountsTable(shots=64, counts=dist({"0101": 63, "1010": 1}, int), seed=0)
         fixed = mitigate_readout(counts, NoiseModel.default(4))
-        assert sum(fixed.clipped.values()) == pytest.approx(1.0)
-        assert min(fixed.clipped.values()) >= 0.0
+        assert fixed.clipped.sum() == pytest.approx(1.0)
+        assert fixed.clipped.min() >= 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            mitigate_readout({}, NoiseModel.default(4))
+            mitigate_readout(np.zeros(16), NoiseModel.default(4))
 
     def test_singular_model_raises(self):
         c = np.array([[0.5, 0.5], [0.5, 0.5]])
         model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
         with pytest.raises(SingularConfusionError):
-            mitigate_readout({"0": 0.5, "1": 0.5}, model)
+            mitigate_readout(dist({"0": 0.5, "1": 0.5}), model)
 
 
 class TestLinearExtrapolation:

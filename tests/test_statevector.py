@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitstrings import dist, labelled
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
 from cosmopair.encoding import StepTemplate, build_full_circuit, step_template
@@ -20,6 +21,7 @@ from cosmopair.schedule import build_schedule
 import cosmopair.statevector as statevector
 from cosmopair.statevector import (
     CountsTable,
+    NotNormalizedError,
     circuit_unitary,
     counts_rng,
     derived_seed,
@@ -37,7 +39,6 @@ GATE_EXAMPLES = [
     Gate("S", (0,)),
     Gate("SDG", (0,)),
     Gate("RZ", (0,), angle=0.7321),
-    Gate("RX", (0,), angle=-1.234),
 ]
 
 
@@ -47,9 +48,9 @@ class TestGates:
         assert np.allclose(out, [0.0, 1.0])
 
     def test_h_twice_is_identity(self):
-        rx = Gate("RX", (1,), angle=0.4)
-        state = run_circuit(Circuit(3, [rx]))
-        twice = run_circuit(Circuit(3, [rx, Gate("H", (1,)), Gate("H", (1,))]))
+        rx = [Gate("H", (1,)), Gate("RZ", (1,), angle=0.4), Gate("H", (1,))]  # RX(0.4)
+        state = run_circuit(Circuit(3, rx))
+        twice = run_circuit(Circuit(3, [*rx, Gate("H", (1,)), Gate("H", (1,))]))
         assert np.max(np.abs(twice - state)) < 1e-15
 
     def test_rz_full_turn_is_global_phase(self):
@@ -69,10 +70,9 @@ class TestGates:
 
     @given(angle=st.floats(min_value=-7.0, max_value=7.0))
     def test_rotation_unitarity_random_angles(self, angle):
-        for name in ("RZ", "RX"):
-            c = Circuit(n_qubits=1, gates=[Gate(name, (0,), angle=angle)])
-            u = circuit_unitary(c)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
+        c = Circuit(n_qubits=1, gates=[Gate("RZ", (0,), angle=angle)])
+        u = circuit_unitary(c)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
 
     def test_cnot_truth_table(self):
         c = Circuit(n_qubits=2)
@@ -89,17 +89,17 @@ class TestGates:
             run_circuit(Circuit(2, [Gate("X", (5,))]))
 
     @settings(deadline=None, max_examples=25)
-    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40),
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
            st.floats(min_value=-3.0, max_value=3.0))
     def test_random_circuits_preserve_norm(self, picks, angle):
         c = Circuit(n_qubits=3)
-        names = ["X", "H", "S", "SDG", "RZ", "RX", "CNOT"]
+        names = ["X", "H", "S", "SDG", "RZ", "CNOT"]
         for k, pick in enumerate(picks):
             name = names[pick]
             q = k % 3
             if name == "CNOT":
                 c.add(name, q, (q + 1) % 3)
-            elif name in ("RZ", "RX"):
+            elif name == "RZ":
                 c.add(name, q, angle=angle)
             else:
                 c.add(name, q)
@@ -111,78 +111,84 @@ class TestProbabilities:
         c = Circuit(n_qubits=4)
         c.add("X", 1)
         c.add("X", 3)
-        assert probabilities(run_circuit(c)) == {"0101": 1.0}
+        assert labelled(probabilities(run_circuit(c))) == {"0101": 1.0}
 
     def test_bell_pair(self):
         c = Circuit(n_qubits=2)
         c.add("H", 0)
         c.add("CNOT", 0, 1)
         probs = probabilities(run_circuit(c))
-        assert probs == pytest.approx({"00": 0.5, "11": 0.5})
+        assert probs == pytest.approx(dist({"00": 0.5, "11": 0.5}))
 
     def test_evolved_state_supports_only_even_sector(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=50))
         probs = probabilities(run_circuit(build_full_circuit(sched)))
-        assert set(probs) <= {"0101", "1010"}
+        assert np.all(np.delete(probs, [0b0101, 0b1010]) < 1e-15)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotNormalizedError):
             probabilities(np.array([2.0, 0.0], dtype=complex))
 
 
 class TestSampling:
     def test_deterministic_point_mass(self):
-        table = sample_counts({"0101": 1.0}, 100, seed=123)
-        assert table.counts == {"0101": 100}
+        table = sample_counts(dist({"0101": 1.0}), 100, seed=123)
+        assert labelled(table.counts) == {"0101": 100}
 
     def test_shot_count_limits(self):
         # numpy's multinomial sampler counts in a C long: 2**63 - 1 at most.
-        table = sample_counts({"0": 0.5, "1": 0.5}, 2**63 - 1, seed=1)
-        assert sum(table.counts.values()) == 2**63 - 1
+        table = sample_counts(dist({"0": 0.5, "1": 0.5}), 2**63 - 1, seed=1)
+        assert int(table.counts.sum()) == 2**63 - 1
         for shots in (2**63, 2**70):
             with pytest.raises(ValueError, match=f"shots must be <= {2**63 - 1}"):
-                sample_counts({"0": 1.0}, shots, seed=1)
+                sample_counts(dist({"0": 1.0}), shots, seed=1)
 
     def test_same_seed_same_counts(self):
-        probs = {"0101": 0.9, "1010": 0.1}
+        probs = dist({"0101": 0.9, "1010": 0.1})
         a = sample_counts(probs, 8192, seed=7)
         b = sample_counts(probs, 8192, seed=7)
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
         c = sample_counts(probs, 8192, seed=8)
-        assert c.counts != a.counts
+        assert not np.array_equal(c.counts, a.counts)
 
-    def test_dict_order_does_not_matter(self):
-        a = sample_counts({"0101": 0.9, "1010": 0.1}, 4096, seed=3)
-        b = sample_counts({"1010": 0.1, "0101": 0.9}, 4096, seed=3)
-        assert a.counts == b.counts
+    def test_zero_probability_states_get_no_counts(self):
+        # numpy hands the last category of a draw what the others leave; over
+        # the whole array, 66 of these shots landed on zero-probability states.
+        literal = {"0001": 72 / 305, "0100": 94 / 305, "0110": 88 / 305, "1001": 51 / 305}
+        table = sample_counts(dist(literal), 2**62, seed=3)
+        support = [int(s, 2) for s in literal]
+        assert int(table.counts.sum()) == 2**62
+        assert not np.any(np.delete(table.counts, support))
+        expected = counts_rng(3).multinomial(2**62, list(literal.values()))
+        assert table.counts[support].tolist() == expected.tolist()
 
     def test_frozen_generator_vector(self):
         # Philox(SeedSequence(7)) regression pin: flags any silent change of
         # generator, seeding path, or key ordering.
-        table = sample_counts({"0101": 0.9, "1010": 0.1}, 1000, seed=7)
-        assert table.counts == {"0101": 893, "1010": 107}
+        table = sample_counts(dist({"0101": 0.9, "1010": 0.1}), 1000, seed=7)
+        assert labelled(table.counts) == {"0101": 893, "1010": 107}
 
     def test_binomial_scale(self):
         shots = 131072
-        table = sample_counts({"0101": 0.9, "1010": 0.1}, shots, seed=7)
+        table = sample_counts(dist({"0101": 0.9, "1010": 0.1}), shots, seed=7)
         sigma = np.sqrt(0.1 * 0.9 / shots)
-        assert abs(table.counts["1010"] / shots - 0.1) < 4 * sigma
+        assert abs(table.counts[0b1010] / shots - 0.1) < 4 * sigma
 
     def test_total_is_shots(self):
-        table = sample_counts({"0101": 0.5, "0110": 0.25, "1010": 0.25}, 999, seed=1)
-        assert sum(table.counts.values()) == 999
+        table = sample_counts(dist({"0101": 0.5, "0110": 0.25, "1010": 0.25}), 999, seed=1)
+        assert table.counts.sum() == 999
 
     def test_clamps_tiny_negatives(self):
-        table = sample_counts({"01": 1.0, "10": -1e-13}, 50, seed=0)
-        assert table.counts == {"01": 50}
+        table = sample_counts(dist({"01": 1.0, "10": -1e-13}), 50, seed=0)
+        assert labelled(table.counts) == {"01": 50}
 
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError):
-            sample_counts({"01": 1.1, "10": -0.1}, 50, seed=0)
+            sample_counts(dist({"01": 1.1, "10": -0.1}), 50, seed=0)
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
-            sample_counts({"01": 0.5}, 50, seed=0)
+            sample_counts(dist({"01": 0.5}), 50, seed=0)
 
     def test_seed_streams_are_keyed_by_seed_sequence(self):
         def philox(entropy):
@@ -197,12 +203,12 @@ class TestSampling:
 
 class TestObservables:
     def test_vacuum_counts(self):
-        table = CountsTable(shots=4096, counts={"0101": 4096}, seed=0)
+        table = CountsTable(shots=4096, counts=dist({"0101": 4096}, int), seed=0)
         obs = observables_from_counts(table)
         assert (obs.n_plus, obs.n_minus, obs.p_pair, obs.leakage) == (0, 0, 0, 0)
 
     def test_pair_fraction(self):
-        table = CountsTable(shots=4096, counts={"0101": 4000, "1010": 96}, seed=0)
+        table = CountsTable(shots=4096, counts=dist({"0101": 4000, "1010": 96}, int), seed=0)
         obs = observables_from_counts(table)
         assert obs.p_pair == pytest.approx(96 / 4096)
         assert obs.n_plus == obs.p_pair and obs.n_minus == obs.p_pair
@@ -212,20 +218,25 @@ class TestObservables:
         )
 
     def test_counts_and_distribution_share_one_definition(self):
-        table = CountsTable(
-            shots=1000, counts={"0101": 900, "1001": 30, "0110": 20, "1010": 40, "1111": 10},
-            seed=0,
-        )
+        literal = {"0101": 900, "1001": 30, "0110": 20, "1010": 40, "1111": 10}
+        table = CountsTable(shots=1000, counts=dist(literal, int), seed=0)
         from_counts = observables_from_counts(table)
-        exact = observables_from_probabilities({s: c / 1000 for s, c in table.counts.items()})
+        exact = observables_from_probabilities(dist({s: c / 1000 for s, c in literal.items()}))
         assert (from_counts.n_plus, from_counts.n_minus, from_counts.p_pair,
                 from_counts.leakage) == (exact.n_plus, exact.n_minus, exact.p_pair,
                                          exact.leakage)
         assert exact.stderr_pair == 0.0
         assert from_counts.stderr_pair == np.sqrt(0.04 * 0.96 / 1000)
 
+    def test_frequencies_round_once_above_2_53_shots(self):
+        # A float division rounds the shot count first, then the quotient.
+        shots = 2**60 + 75
+        counts = dist({"0101": shots - 7, "1010": 7}, int)
+        obs = observables_from_counts(CountsTable(shots=shots, counts=counts, seed=0))
+        assert obs.p_pair == 7 / shots != np.float64(7) / np.float64(shots)
+
     def test_unphysical_string_counts_as_leakage(self):
-        table = CountsTable(shots=4096, counts={"0101": 4000, "0000": 96}, seed=0)
+        table = CountsTable(shots=4096, counts=dist({"0101": 4000, "0000": 96}, int), seed=0)
         obs = observables_from_counts(table)
         assert obs.p_pair == 0.0
         assert obs.leakage == pytest.approx(96 / 4096)
@@ -235,39 +246,26 @@ class TestSerialization:
     def test_counts_csv_sorted(self):
         from cosmopair.statevector import counts_to_csv
 
-        table = CountsTable(shots=10, counts={"1010": 3, "0101": 7}, seed=0)
+        table = CountsTable(shots=10, counts=dist({"1010": 3, "0101": 7}, int), seed=0)
         assert counts_to_csv(table) == "bitstring,count\n0101,7\n1010,3\n"
-
-    def test_observables_record_fields(self):
-        from cosmopair.statevector import observables_record
-
-        table = CountsTable(shots=4096, counts={"0101": 4000, "1010": 96}, seed=3)
-        rec = observables_record(
-            observables_from_counts(table), x=2.0, n_steps=500, shots=4096, seed=3
-        )
-        assert set(rec) == {
-            "x", "n_steps", "shots", "seed",
-            "n_plus", "n_minus", "p_pair", "leakage", "stderr_pair",
-        }
-        assert rec["p_pair"] == pytest.approx(96 / 4096)
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("x", [1.3, 2.0])
     @pytest.mark.parametrize("n_steps", [1, 10, 100])
     def test_populations_match_matrix_engine(self, x, n_steps):
-        from cosmopair.subspace import PHYS_LABELS, evolve
+        from cosmopair.subspace import PHYS_INDICES, evolve
 
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
         final, _ = evolve(sched)
         probs = probabilities(run_circuit(build_full_circuit(sched)))
-        for i, label in enumerate(PHYS_LABELS):
-            assert abs(probs.get(label, 0.0) - abs(final[i]) ** 2) < 1e-10
+        for i, j in enumerate(PHYS_INDICES):
+            assert abs(probs[j] - abs(final[i]) ** 2) < 1e-10
 
     def test_noiseless_leakage_vanishes(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=100))
         probs = probabilities(run_circuit(build_full_circuit(sched)))
-        leak = 1.0 - sum(probs.get(s, 0.0) for s in ("0101", "1001", "0110", "1010"))
+        leak = 1.0 - sum(probs[[0b0101, 0b1001, 0b0110, 0b1010]])
         assert abs(leak) < 1e-10
 
 

@@ -58,7 +58,6 @@ from .statevector import (
     observables_from_counts,
     observables_from_probabilities,
     probabilities,
-    run_circuit,
     run_schedule,
     sample_counts,
 )
@@ -387,9 +386,9 @@ def cmd_noise_study(args) -> int:
     counts_files = []
     for xi, x in enumerate(x_grid):
         n_k_an = n_k_analytic(x)  # first: x is sorted, so an overflowing x fails before any run
-        circuit = build_full_circuit(build_schedule(_mode_params(x, args, n_steps)))
-        levels = _noisy_levels(circuit, model, (1.0, *factors))
-        ideal = observables_from_probabilities(probabilities(run_circuit(circuit)))
+        schedule = build_schedule(_mode_params(x, args, n_steps))
+        levels = _noisy_levels(build_full_circuit(schedule), model, (1.0, *factors))
+        ideal = observables_from_probabilities(probabilities(run_schedule(schedule)))
 
         seed = derived_seed(args.seed, xi)
         counts = sample_counts(levels[1.0], shots, seed)

@@ -12,11 +12,11 @@ Noise amplification for extrapolation scales the Pauli rates directly
 target that hardware gate folding only approximates.
 
 Injecting a uniformly random non-identity Pauli with probability p is
-exactly the depolarizing channel on the gate's operands, so
-`noisy_distributions` evolves the density matrix through the circuit and
-returns the exact outcome distribution, readout included, for each of a
-list of models: one pass over the gates for all of them, whatever the shot
-count.  The shots of a stochastic-Pauli model are independent and
+exactly the depolarizing channel on the gate's operands, a diagonal scale of
+the real Pauli coefficients Tr(P rho) that `noisy_distributions` evolves:
+it returns the exact outcome distribution, readout included, for each of a
+list of models, in one pass over the gates for all of them, whatever the
+shot count.  The shots of a stochastic-Pauli model are independent and
 identically distributed, so a noisy run's counts are one `sample_counts`
 draw over that distribution; one distribution serves every run of the same
 circuit and noise level.
@@ -24,14 +24,15 @@ circuit and noise level.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
-from .statevector import _apply_1q_inplace, _apply_cnot_inplace, _apply_gate_inplace, _mat_1q
+from .circuits import Circuit, Gate
+from .encoding import PauliString, pauli_to_matrix
+from .statevector import circuit_unitary
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
@@ -147,15 +148,15 @@ def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
 def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[np.ndarray]:
     """Exact outcome distribution of the circuit under each noise model, in order.
 
-    Each model's density matrix rho is one row of a stack, held as a 2n-qubit
-    vector (row qubits 0..n-1, column qubits n..2n-1) from |0...0><0...0|.
-    Each gate is applied once to the stack as U on the row qubits and conj(U)
-    on the column qubits (rho -> U rho U^dagger), then the depolarizing map on
-    its operands at each row's rate, which is exactly the injection of a
-    uniformly random non-identity Pauli with the gate's rate.  Each diag(rho)
-    goes through its own model's readout.  A row's arithmetic is that of a
-    batch of one, bit for bit.  Limited to 12 qubits: the 4**n entries of rho
-    are those of a dense unitary.
+    Each model's density matrix rho is one row of a real array of its Pauli
+    coefficients c_P = Tr(P rho), one axis over (I, X, Y, Z) per qubit, from
+    c_P = 1 on the 2^n strings over {I, Z} (|0...0>).  A gate on k qubits is
+    one product of its transfer matrix over its qubits' axes, then its
+    depolarizing map: the coefficient of every non-identity Pauli on them
+    scales by 1 - p d²/(d²-1) at each row's rate.  diag(rho) is the per-qubit
+    Walsh map [[1/2, 1/2], [1/2, -1/2]] of the {I, Z} coefficients, and goes
+    through its row's readout.  A row's arithmetic is that of a batch of one,
+    bit for bit.  Limited to 12 qubits, as a dense unitary is: 4**n entries.
     """
     n = circuit.n_qubits
     for model in models:
@@ -163,41 +164,40 @@ def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[np.n
             raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
     if n > 12:
         raise ValueError(f"dense density matrix limited to 12 qubits, got {n}")
-    p1 = np.array([model.p1 for model in models])
-    p2 = np.array([model.p2 for model in models])
-    rho = np.zeros((len(models), 4**n), dtype=complex)
-    rho[:, 0] = 1.0
+    keep1 = 1.0 - np.array([model.p1 for model in models])[:, None, None] * 4 / 3  # d = 2
+    keep2 = 1.0 - np.array([model.p2 for model in models])[:, None, None] * 16 / 15  # d = 4
+    iz = (slice(None),) + (slice(None, None, 3),) * n  # the letters I and Z of every qubit
+    coeffs = np.zeros((len(models),) + (4,) * n)
+    coeffs[iz] = 1.0
     for gate in circuit.gates:
-        _apply_gate_inplace(rho, 2 * n, gate)
-        columns = tuple(q + n for q in gate.qubits)
-        if gate.name == "CNOT":
-            _apply_cnot_inplace(rho, 2 * n, *columns)
-            _depolarize(rho, n, gate.qubits, p2)
-        else:
-            _apply_1q_inplace(rho, 2 * n, columns[0], _mat_1q(gate).conj())
-            _depolarize(rho, n, gate.qubits, p1)
-    diags = rho.reshape(-1, 2**n, 2**n).diagonal(axis1=1, axis2=2).real
+        build = _fixed_transfer if gate.angle is None else _transfer
+        transfer = build(gate.name, len(gate.qubits), gate.angle)
+        order = [a for a in range(n + 1) if a - 1 not in gate.qubits] + [1 + q for q in gate.qubits]
+        moved = coeffs.transpose(order)  # the gate's axes last
+        rows = moved.reshape(len(models), 4**n // len(transfer), len(transfer)) @ transfer.T
+        rows[..., 1:] *= keep2 if gate.name == "CNOT" else keep1
+        coeffs = rows.reshape(moved.shape).transpose(sorted(range(n + 1), key=order.__getitem__))
+    walsh = coeffs[iz]
+    for axis in range(1, n + 1):
+        i, z = np.split(walsh, 2, axis=axis)
+        walsh = 0.5 * np.concatenate([i + z, i - z], axis=axis)
+    diags = walsh.reshape(len(models), 2**n)
     return [apply_readout_noise(diag, model) for diag, model in zip(diags, models)]
 
 
-def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: np.ndarray):
-    """rho -> (1 - p d²/(d²-1)) rho + (p d/(d²-1)) Tr_Q(rho) ⊗ I_Q on Q = qubits.
+def _transfer(name: str, k: int, angle: float | None) -> np.ndarray:
+    """R_ab = Tr(P_a U P_b U^dagger) / 2^k of a gate on qubits 0, ..., k - 1."""
+    u = circuit_unitary(Circuit(k, [Gate(name, tuple(range(k)), angle)]))
+    images = (u @ _paulis(k) @ u.conj().T).reshape(4**k, -1)
+    return (_paulis(k).reshape(4**k, -1).conj() @ images.T).real / 2**k  # Tr(A^dagger B) = <A, B>
 
-    rho is a stack of rows, and p holds one rate per row.  With
-    d = 2**len(qubits) this equals (1 - p) rho + p/(d²-1) Σ P rho P over the
-    d² - 1 non-identity Paulis P on Q, since Σ over all d² Paulis gives
-    d Tr_Q(rho) ⊗ I_Q.
-    """
-    d = 2 ** len(qubits)
-    t = rho.reshape((-1,) + (2,) * (2 * n))
-    diagonal = []  # the index of each (row, column) entry of Q with row == column
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        sel: list = [slice(None)] * (2 * n + 1)
-        for q, b in zip(qubits, bits):
-            sel[1 + q] = sel[1 + n + q] = b
-        diagonal.append(tuple(sel))
-    traced = sum(t[s] for s in diagonal)
-    rho *= (1.0 - p * d * d / (d * d - 1))[:, None]
-    spread = (p * d / (d * d - 1)).reshape((-1,) + (1,) * (traced.ndim - 1))
-    for s in diagonal:
-        t[s] += spread * traced
+
+#: `_transfer` of the angle-free gate kinds, built once per kind; shared, never written.
+_fixed_transfer = functools.cache(_transfer)
+
+
+@functools.cache
+def _paulis(k: int) -> np.ndarray:
+    """The 4^k Paulis on k qubits; a's base-4 digits, qubit 0 first, run over (I, X, Y, Z)."""
+    letters = ("".join("IXYZ"[i] for i in digits) for digits in np.ndindex((4,) * k))
+    return np.array([pauli_to_matrix(PauliString(s, 1.0), k) for s in letters])

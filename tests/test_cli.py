@@ -132,7 +132,7 @@ class TestSweep:
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         import cosmopair.cli as cli
 
-        for name in ("run_schedule", "run_circuit", "noisy_distributions"):
+        for name in ("run_schedule", "noisy_distributions"):
             monkeypatch.setattr(cli, name, _no_run)
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 2
@@ -347,7 +347,7 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "noisy_distributions"),
+        for module, name in ((cli, "run_schedule"), (cli, "noisy_distributions"),
                              (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,1.5,2.0", "--factors", "1",
@@ -359,7 +359,7 @@ class TestNoiseStudy:
         import cosmopair.cli as cli
         import cosmopair.mitigation as mitigation
 
-        for module, name in ((cli, "run_circuit"), (cli, "noisy_distributions"),
+        for module, name in ((cli, "run_schedule"), (cli, "noisy_distributions"),
                              (mitigation, "sample_counts")):
             monkeypatch.setattr(module, name, _no_run)
         assert main(["noise-study", "--x", "1.3,2.0", "--factors", "1,500",
@@ -460,8 +460,7 @@ class TestChecksBeforeAnyRun:
     def no_engines(self, monkeypatch):
         import cosmopair.cli as cli
 
-        for name in ("build_schedule", "evolve", "run_schedule", "run_circuit",
-                     "noisy_distributions"):
+        for name in ("build_schedule", "evolve", "run_schedule", "noisy_distributions"):
             monkeypatch.setattr(cli, name, _no_run)
 
     @pytest.mark.parametrize(

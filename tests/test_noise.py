@@ -1,10 +1,18 @@
 """Noise model validation, readout channel, and the exact noisy channel.
 
-The channel is checked against an independent per-shot Monte-Carlo replay of
-the same stochastic-Pauli model by a chi-squared test of the replay's counts.
+The channel is checked against two references that do not use its Pauli
+coefficients: a per-shot Monte-Carlo replay of the same stochastic-Pauli
+model, by a chi-squared test of the replay's counts, and a dense density
+matrix evolved gate by gate through each unitary and the Pauli sum of each
+depolarizing map.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +21,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bitstrings import dist, labelled
+from dispatch_probe import distributions_digest, wide_simd_targets
+
+import cosmopair
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
-from cosmopair.encoding import _PAULI_MATS, build_full_circuit
+from cosmopair.encoding import _PAULI_MATS, PauliString, build_full_circuit, pauli_to_matrix
 from cosmopair.noise import (
     NoiseModel,
     apply_readout_noise,
@@ -26,6 +37,7 @@ from cosmopair.statevector import (
     CountsTable,
     _apply_1q_inplace,
     _apply_gate_inplace,
+    circuit_unitary,
     counts_rng,
     observables_from_counts,
     probabilities,
@@ -36,6 +48,22 @@ from cosmopair.statevector import (
 
 def single_step_circuit(x=1.3, n_steps=1):
     return build_full_circuit(build_schedule(ModeParams(x=x, n_steps=n_steps)))
+
+
+def hand_built_two_qubit():
+    """Two CNOTs, so two-qubit depolarizing, with an asymmetric readout.
+
+    Each H, RZ(theta), H is RX(theta).
+    """
+    circuit = Circuit(n_qubits=2)
+    circuit.add("H", 0).add("RZ", 0, angle=0.7).add("H", 0)
+    circuit.add("H", 1)
+    circuit.add("CNOT", 1, 0)
+    circuit.add("H", 1).add("RZ", 1, angle=-1.9).add("H", 1)
+    circuit.add("CNOT", 0, 1)
+    circuit.add("H", 0)
+    c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+    return circuit, NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +141,40 @@ def assert_counts_follow(table, probs):
         groups.append((e + expected, o + observed))
     stat = sum((o - e) ** 2 / e for e, o in groups)
     assert stat < chi2.isf(1e-6, len(groups) - 1), (stat, len(groups) - 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense 2^n x 2^n density matrix of each model.  Each gate
+# applies U rho U^dagger, U its `circuit_unitary` on the whole register, then
+# its depolarizing map as the Pauli sum it stands for,
+# (1 - p) rho + p/(d²-1) Σ P rho P over the d² - 1 non-identity Paulis P on
+# the gate's qubits, from `pauli_to_matrix`; the diagonal goes through the
+# model's readout.
+# ---------------------------------------------------------------------------
+
+@cache
+def _gate_paulis(n, qubits):
+    """The non-identity Pauli matrices on `qubits` of an n-qubit register."""
+    paulis = []
+    for code in range(1, 4 ** len(qubits)):
+        letters = ["I"] * n
+        for j, q in enumerate(reversed(qubits)):
+            letters[q] = "IXYZ"[(code >> 2 * j) & 3]
+        paulis.append(pauli_to_matrix(PauliString("".join(letters), 1.0), n))
+    return paulis
+
+
+def dense_reference(circuit, models):
+    n = circuit.n_qubits
+    rho = np.zeros((len(models), 2**n, 2**n), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    for gate in circuit.gates:
+        u = circuit_unitary(Circuit(n, [gate]))
+        rho = u @ rho @ u.conj().T
+        paulis = _gate_paulis(n, gate.qubits)
+        p = np.array([m.p2 if gate.name == "CNOT" else m.p1 for m in models])[:, None, None]
+        rho = (1.0 - p) * rho + p / len(paulis) * sum(pauli @ rho @ pauli for pauli in paulis)
+    return [apply_readout_noise(r.diagonal().real.copy(), m) for r, m in zip(rho, models)]
 
 
 class TestNoiseModel:
@@ -274,17 +336,7 @@ class TestBatchedRunMatchesReplay:
         )
 
     def test_hand_built_two_qubit_circuit(self):
-        # Asymmetric readout, and two CNOTs for the d = 4 depolarizer.  Each
-        # H, RZ(theta), H is RX(theta).
-        circuit = Circuit(n_qubits=2)
-        circuit.add("H", 0).add("RZ", 0, angle=0.7).add("H", 0)
-        circuit.add("H", 1)
-        circuit.add("CNOT", 1, 0)
-        circuit.add("H", 1).add("RZ", 1, angle=-1.9).add("H", 1)
-        circuit.add("CNOT", 0, 1)
-        circuit.add("H", 0)
-        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
-        model = NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
+        circuit, model = hand_built_two_qubit()
         assert_counts_follow(
             replay_noisy_circuit(circuit, model, 4000, seed=1),
             noisy_distributions(circuit, [model])[0],
@@ -292,7 +344,9 @@ class TestBatchedRunMatchesReplay:
 
     def test_memory_does_not_grow_with_gate_count(self):
         # The replay keeps one stored state per gate (G+1 rows of 16); the
-        # exact channel keeps one 4**n vector for rho whatever the gate count.
+        # exact channel keeps the 4**n real Pauli coefficients of each model's
+        # rho, and one small transfer matrix per gate kind, whatever the gate
+        # count.
         model = NoiseModel.default(4)
         peaks = {}
         for n_steps in (1, 20):
@@ -370,6 +424,60 @@ class TestBatchIsExact:
         models = [NoiseModel.default(4), NoiseModel.default(2)]
         with pytest.raises(ValueError, match="model covers 2 qubits"):
             noisy_distributions(single_step_circuit(), models)
+
+
+class TestDenseReference:
+    """The channel agrees with the dense density matrix to rounding."""
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 10])
+    @pytest.mark.parametrize("x", [1.3, 2.2])
+    def test_schedule_circuits(self, x, n_steps):
+        circuit = single_step_circuit(x, n_steps)
+        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+        c1 = c0[::-1, ::-1].copy()
+        models = [NoiseModel.default(4).scaled(f) for f in (1.0, 2.0)] + [
+            NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
+            NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
+            NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
+            NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
+        ]
+        exact = noisy_distributions(circuit, models)
+        reference = dense_reference(circuit, models)
+        assert len(exact) == len(reference) == len(models)
+        for row, ref in zip(exact, reference):
+            assert np.max(np.abs(row - ref)) < 1e-13
+
+    def test_hand_built_two_qubit_circuit(self):
+        circuit, model = hand_built_two_qubit()
+        saturated = NoiseModel(readout=model.readout, p1=1.0, p2=1.0)
+        models = [model, model.scaled(0.0), saturated]
+        for row, ref in zip(noisy_distributions(circuit, models), dense_reference(circuit, models)):
+            assert np.max(np.abs(row - ref)) < 1e-13
+
+
+def test_distributions_do_not_depend_on_numpy_simd_dispatch():
+    """The channel's bytes stay the same with numpy's AVX2/AVX-512 loops disabled.
+
+    Only targets the running numpy reports as enabled are disabled through
+    NPY_DISABLE_CPU_FEATURES (numpy refuses to start when asked to disable a
+    baseline feature).  BLAS chooses its own kernels: the per-gate
+    transfer products and the readout's `tensordot` go through it, so a
+    different OpenBLAS kernel (`OPENBLAS_CORETYPE`) still changes the bytes.
+    """
+    wide = wide_simd_targets()
+    if not wide:
+        pytest.skip("numpy reports no enabled AVX2/AVX-512 dispatch target to disable")
+    src = str(Path(cosmopair.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(wide),
+    }
+    probe = str(Path(__file__).with_name("dispatch_probe.py"))
+    out = subprocess.run(
+        [sys.executable, probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["-", distributions_digest()]
 
 
 _GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "CNOT")

@@ -39,7 +39,7 @@ from .background import (
     multi_pair_probability,
     n_k_analytic,
 )
-from .circuits import Circuit, circuit_to_text
+from .circuits import circuit_to_text
 from .encoding import build_full_circuit
 from .mitigation import (
     SingularConfusionError,
@@ -197,11 +197,16 @@ def _x_parameters(x: float, args, n_steps: int) -> dict:
     return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
 
 
-def _noisy_levels(circuit: Circuit, model: NoiseModel, factors: Iterable[float]) -> dict:
-    """The exact distribution of `circuit` under `model.scaled(f)`, keyed by f,
-    for each distinct f in `factors`: all of them in one channel pass."""
+def _noisy_levels(xs: list[float], args, n_steps: int, model: NoiseModel,
+                  factors: Iterable[float]) -> dict:
+    """{x: {f: distribution}}: the exact distribution of x's schedule circuit
+    under `model.scaled(f)` for every x and each distinct f in `factors`, all
+    of them in one channel call."""
     factors = tuple(dict.fromkeys(factors))
-    return dict(zip(factors, noisy_distributions(circuit, [model.scaled(f) for f in factors])))
+    params = [_mode_params(x, args, n_steps) for x in xs]
+    rows = iter(noisy_distributions([p for p in params for _ in factors],
+                                    [model.scaled(f) for _ in params for f in factors]))
+    return {x: {f: next(rows) for f in factors} for x in xs}
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,7 @@ def _sweep_grid(args, methods: list[str]) -> list[float]:
             raise UsageError(f"x = {a!r} appears more than once")
     step_counts = {_n_steps(args, m) for m in methods} - {None} or {1}
     for x in xs:
+        n_k_analytic(x)  # an x whose closed form overflows fails here
         for n_steps in step_counts:
             _mode_params(x, args, n_steps)
     return xs
@@ -293,12 +299,9 @@ def cmd_sweep(args) -> int:
     needed = ((1.0,) if {"noisy", "mitigated"} & set(methods) else ()) + (
         factors if "zne" in methods else ())
 
+    levels = _noisy_levels(x_grid, args, _n_steps(args, "noisy"), model, needed) if needed else {}
     rows = []
     for xi, x in enumerate(x_grid):
-        levels = {}
-        if needed:
-            params = _mode_params(x, args, _n_steps(args, "noisy"))
-            levels = _noisy_levels(build_full_circuit(build_schedule(params)), model, needed)
         for m in methods:
             _, default_shots, row = _SWEEP_METHODS[m]
             n_steps = _n_steps(args, m)
@@ -306,7 +309,7 @@ def cmd_sweep(args) -> int:
             seed = derived_seed(args.seed, xi, METHODS.index(m))
             params = None if n_steps is None else _mode_params(x, args, n_steps)
             estimate = row(x=x, params=params, shots=shots, seed=seed, model=model,
-                           factors=factors, levels=levels)
+                           factors=factors, levels=levels.get(x))
             rows.append(dict(zip(SWEEP_COLUMNS, (
                 x, n_steps or 0, m, shots, None if shots is None else seed, *estimate,
                 multi_pair_probability(n_k_analytic(x))))))
@@ -382,21 +385,21 @@ def cmd_noise_study(args) -> int:
     model, factors = _noise_inputs(args, zne=True)
 
     out_dir = Path(args.out_dir)
+    n_k = [n_k_analytic(x) for x in x_grid]  # an x whose closed form overflows fails before any run
+    levels = _noisy_levels(x_grid, args, n_steps, model, (1.0, *factors))
     results = []
     counts_files = []
-    for xi, x in enumerate(x_grid):
-        n_k_an = n_k_analytic(x)  # first: x is sorted, so an overflowing x fails before any run
+    for xi, (x, n_k_an) in enumerate(zip(x_grid, n_k)):
         schedule = build_schedule(_mode_params(x, args, n_steps))
-        levels = _noisy_levels(build_full_circuit(schedule), model, (1.0, *factors))
         ideal = observables_from_probabilities(probabilities(run_schedule(schedule)))
 
         seed = derived_seed(args.seed, xi)
-        counts = sample_counts(levels[1.0], shots, seed)
+        counts = sample_counts(levels[x][1.0], shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = zne_estimate(factors, [levels[f] for f in factors], shots, seed)
+        zne = zne_estimate(factors, [levels[x][f] for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"

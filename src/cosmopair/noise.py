@@ -12,11 +12,23 @@ Noise amplification for extrapolation scales the Pauli rates directly
 target that hardware gate folding only approximates.
 
 Injecting a uniformly random non-identity Pauli with probability p is
-exactly the depolarizing channel on the gate's operands, a diagonal scale of
-the real Pauli coefficients Tr(P rho) that `noisy_distributions` evolves:
-it returns the exact outcome distribution, readout included, for each of a
-list of models, in one pass over the gates for all of them, whatever the
-shot count.  The shots of a stochastic-Pauli model are independent and
+exactly the depolarizing channel on the gate's operands.  `noisy_distributions`
+returns the exact outcome distribution, readout included, of each of a list
+of (circuit, model) rows, whatever the shot count.  It holds each row's rho
+as its real Pauli coefficients c_P = Tr(P rho) (the Pauli-transfer
+representation).  X, H, S, SDG and CNOT permute these coefficients with
+signs, and depolarizing at rate p scales those of the Paulis on the gate's
+qubits by keep = 1 - p d²/(d²-1).  So every gate between two RZs, with its
+depolarizing, folds into one map: a gather, a sign and keep1**a * keep2**b
+with integer exponents a, b that no rate or angle enters.  Each RZ is a
+cos/sin rotation of the (X_q, Y_q) coefficient pairs at each row's own
+angle.  The folds of the two slice templates are built from index
+arithmetic on first use and kept, so a slice costs about 20 rotations and
+20 gathers for any batch of rows, and rows at different x run in one batch
+when their circuits have the same sequence of slice shapes.  The
+arithmetic is real multiplies and adds throughout, with no BLAS product and
+no `np.power`, so the bytes depend on neither the BLAS kernel nor numpy's
+SIMD dispatch.  The shots of a stochastic-Pauli model are independent and
 identically distributed, so a noisy run's counts are one `sample_counts`
 draw over that distribution; one distribution serves every run of the same
 circuit and noise level.
@@ -25,14 +37,19 @@ circuit and noise level.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
-from .encoding import PauliString, pauli_to_matrix
-from .statevector import circuit_unitary
+from .background import ModeParams
+from .circuits import GATE_NAMES, Circuit, Gate
+from .encoding import VACUUM_PREP, PauliString, pauli_to_matrix, step_template
+from .schedule import build_schedule
+from .statevector import SCHEDULE_CHUNK, circuit_unitary
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
@@ -131,7 +148,8 @@ def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Push an outcome distribution through the tensor-product confusion.
 
     Takes and returns the 2^n basis-indexed array (tiny entries kept); the
-    total is preserved.
+    total is preserved.  Each qubit's 2x2 matrix is applied as separate real
+    multiplies and adds, so the bytes depend on no BLAS kernel.
     """
     n = model.n_qubits
     if n > 16:
@@ -139,61 +157,246 @@ def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape != (2**n,):
         raise ValueError(f"distribution of shape {p.shape} does not match {n} qubits")
-    t = p.reshape((2,) * n)
     for q, c in enumerate(model.readout):
-        t = np.moveaxis(np.tensordot(c, t, axes=([1], [q])), 0, q)
-    return t.reshape(-1)
+        t = p.reshape(2**q, 2, -1)
+        zero, one = t[:, 0], t[:, 1]
+        p = np.stack([c[0, 0] * zero + c[0, 1] * one, c[1, 0] * zero + c[1, 1] * one], axis=1)
+    return p.reshape(-1)
 
 
-def noisy_distributions(circuit: Circuit, models: list[NoiseModel]) -> list[np.ndarray]:
-    """Exact outcome distribution of the circuit under each noise model, in order.
+def noisy_distributions(
+    sources: Circuit | ModeParams | Sequence[Circuit | ModeParams], models: Sequence[NoiseModel]
+) -> list[np.ndarray]:
+    """Exact outcome distribution of each row's circuit under its noise model, in order.
 
-    Each model's density matrix rho is one row of a real array of its Pauli
-    coefficients c_P = Tr(P rho), one axis over (I, X, Y, Z) per qubit, from
-    c_P = 1 on the 2^n strings over {I, Z} (|0...0>).  A gate on k qubits is
-    one product of its transfer matrix over its qubits' axes, then its
-    depolarizing map: the coefficient of every non-identity Pauli on them
-    scales by 1 - p d²/(d²-1) at each row's rate.  diag(rho) is the per-qubit
-    Walsh map [[1/2, 1/2], [1/2, -1/2]] of the {I, Z} coefficients, and goes
-    through its row's readout.  A row's arithmetic is that of a batch of one,
-    bit for bit.  Limited to 12 qubits, as a dense unitary is: 4**n entries.
+    `sources` holds one circuit per model, or is one circuit for every model.
+    A `ModeParams` stands for `build_full_circuit(build_schedule(params))`,
+    which is never built: its schedule is built when its rows run, and its
+    slices apply their templates' folds.  Rows whose circuits have the same
+    sequence of slice shapes (a `Circuit`: the same object) run as one batch,
+    one group at a time.  A row's arithmetic is that of a batch of one, bit
+    for bit.  Limited to 12 qubits: 4**n coefficients per row.
     """
-    n = circuit.n_qubits
-    for model in models:
+    if isinstance(sources, (Circuit, ModeParams)):
+        sources = [sources] * len(models)
+    if len(sources) != len(models):
+        raise ValueError(f"{len(sources)} circuits for {len(models)} noise models")
+    shapes, groups = {}, {}
+    for row, (source, model) in enumerate(zip(sources, models)):
+        n = source.n_qubits if isinstance(source, Circuit) else 4
         if n != model.n_qubits:
             raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
-    if n > 12:
-        raise ValueError(f"dense density matrix limited to 12 qubits, got {n}")
-    keep1 = 1.0 - np.array([model.p1 for model in models])[:, None, None] * 4 / 3  # d = 2
-    keep2 = 1.0 - np.array([model.p2 for model in models])[:, None, None] * 16 / 15  # d = 4
+        if n > 12:
+            raise ValueError(f"Pauli coefficients limited to 12 qubits, got {n}")
+        if isinstance(source, Circuit):
+            key = id(source)
+        else:
+            if source not in shapes:  # built and dropped: a group keeps only its angle columns
+                shapes[source] = _shape_runs(build_schedule(source))
+            key = shapes[source]
+        groups.setdefault(key, []).append(row)
+    out = [None] * len(models)
+    for rows in groups.values():
+        first = sources[rows[0]]
+        if isinstance(first, Circuit):
+            n, steps = first.n_qubits, _circuit_steps(first)
+        else:
+            params = list(dict.fromkeys(sources[r] for r in rows))
+            index = [params.index(sources[r]) for r in rows]
+            n, steps = 4, _schedule_steps(params, index, shapes[first])
+        group = [models[r] for r in rows]
+        for r, diag in zip(rows, _diagonals(steps, group, n)):
+            out[r] = apply_readout_noise(diag, models[r])
+    return out
+
+
+def _diagonals(steps, models: list[NoiseModel], n: int) -> np.ndarray:
+    """diag(rho) of each model's row after the (run, qubit, cos, sin) steps.
+
+    Each row starts at c_P = 1 on the 2^n strings over {I, Z} (|0...0>) and
+    ends in the per-qubit Walsh map [[1/2, 1/2], [1/2, -1/2]] of its {I, Z}
+    coefficients.
+    """
     iz = (slice(None),) + (slice(None, None, 3),) * n  # the letters I and Z of every qubit
     coeffs = np.zeros((len(models),) + (4,) * n)
     coeffs[iz] = 1.0
-    for gate in circuit.gates:
-        build = _fixed_transfer if gate.angle is None else _transfer
-        transfer = build(gate.name, len(gate.qubits), gate.angle)
-        order = [a for a in range(n + 1) if a - 1 not in gate.qubits] + [1 + q for q in gate.qubits]
-        moved = coeffs.transpose(order)  # the gate's axes last
-        rows = moved.reshape(len(models), 4**n // len(transfer), len(transfer)) @ transfer.T
-        rows[..., 1:] *= keep2 if gate.name == "CNOT" else keep1
-        coeffs = rows.reshape(moved.shape).transpose(sorted(range(n + 1), key=order.__getitem__))
-    walsh = coeffs[iz]
+    coeffs = _evolve(coeffs.reshape(len(models), -1), steps, _scaler(models))
+    walsh = coeffs.reshape(coeffs.shape[:1] + (4,) * n)[iz]
     for axis in range(1, n + 1):
         i, z = np.split(walsh, 2, axis=axis)
         walsh = 0.5 * np.concatenate([i + z, i - z], axis=axis)
-    diags = walsh.reshape(len(models), 2**n)
-    return [apply_readout_noise(diag, model) for diag, model in zip(diags, models)]
+    return walsh.reshape(len(models), 2**n)
 
 
-def _transfer(name: str, k: int, angle: float | None) -> np.ndarray:
-    """R_ab = Tr(P_a U P_b U^dagger) / 2^k of a gate on qubits 0, ..., k - 1."""
-    u = circuit_unitary(Circuit(k, [Gate(name, tuple(range(k)), angle)]))
-    images = (u @ _paulis(k) @ u.conj().T).reshape(4**k, -1)
-    return (_paulis(k).reshape(4**k, -1).conj() @ images.T).real / 2**k  # Tr(A^dagger B) = <A, B>
+def _evolve(coeffs: np.ndarray, steps, scale) -> np.ndarray:
+    """Apply each step to the rows of Pauli coefficients: its run, then its RZ.
+
+    A run is a gather and a per-row scale.  RZ(theta) on qubit q turns each
+    (X_q, Y_q) coefficient pair (x, y) into (cos x - sin y, sin x + cos y)
+    at its row's angle; the last step has no RZ.
+    """
+    for run, q, cos, sin in steps:
+        coeffs = coeffs[:, run.src] * scale(run)
+        if q is not None:
+            view = coeffs.reshape(len(coeffs), 4**q, 4, -1)
+            x, y = view[:, :, 1], view[:, :, 2]
+            view[:, :, 1], view[:, :, 2] = cos * x - sin * y, sin * x + cos * y
+    return coeffs
 
 
-#: `_transfer` of the angle-free gate kinds, built once per kind; shared, never written.
-_fixed_transfer = functools.cache(_transfer)
+def _scaler(models: list[NoiseModel]):
+    """run -> its per-row scale sign * keep1**a * keep2**b, kept for one pass
+    while the run lives: a circuit's runs are dropped as its fold goes on.
+
+    keep = 1 - p d²/(d²-1) at p1 (d = 2) and p2 (d = 4).  keep**e is column e
+    of the running products 1, keep, keep * keep, ...: plain multiplies,
+    which no SIMD dispatch rounds differently, where `np.power` does.
+    """
+    keeps = (1.0 - np.array([m.p1 for m in models]) * 4 / 3,
+             1.0 - np.array([m.p2 for m in models]) * 16 / 15)
+    memo = weakref.WeakKeyDictionary()
+
+    def power(keep, exponents):
+        factors = np.repeat(keep[:, None], exponents.max() + 1, axis=1)
+        factors[:, 0] = 1.0
+        return np.cumprod(factors, axis=1)[:, exponents]
+
+    def scale(run):
+        if run not in memo:
+            memo[run] = run.sign * power(keeps[0], run.a) * power(keeps[1], run.b)
+        return memo[run]
+
+    return scale
+
+
+def _circuit_steps(circuit: Circuit):
+    """The steps of a circuit's own fold, as it goes; every row takes the gates' RZ angles."""
+    for run, rz in _fold(circuit.gates, circuit.n_qubits):
+        if rz is None:
+            yield run, None, None, None
+        else:
+            yield run, rz.qubits[0], np.cos(rz.angle), np.sin(rz.angle)
+
+
+def _schedule_steps(params: list[ModeParams], index: list[int], shape_runs):
+    """The steps of the schedule circuits of rows sharing one sequence of slice shapes.
+
+    Row r takes its angles from the schedule of `params[index[r]]`, of which
+    only the angle columns are kept, SCHEDULE_CHUNK slices at a time.  A
+    slice's first run joins it to the slice before, or to the vacuum
+    preparation.
+    """
+    columns = [np.column_stack(build_schedule(p).angles()) for p in params]
+    prev, start = None, 0
+    for shape, count in shape_runs:
+        runs, qubits, source, coef = _template_fold(shape)
+        for lo in range(start, start + count, SCHEDULE_CHUNK):
+            hi = min(lo + SCHEDULE_CHUNK, start + count)
+            thetas = np.stack([c[lo:hi] for c in columns])[index]
+            angles = 2.0 * (thetas[:, :, source] * coef)  # as `StepTemplate.instantiate`
+            cos, sin = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
+            for i in range(hi - lo):
+                slice_runs = (_junction(prev, shape), *runs[1:-1])
+                for j, (run, q) in enumerate(zip(slice_runs, qubits)):
+                    yield run, q, cos[:, i, j], sin[:, i, j]
+                prev = shape
+        start += count
+    yield _template_fold(prev)[0][-1], None, None, None
+
+
+def _shape_runs(schedule) -> tuple[tuple[bool, int], ...]:
+    """A schedule's slice shapes (with the pair block or not) as (shape, count) runs."""
+    with_pair = (schedule.angles()[1] != 0.0).tolist()
+    return tuple((shape, len(list(run))) for shape, run in itertools.groupby(with_pair))
+
+
+# ---------------------------------------------------------------------------
+# Folds: a Clifford gate permutes the Pauli coefficients with signs, and its
+# depolarizing scales those on its qubits, so a run of gates is one monomial
+# map, composed from index arrays alone.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """The map c -> sign * keep1**a * keep2**b * c[src] of Pauli coefficients.
+
+    Index i of c runs over the 4^n Paulis, one base-4 digit per qubit, qubit 0
+    first, each digit over (I, X, Y, Z).
+    """
+
+    src: np.ndarray
+    sign: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def then(self, other: "_Run") -> "_Run":
+        """This map followed by `other`: exact integer arithmetic."""
+        s = other.src
+        return _Run(self.src[s], other.sign * self.sign[s], other.a + self.a[s], other.b + self.b[s])
+
+
+@functools.cache
+def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
+    """One gate and its depolarizing on an n-qubit register; of an RZ, the depolarizing alone.
+
+    An RZ scales X_q and Y_q alike, so its depolarizing commutes with its
+    rotation and opens the run after it.
+    """
+    index = np.arange(4**n)
+    place = [4 ** (n - 1 - q) for q in qubits]
+    digits = [index // p % 4 for p in place]
+    local = sum(d * 4 ** (len(qubits) - 1 - j) for j, d in enumerate(digits))
+    if name == "RZ":
+        src, sign = index, np.ones(4**n, dtype=int)
+    else:
+        local_src, local_sign = _clifford(name)
+        moved, src, sign = local_src[local], index.copy(), local_sign[local]
+        for j, (p, d) in enumerate(zip(place, digits)):
+            src += (moved // 4 ** (len(qubits) - 1 - j) % 4 - d) * p
+    acts, idle = (local != 0).astype(int), np.zeros(4**n, dtype=int)
+    return _Run(src, sign, *((idle, acts) if name == "CNOT" else (acts, idle)))
+
+
+def _fold(gates, n: int):
+    """Cut a gate list at its RZs: (run, RZ) for the gates before each RZ, then (run, None)."""
+    run = _Run(np.arange(4**n), np.ones(4**n, dtype=int), *np.zeros((2, 4**n), dtype=int))
+    for gate in gates:
+        step = _gate_run(gate.name, gate.qubits, n)
+        if gate.name == "RZ":
+            yield run, gate
+            run = step
+        else:
+            run = run.then(step)
+    yield run, None
+
+
+@functools.lru_cache(maxsize=2)
+def _template_fold(with_pair: bool):
+    """`_fold` of a slice template, with each RZ's angle source and term coefficient."""
+    template = step_template(with_pair)
+    runs, rzs = zip(*_fold(template.gates, 4))
+    _, source, coef = zip(*template.angles)
+    return runs, [rz.qubits[0] for rz in rzs[:-1]], np.array(source), np.array(coef)
+
+
+@functools.cache
+def _junction(before: bool | None, after: bool) -> _Run:
+    """The run from the last RZ of a slice of shape `before` (None: the vacuum
+    preparation) to the first RZ of a slice of shape `after`."""
+    tail = next(_fold(VACUUM_PREP, 4))[0] if before is None else _template_fold(before)[0][-1]
+    return tail.then(_template_fold(after)[0][0])
+
+
+@functools.cache
+def _clifford(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(src, sign) with U^dagger P_a U = sign[a] P_src[a], P_a over the gate's own qubits."""
+    k = GATE_NAMES[name][0]
+    u = circuit_unitary(Circuit(k, [Gate(name, tuple(range(k)))]))
+    paulis = _paulis(k).reshape(4**k, -1)
+    images = (u.conj().T @ _paulis(k) @ u).reshape(4**k, -1)
+    overlap = (images @ paulis.conj().T).real / 2**k  # Tr(P_b^dagger U^dagger P_a U) / 2^k
+    src = np.abs(overlap).argmax(axis=1)
+    return src, np.rint(overlap[np.arange(4**k), src]).astype(int)
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -493,20 +494,22 @@ class TestChecksBeforeAnyRun:
 
 
 class TestNoiseLevelsComputedOnce:
-    """Each x computes the noise levels its rows need in one channel pass."""
+    """A command computes every noise level of every x its rows need in one channel pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The (p1, p2) of every model of every exact-channel pass, in call order."""
+        """The (p1, p2) of every model of every exact-channel pass, in call order;
+        `passes.rows` holds the (x, p2) of every row of each pass."""
         import cosmopair.cli as cli
         import cosmopair.noise as noise
 
-        calls = []
+        calls = _Passes()
         channel = noise.noisy_distributions
 
-        def counted(circuit, models):
+        def counted(sources, models):
             calls.append([(model.p1, model.p2) for model in models])
-            return channel(circuit, models)
+            calls.rows.append([(params.x, model.p2) for params, model in zip(sources, models)])
+            return channel(sources, models)
 
         monkeypatch.setattr(cli, "noisy_distributions", counted)
         monkeypatch.setattr(noise, "noisy_distributions", counted)
@@ -515,15 +518,16 @@ class TestNoiseLevelsComputedOnce:
     def test_noise_study(self, tmp_path, capsys, passes):
         assert main(["noise-study", "--shots", "512", "--out-dir", str(tmp_path)]) == 0
         p2 = 2.8e-3
-        assert len(passes) == 5
-        assert [r[1] for rates in passes for r in rates] == [p2, p2 * 1.5, p2 * 2.0] * 5
+        assert len(passes) == 1
+        assert passes.rows == [[(x, p2 * f) for x in (1.3, 1.5, 1.8, 2.0, 2.2)
+                                for f in (1.0, 1.5, 2.0)]]
 
     def test_golden_sweep_noisy_rows(self, tmp_path, capsys, passes):
         argv = ["sweep", "--x", "1.3,2.3", "--methods", "analytic,noisy,mitigated,zne",
                 "--n-steps", "2", "--shots", "300", "--seed", "7"]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 0
-        assert len(passes) == 2
-        assert sum(map(len, passes)) == 6
+        p2 = 2.8e-3
+        assert passes.rows == [[(x, p2 * f) for x in (1.3, 2.3) for f in (1.0, 1.5, 2.0)]]
 
     def test_noisy_rows_never_scale_the_model(self, tmp_path, capsys, passes):
         assert main(["sweep", "--x", "2.0", "--methods", "noisy", "--factors", "1,500",
@@ -535,6 +539,33 @@ class TestNoiseLevelsComputedOnce:
                      "--out-dir", str(tmp_path)]) == 0
         p2 = 2.8e-3
         assert [[r[1] for r in rates] for rates in passes] == [[p2, p2 * 1.5, p2 * 3.0]]
+
+    def test_deep_rows_are_built_one_group_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # At 20000 slices a schedule is about 0.5 MB.  The slice loop stops
+        # after its first step, once it holds its group's angle columns: this
+        # checks what is held around the evolution, not its arithmetic.
+        import cosmopair.noise as noise
+
+        def first_step_only(coeffs, steps, scale):
+            next(steps)
+            return coeffs
+
+        monkeypatch.setattr(noise, "_evolve", first_step_only)
+        peaks = {}
+        for points in (4, 4, 40):  # the first run fills the caches of the folds
+            argv = ["sweep", "--x-points", str(points), "--methods", "noisy",
+                    "--n-steps", "20000", "--out-dir", str(tmp_path / str(points))]
+            tracemalloc.start()
+            assert main(argv) == 0
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[40] - peaks[4] < 1024 * 1024
+
+
+class _Passes(list):
+    def __init__(self):
+        super().__init__()
+        self.rows = []
 
 
 class TestPerXFiles:

@@ -15,8 +15,9 @@ in the 14th significant digit and their ~2e-14 `leakage` with it; every
 `run_schedule` instead of a gate-by-gate replay of the circuit: `ideal.p_pair`
 moved by about 1e-17 and `ideal.leakage` by about 4e-16, the rounding of a
 different product order; the counts files, and every other digest across
-the change of the noisy channel to Pauli-transfer coefficients, stayed
-byte-identical.  `dump-circuit` has its own golden test in test_cli.py.
+the change of the noisy channel to Pauli-transfer coefficients and then to
+cached Clifford folds (distributions moved by about 3e-14, no draw
+flipped), stayed byte-identical.  `dump-circuit` has its own golden test in test_cli.py.
 
 The windows above hold de Sitter slices only.  The `radiation-*` entries
 start the grid at y_i = -10 with 10 slices, so at x = 2.0 (and at x = 1.3)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bitstrings import dist, labelled
-from dispatch_probe import distributions_digest, wide_simd_targets
+from dispatch_probe import distributions_digest, openblas_core_types, wide_simd_targets
 
 import cosmopair
 from cosmopair.background import ModeParams
@@ -175,6 +175,38 @@ def dense_reference(circuit, models):
         p = np.array([m.p2 if gate.name == "CNOT" else m.p1 for m in models])[:, None, None]
         rho = (1.0 - p) * rho + p / len(paulis) * sum(pauli @ rho @ pauli for pauli in paulis)
     return [apply_readout_noise(r.diagonal().real.copy(), m) for r, m in zip(rho, models)]
+
+
+_GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "CNOT")
+
+
+@st.composite
+def _gates(draw):
+    name = draw(st.sampled_from(_GATE_NAMES))
+    if name == "CNOT":
+        control = draw(st.integers(0, 3))
+        target = draw(st.integers(0, 3).filter(lambda t: t != control))
+        return Gate(name, (control, target))
+    angle = draw(st.floats(-7.0, 7.0)) if name == "RZ" else None
+    return Gate(name, (draw(st.integers(0, 3)),), angle)
+
+
+def mixed_batch():
+    """(sources, models): rows at x in {1.3, 2.2} and N in {1, 3, 10} in one list,
+    at the rate corners keep = 1 (p = 0), keep = 0 (p1 = 3/4, p2 = 15/16)
+    and keep < 0 (p = 1), and under two readouts."""
+    c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+    c1 = c0[::-1, ::-1].copy()
+    models = [
+        NoiseModel.default(4),
+        NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
+        NoiseModel.symmetric(4, epsilon=0.02, p2=15 / 16, p1=0.75),
+        NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
+        NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
+        NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
+    ]
+    params = [ModeParams(x=x, n_steps=n) for x in (1.3, 2.2) for n in (1, 3, 10)]
+    return [p for p in params for _ in models], [m for _ in params for m in models]
 
 
 class TestNoiseModel:
@@ -345,7 +377,7 @@ class TestBatchedRunMatchesReplay:
     def test_memory_does_not_grow_with_gate_count(self):
         # The replay keeps one stored state per gate (G+1 rows of 16); the
         # exact channel keeps the 4**n real Pauli coefficients of each model's
-        # rho, and one small transfer matrix per gate kind, whatever the gate
+        # rho and folds the circuit's gates as it goes, whatever the gate
         # count.
         model = NoiseModel.default(4)
         peaks = {}
@@ -383,7 +415,11 @@ class TestNoisyDistribution:
         c1 = c0[::-1, ::-1].copy()
         model = NoiseModel(readout=(c0, c1, c1, c0), p1=0.0, p2=0.0)
         exact = noisy_distributions(circuit, [model])[0]
-        ideal = apply_readout_noise(probabilities(run_circuit(circuit)), model)
+        # run_circuit's H is the rounded 1/sqrt(2): each H scales the whole
+        # state by the same factor, about 1 - 2.5e-14 in all here.  Dividing
+        # by the total takes that factor out of the reference, not the channel.
+        ideal = probabilities(run_circuit(circuit))
+        ideal = apply_readout_noise(ideal / ideal.sum(), model)
         assert exact.shape == ideal.shape
         assert np.max(np.abs(exact - ideal)) < 1e-14
 
@@ -420,6 +456,26 @@ class TestBatchIsExact:
         # The rows differ, the last two through their readout alone.
         assert len({tuple(row.tolist()) for row in batch}) == len(models)
 
+    def test_rows_at_every_x_equal_one_row_passes(self):
+        sources, models = mixed_batch()
+        batch = noisy_distributions(sources, models)
+        for source, model, row in zip(sources, models, batch):
+            assert np.array_equal(row, noisy_distributions(source, [model])[0])
+
+    @pytest.mark.parametrize(
+        "params",
+        [ModeParams(x=1.3, n_steps=3), ModeParams(x=2.2, n_steps=10),
+         ModeParams(x=2.0, y_i=-10.0, n_steps=10), ModeParams(x=1.3, y_i=-10.0, n_steps=10)],
+        ids=["1.3-3", "2.2-10", "radiation-2.0", "radiation-1.3"],
+    )
+    def test_schedule_rows_equal_the_rows_of_its_circuit(self, params):
+        # The radiation windows end in two radiation slices, so their folds
+        # join slices of both shapes.
+        models = mixed_batch()[1][:6]
+        circuit = build_full_circuit(build_schedule(params))
+        for a, b in zip(noisy_distributions(params, models), noisy_distributions(circuit, models)):
+            assert np.array_equal(a, b)
+
     def test_rejects_a_mismatched_model_in_the_batch(self):
         models = [NoiseModel.default(4), NoiseModel.default(2)]
         with pytest.raises(ValueError, match="model covers 2 qubits"):
@@ -447,6 +503,29 @@ class TestDenseReference:
         for row, ref in zip(exact, reference):
             assert np.max(np.abs(row - ref)) < 1e-13
 
+    def test_one_batch_of_rows_at_every_x(self):
+        sources, models = mixed_batch()
+        exact = noisy_distributions(sources, models)
+        for params in dict.fromkeys(sources):
+            rows = [r for r, source in enumerate(sources) if source == params]
+            circuit = build_full_circuit(build_schedule(params))
+            reference = dense_reference(circuit, [models[r] for r in rows])
+            for r, ref in zip(rows, reference):
+                assert np.max(np.abs(exact[r] - ref)) < 1e-13
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.lists(_gates(), min_size=0, max_size=16),
+        st.lists(st.sampled_from([0.0, 0.01, 0.3, 0.75, 1.0]), min_size=2, max_size=2),
+    )
+    def test_random_gate_lists(self, gates, rates):
+        circuit = Circuit(4, gates)
+        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+        models = [NoiseModel(readout=(c0,) * 4, p1=rates[0], p2=rates[1]),
+                  NoiseModel.symmetric(4, epsilon=0.01, p2=rates[0], p1=rates[1])]
+        for row, ref in zip(noisy_distributions(circuit, models), dense_reference(circuit, models)):
+            assert np.max(np.abs(row - ref)) < 1e-13
+
     def test_hand_built_two_qubit_circuit(self):
         circuit, model = hand_built_two_qubit()
         saturated = NoiseModel(readout=model.readout, p1=1.0, p2=1.0)
@@ -455,43 +534,47 @@ class TestDenseReference:
             assert np.max(np.abs(row - ref)) < 1e-13
 
 
-def test_distributions_do_not_depend_on_numpy_simd_dispatch():
-    """The channel's bytes stay the same with numpy's AVX2/AVX-512 loops disabled.
-
-    Only targets the running numpy reports as enabled are disabled through
-    NPY_DISABLE_CPU_FEATURES (numpy refuses to start when asked to disable a
-    baseline feature).  BLAS chooses its own kernels: the per-gate
-    transfer products and the readout's `tensordot` go through it, so a
-    different OpenBLAS kernel (`OPENBLAS_CORETYPE`) still changes the bytes.
-    """
-    wide = wide_simd_targets()
-    if not wide:
-        pytest.skip("numpy reports no enabled AVX2/AVX-512 dispatch target to disable")
+def _probe(**env) -> list[str]:
+    """The dispatch probe's output, run in a fresh interpreter under `env`."""
     src = str(Path(cosmopair.__file__).resolve().parents[1])
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        "NPY_DISABLE_CPU_FEATURES": " ".join(wide),
+        **env,
     }
     probe = str(Path(__file__).with_name("dispatch_probe.py"))
     out = subprocess.run(
         [sys.executable, probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["-", distributions_digest()]
+    return out.stdout.split()
 
 
-_GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "CNOT")
+def test_distributions_do_not_depend_on_numpy_simd_dispatch():
+    """The channel's bytes stay the same with numpy's AVX2/AVX-512 loops disabled.
+
+    Only targets the running numpy reports as enabled are disabled through
+    NPY_DISABLE_CPU_FEATURES (numpy refuses to start when asked to disable a
+    baseline feature).  The channel's arithmetic is separate real multiplies
+    and adds, `np.cos` and `np.sin`, none of which rounds differently there.
+    """
+    wide = wide_simd_targets()
+    if not wide:
+        pytest.skip("numpy reports no enabled AVX2/AVX-512 dispatch target to disable")
+    assert _probe(NPY_DISABLE_CPU_FEATURES=" ".join(wide)) == ["-", distributions_digest()]
 
 
-@st.composite
-def _gates(draw):
-    name = draw(st.sampled_from(_GATE_NAMES))
-    if name == "CNOT":
-        control = draw(st.integers(0, 3))
-        target = draw(st.integers(0, 3).filter(lambda t: t != control))
-        return Gate(name, (control, target))
-    angle = draw(st.floats(-7.0, 7.0)) if name == "RZ" else None
-    return Gate(name, (draw(st.integers(0, 3)),), angle)
+def test_distributions_do_not_depend_on_the_blas_kernel():
+    """The channel's bytes stay the same whichever kernel OpenBLAS runs.
+
+    The probe runs once per OPENBLAS_CORETYPE this CPU can execute (SSE3,
+    AVX2, AVX-512 kernels): the channel makes no BLAS product, and the
+    readout is per-qubit multiplies and adds, not `tensordot`.
+    """
+    cores = openblas_core_types()
+    if len(cores) < 2:
+        pytest.skip(f"this CPU runs {len(cores)} of the OpenBLAS core types compared")
+    digests = {core: _probe(OPENBLAS_CORETYPE=core)[-1] for core in cores}
+    assert set(digests.values()) == {distributions_digest()}, digests
 
 
 class TestBatchedKernels:

@@ -23,6 +23,14 @@ The windows above hold de Sitter slices only.  The `radiation-*` entries
 start the grid at y_i = -10 with 10 slices, so at x = 2.0 (and at x = 1.3)
 the last two slices are radiation slices: they pin the radiation branch of
 the schedule dump, of circuit synthesis and of every sweep method.
+
+The `chunk-*` entries pin where the fast engines cut a schedule into
+batches.  Over y_i = -2.5 with 257 slices the first radiation slice is 96
+(x = 1.3) and 51 (x = 2.0), so the radiation runs cross the batch bounds at
+128 and 256 and end in a one-slice batch.  `run_schedule`'s bytes depend on
+the size of each stack of slice unitaries, so a batch cut anywhere else
+moves the last digits of the `statevector` rows; the
+de-Sitter-only and ten-slice windows above cannot see that.
 """
 
 import hashlib
@@ -91,6 +99,31 @@ GOLDEN = {
         {
             "sweep.csv": "7caef705571ff4b7822850ae1d0109ca45634cb1dfa8f731dad6eebd59a6a11f",
             "sweep.json": "d7063aa553627157c3ae3d54f108562f89845f4937ef212eb7890be0372e3b94",
+        },
+    ),
+    "chunk-sweep": (
+        ["sweep", "--x", "1.3,2.0", "--y-i=-2.5",
+         "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
+         "--n-steps", "257", "--shots", "300", "--seed", "7"],
+        {
+            "sweep.csv": "e464b46a59aa9c81f0aa8005097adb0a9ca5a1f6dad344e882c2df74d8686f82",
+            "sweep.json": "3a99ffa7a53f7c08aebe845748baca69cf91d4ca2955b0ada4752d1ec7ebddc5",
+        },
+    ),
+    "chunk-dump-circuit": (
+        ["dump-circuit", "--x", "1.3,2.0", "--y-i=-2.5", "--n-steps", "257"],
+        {
+            "circuit_x1.3_n257.txt": "ae974bab2efd0d48c53959c8ea5b560ea3192b4a74e7a3e01f0ec42c76dba2c5",
+            "circuit_x2_n257.txt": "8184f9ce98303ad00333fbafd8809b8e41b14286bc8c9cc68ef0356017e9bd47",
+        },
+    ),
+    "chunk-noise-study": (
+        ["noise-study", "--x", "1.3,2.0", "--y-i=-2.5", "--n-steps", "257",
+         "--shots", "300", "--seed", "5"],
+        {
+            "counts_x1.3.csv": "53746989ac52eb5e099a75967929d2a94d2e30d353cd7d9a8ab2333c87c6d613",
+            "counts_x2.csv": "d93de849e91b7cb75f2394deb639295c9180688e41306b2bbae80dd62d9969b6",
+            "noise_study.json": "70d8aaa54bf49091809e3c4ab9100112da57e619246172ce5326a42b623ab3c8",
         },
     ),
 }

@@ -27,8 +27,10 @@ __all__ = [
     "pauli_to_matrix",
     "synthesize_pauli_rotation",
     "VACUUM_PREP",
+    "SCHEDULE_CHUNK",
     "StepTemplate",
     "step_template",
+    "slice_chunks",
     "synthesize_step",
     "build_full_circuit",
     "phase_aligned_distance",
@@ -173,28 +175,37 @@ VACUUM_PREP = (Gate("X", (1,)), Gate("X", (3,)))
 #: Index of the angle source of a template RZ: theta_z_half or theta_a.
 THETA_ZH, THETA_A = 0, 1
 
+#: Slices per batch of `slice_chunks`; fixes the engines' working set whatever the step count.
+SCHEDULE_CHUNK = 128
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class StepTemplate:
-    """The gate sequence of one slice with its RZ angles left symbolic.
+    """The gate sequence of one slice, cut at its RZ gates.
 
     Every slice of a given shape emits the same gates; only the RZ angles
-    change.  `gates` holds the slice with each RZ angle set to 0.0, and
-    `angles` lists, per RZ, its position, its angle source (THETA_ZH or
-    THETA_A) and the term coefficient, so the RZ angle of a concrete slice
-    is 2.0 * (theta * coeff).
+    change.  `runs` holds the fixed gate runs before, between and after the
+    RZs (one more run than RZs, any of them maybe empty), and `rzs` lists,
+    per RZ in gate order, its qubit, its angle source (THETA_ZH or THETA_A)
+    and its term coefficient.  The circuit builder and both fast engines
+    take the cut from here.
     """
 
-    gates: tuple[Gate, ...]
-    angles: tuple[tuple[int, int, float], ...]
+    runs: tuple[tuple[Gate, ...], ...]
+    rzs: tuple[tuple[int, int, float], ...]
 
-    def instantiate(self, theta_zh: float, theta_a: float) -> list[Gate]:
-        """The slice's gates with every RZ angle filled in."""
-        gates = list(self.gates)
-        thetas = (theta_zh, theta_a)
-        for i, source, coeff in self.angles:
-            angle = 2.0 * (thetas[source] * coeff)
-            gates[i] = Gate("RZ", gates[i].qubits, angle=angle)
+    def rz_angles(self, thetas) -> np.ndarray:
+        """RZ angles 2 * (theta * coeff) of (theta_zh, theta_a) rows, one column per RZ."""
+        source = [s for _, s, _ in self.rzs]
+        coeff = np.array([c for _, _, c in self.rzs])
+        return 2.0 * (np.asarray(thetas, dtype=float)[:, source] * coeff)
+
+    def instantiate(self, angles) -> list[Gate]:
+        """The slice's gates with the RZs at `angles`, one `rz_angles` row."""
+        gates = list(self.runs[0])
+        for (q, _, _), angle, run in zip(self.rzs, angles, self.runs[1:]):
+            gates.append(Gate("RZ", (q,), angle=angle))
+            gates += run
         return gates
 
 
@@ -207,14 +218,33 @@ def step_template(with_pair: bool) -> StepTemplate:
     """
     z_terms = [(t, THETA_ZH) for t in zq_pauli_sum() if not t.is_identity]
     a_terms = [(t, THETA_A) for t in aq_pauli_sum()] if with_pair else []
-    gates: list[Gate] = []
-    angles = []
+    runs, rzs, run = [], [], []
     for term, source in z_terms + a_terms + z_terms:
-        fragment = synthesize_pauli_rotation(term, 0.0)
-        rz = next(i for i, g in enumerate(fragment) if g.name == "RZ")
-        angles.append((len(gates) + rz, source, term.coeff))
-        gates.extend(fragment)
-    return StepTemplate(gates=tuple(gates), angles=tuple(angles))
+        for gate in synthesize_pauli_rotation(term, 0.0):
+            if gate.name == "RZ":
+                runs.append(tuple(run))
+                rzs.append((gate.qubits[0], source, term.coeff))
+                run = []
+            else:
+                run.append(gate)
+    return StepTemplate(runs=(*runs, tuple(run)), rzs=tuple(rzs))
+
+
+def slice_chunks(schedule):
+    """(template, rz_angles) of each run of consecutive slices of one shape.
+
+    A run ends at every multiple of SCHEDULE_CHUNK and where the schedule
+    switches from de Sitter to radiation slices, and nowhere else.  The RZ
+    angles are a float64 array, one row per slice; an empty sequence yields
+    nothing.
+    """
+    for start in range(0, len(schedule), SCHEDULE_CHUNK):
+        radiation = schedule.radiation[start:start + SCHEDULE_CHUNK]
+        thetas = np.column_stack(schedule.angles(start, start + SCHEDULE_CHUNK))
+        cuts = [0, *(np.flatnonzero(radiation[1:] != radiation[:-1]) + 1).tolist(), len(thetas)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            template = step_template(not radiation[lo])
+            yield template, template.rz_angles(thetas[lo:hi])
 
 
 def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
@@ -225,20 +255,21 @@ def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
     (theta_a = 0) emit no four-qubit rotations at all, leaving a purely
     diagonal circuit.
     """
-    return Circuit(4, step_template(theta_a != 0.0).instantiate(theta_zh, theta_a))
+    template = step_template(theta_a != 0.0)
+    return Circuit(4, template.instantiate(template.rz_angles([[theta_zh, theta_a]])[0].tolist()))
 
 
 def build_full_circuit(schedule) -> Circuit:
     """Vacuum preparation followed by one template instance per slice.
 
-    Walks a CoeffSchedule's angle columns as Python floats, so every RZ angle
-    is a float; each gate is range-checked once, by the returned Circuit.  An
-    empty sequence gives the preparation-only circuit.
+    Walks `slice_chunks`, so every RZ angle is a Python float; each gate is
+    range-checked once, by the returned Circuit.  An empty sequence gives
+    the preparation-only circuit.
     """
     gates = list(VACUUM_PREP)
-    slices = zip(*(a.tolist() for a in schedule.angles())) if len(schedule) else ()
-    for theta_zh, theta_a in slices:
-        gates += step_template(theta_a != 0.0).instantiate(theta_zh, theta_a)
+    for template, angles in slice_chunks(schedule):
+        for row in angles.tolist():
+            gates += template.instantiate(row)
     return Circuit(4, gates)
 
 

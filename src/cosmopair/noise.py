@@ -37,7 +37,6 @@ circuit and noise level.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import weakref
 from collections.abc import Sequence
@@ -47,9 +46,9 @@ import numpy as np
 
 from .background import ModeParams
 from .circuits import GATE_NAMES, Circuit, Gate
-from .encoding import VACUUM_PREP, PauliString, pauli_to_matrix, step_template
+from .encoding import VACUUM_PREP, PauliString, StepTemplate, pauli_to_matrix, slice_chunks
 from .schedule import build_schedule
-from .statevector import SCHEDULE_CHUNK, circuit_unitary
+from .statevector import circuit_unitary
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
@@ -172,16 +171,16 @@ def noisy_distributions(
     `sources` holds one circuit per model, or is one circuit for every model.
     A `ModeParams` stands for `build_full_circuit(build_schedule(params))`,
     which is never built: its schedule is built when its rows run, and its
-    slices apply their templates' folds.  Rows whose circuits have the same
-    sequence of slice shapes (a `Circuit`: the same object) run as one batch,
-    one group at a time.  A row's arithmetic is that of a batch of one, bit
+    slices apply their templates' folds.  Rows whose schedules `slice_chunks`
+    cuts alike (a `Circuit`: the same object) run as one batch, one group at
+    a time.  A row's arithmetic is that of a batch of one, bit
     for bit.  Limited to 12 qubits: 4**n coefficients per row.
     """
     if isinstance(sources, (Circuit, ModeParams)):
         sources = [sources] * len(models)
     if len(sources) != len(models):
         raise ValueError(f"{len(sources)} circuits for {len(models)} noise models")
-    shapes, groups = {}, {}
+    cuts, groups = {}, {}
     for row, (source, model) in enumerate(zip(sources, models)):
         n = source.n_qubits if isinstance(source, Circuit) else 4
         if n != model.n_qubits:
@@ -191,9 +190,11 @@ def noisy_distributions(
         if isinstance(source, Circuit):
             key = id(source)
         else:
-            if source not in shapes:  # built and dropped: a group keeps only its angle columns
-                shapes[source] = _shape_runs(build_schedule(source))
-            key = shapes[source]
+            if source not in cuts:  # built and dropped: only a running group holds its schedules
+                radiation = build_schedule(source).radiation
+                changes = np.flatnonzero(radiation[1:] != radiation[:-1])
+                cuts[source] = (len(radiation), bool(radiation[0]), tuple(changes.tolist()))
+            key = cuts[source]
         groups.setdefault(key, []).append(row)
     out = [None] * len(models)
     for rows in groups.values():
@@ -203,7 +204,7 @@ def noisy_distributions(
         else:
             params = list(dict.fromkeys(sources[r] for r in rows))
             index = [params.index(sources[r]) for r in rows]
-            n, steps = 4, _schedule_steps(params, index, shapes[first])
+            n, steps = 4, _schedule_steps(params, index)
         group = [models[r] for r in rows]
         for r, diag in zip(rows, _diagonals(steps, group, n)):
             out[r] = apply_readout_noise(diag, models[r])
@@ -278,36 +279,25 @@ def _circuit_steps(circuit: Circuit):
             yield run, rz.qubits[0], np.cos(rz.angle), np.sin(rz.angle)
 
 
-def _schedule_steps(params: list[ModeParams], index: list[int], shape_runs):
-    """The steps of the schedule circuits of rows sharing one sequence of slice shapes.
+def _schedule_steps(params: list[ModeParams], index: list[int]):
+    """The steps of the schedule circuits of rows whose schedules are cut alike.
 
-    Row r takes its angles from the schedule of `params[index[r]]`, of which
-    only the angle columns are kept, SCHEDULE_CHUNK slices at a time.  A
-    slice's first run joins it to the slice before, or to the vacuum
-    preparation.
+    Row r takes its RZ angles from the schedule of `params[index[r]]`, one
+    `slice_chunks` run at a time.  A slice's first run joins it to the slice
+    before, or to the vacuum preparation.
     """
-    columns = [np.column_stack(build_schedule(p).angles()) for p in params]
-    prev, start = None, 0
-    for shape, count in shape_runs:
-        runs, qubits, source, coef = _template_fold(shape)
-        for lo in range(start, start + count, SCHEDULE_CHUNK):
-            hi = min(lo + SCHEDULE_CHUNK, start + count)
-            thetas = np.stack([c[lo:hi] for c in columns])[index]
-            angles = 2.0 * (thetas[:, :, source] * coef)  # as `StepTemplate.instantiate`
-            cos, sin = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
-            for i in range(hi - lo):
-                slice_runs = (_junction(prev, shape), *runs[1:-1])
-                for j, (run, q) in enumerate(zip(slice_runs, qubits)):
-                    yield run, q, cos[:, i, j], sin[:, i, j]
-                prev = shape
-        start += count
-    yield _template_fold(prev)[0][-1], None, None, None
-
-
-def _shape_runs(schedule) -> tuple[tuple[bool, int], ...]:
-    """A schedule's slice shapes (with the pair block or not) as (shape, count) runs."""
-    with_pair = (schedule.angles()[1] != 0.0).tolist()
-    return tuple((shape, len(list(run))) for shape, run in itertools.groupby(with_pair))
+    prev = None
+    for chunks in zip(*(slice_chunks(build_schedule(p)) for p in params)):
+        template = chunks[0][0]
+        runs = _template_fold(template)
+        angles = np.stack([a for _, a in chunks])[index]
+        cos, sin = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
+        for i in range(angles.shape[1]):
+            slice_runs = (_junction(prev, template), *runs[1:-1])
+            for j, (run, (q, _, _)) in enumerate(zip(slice_runs, template.rzs)):
+                yield run, q, cos[:, i, j], sin[:, i, j]
+            prev = template
+    yield _template_fold(prev)[-1], None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +361,17 @@ def _fold(gates, n: int):
 
 
 @functools.lru_cache(maxsize=2)
-def _template_fold(with_pair: bool):
-    """`_fold` of a slice template, with each RZ's angle source and term coefficient."""
-    template = step_template(with_pair)
-    runs, rzs = zip(*_fold(template.gates, 4))
-    _, source, coef = zip(*template.angles)
-    return runs, [rz.qubits[0] for rz in rzs[:-1]], np.array(source), np.array(coef)
+def _template_fold(template: StepTemplate) -> tuple[_Run, ...]:
+    """The runs of `_fold` of a slice template: one per fixed run of its cut."""
+    return tuple(run for run, _ in _fold(template.instantiate([0.0] * len(template.rzs)), 4))
 
 
 @functools.cache
-def _junction(before: bool | None, after: bool) -> _Run:
-    """The run from the last RZ of a slice of shape `before` (None: the vacuum
-    preparation) to the first RZ of a slice of shape `after`."""
-    tail = next(_fold(VACUUM_PREP, 4))[0] if before is None else _template_fold(before)[0][-1]
-    return tail.then(_template_fold(after)[0][0])
+def _junction(before: StepTemplate | None, after: StepTemplate) -> _Run:
+    """The run from the last RZ of slice template `before` (None: the vacuum
+    preparation) to the first RZ of `after`."""
+    tail = next(_fold(VACUUM_PREP, 4))[0] if before is None else _template_fold(before)[-1]
+    return tail.then(_template_fold(after)[0])
 
 
 @functools.cache

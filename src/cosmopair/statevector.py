@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .encoding import VACUUM_PREP, step_template
+from .encoding import VACUUM_PREP, StepTemplate, slice_chunks
 from .subspace import PHYS_INDICES
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "Observables",
     "run_circuit",
     "run_schedule",
-    "SCHEDULE_CHUNK",
     "probabilities",
     "check_shots",
     "sample_counts",
@@ -116,48 +115,41 @@ def run_circuit(circuit: Circuit) -> np.ndarray:
 # Segment engine for schedule circuits
 # ---------------------------------------------------------------------------
 
-#: Slices built per batch; fixes the working set whatever the step count.
-SCHEDULE_CHUNK = 128
-
 _DIM = 16  # four-qubit register
 
 
 @functools.lru_cache(maxsize=2)
-def _slice_segments(with_pair: bool) -> tuple[tuple[np.ndarray, ...], ...]:
-    """A slice template cut at its RZ gates, as (run, coef, neg) steps.
+def _slice_segments(template: StepTemplate) -> tuple[tuple[np.ndarray, ...], ...]:
+    """`template` as (run, rzs, neg) steps, one per fixed run of its cut.
 
     A run is the `circuit_unitary` of the gates before a group of RZs; the
-    last step's group is empty.  The group's r-th RZ(2 theta c), on qubit q,
-    is exp(1j * thetas @ coef[r]), coef[r] = c at its angle source, taken
-    conjugate where neg[:, r] is 1 (q's bit is 0).  A permutation run P, an
-    empty run included, is folded into the step before it, as
+    last step's group is empty.  `rzs` indexes the group's RZs in
+    `template.rzs`; RZ(angle) on qubit q is exp(0.5j * angle), taken
+    conjugate where its `neg` column is 1 (q's bit is 0).  A permutation run
+    P, an empty run included, is folded into the step before it, as
     P diag(d) = diag(P d) P: the radiation shape becomes one diagonal.
     """
-    template = step_template(with_pair)
-    gates, index = list(template.gates), np.arange(_DIM)[:, None]
-    steps, start = [], 0
-    for i, source, c in template.angles:  # in gate order
-        neg = 1.0 * (index & (8 >> gates[i].qubits[0]) == 0)
-        steps.append((circuit_unitary(Circuit(4, gates[start:i])), np.eye(2)[[source]] * c, neg))
-        start = i + 1
-    steps.append((circuit_unitary(Circuit(4, gates[start:])), np.zeros((0, 2)), np.zeros((_DIM, 0))))
+    index = np.arange(_DIM)[:, None]
+    steps = [(circuit_unitary(Circuit(4, list(run))), [r], 1.0 * (index & (8 >> q) == 0))
+             for r, (run, (q, _, _)) in enumerate(zip(template.runs, template.rzs))]
+    steps.append((circuit_unitary(Circuit(4, list(template.runs[-1]))), [], np.zeros((_DIM, 0))))
     for k in range(len(steps) - 1, 0, -1):
-        (head, coef, neg), (perm, next_coef, next_neg) = steps[k - 1], steps[k]
+        (head, rzs, neg), (perm, next_rzs, next_neg) = steps[k - 1], steps[k]
         if np.all((perm == 0) | (perm == 1)):
             neg = np.hstack([perm.real @ neg, next_neg])
-            steps[k - 1:k + 1] = [(perm @ head, np.vstack([coef, next_coef]), neg)]
-    return tuple((run, coef, neg.astype(int)) for run, coef, neg in steps)
+            steps[k - 1:k + 1] = [(perm @ head, rzs + next_rzs, neg)]
+    return tuple((run, np.array(rzs, dtype=int), neg.astype(int)) for run, rzs, neg in steps)
 
 
-def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
-    """(len(thetas), 16, 16) stack of slice unitaries for (theta_zh, theta_a) rows."""
-    def scale(u, coef, neg):  # one exp per RZ and slice, as in the gate itself
-        phase = np.exp(1j * (thetas @ coef.T))
+def _slice_unitaries(template: StepTemplate, angles: np.ndarray) -> np.ndarray:
+    """(len(angles), 16, 16) stack of `template`'s slice unitaries at rows of its RZ angles."""
+    def scale(u, rzs, neg):  # one exp per RZ and slice, as in the gate itself
+        phase = np.exp(0.5j * angles[:, rzs])
         both = np.stack([phase, phase.conj()], axis=1)
-        return both[:, neg, np.arange(len(coef))].prod(axis=2)[:, :, None] * u
+        return both[:, neg, np.arange(len(rzs))].prod(axis=2)[:, :, None] * u
 
-    (run, *group), *steps = _slice_segments(with_pair)
-    u = np.broadcast_to(run, (len(thetas), _DIM, _DIM))
+    (run, *group), *steps = _slice_segments(template)
+    u = np.broadcast_to(run, (len(angles), _DIM, _DIM))
     for run, *next_group in steps:
         u = run @ scale(u, *group)  # a stack of 16x16 products: see module docstring
         group = next_group
@@ -167,21 +159,14 @@ def _slice_unitaries(with_pair: bool, thetas: np.ndarray) -> np.ndarray:
 def run_schedule(schedule) -> np.ndarray:
     """Final amplitudes of `build_full_circuit(schedule)`, without building it.
 
-    Builds SCHEDULE_CHUNK slice unitaries at a time from their angle columns
-    and the templates' segments, and chains them on the prepared vacuum.
+    Builds the slice unitaries of each `slice_chunks` run from its RZ angles
+    and its template's segments, and chains them on the prepared vacuum.
     Agrees with gate-by-gate `run_circuit` to rounding; an empty sequence
     gives the prepared vacuum.
     """
     amps = run_circuit(Circuit(4, list(VACUUM_PREP)))
-    for start in range(0, len(schedule), SCHEDULE_CHUNK):
-        thetas = np.column_stack(schedule.angles(start, start + SCHEDULE_CHUNK))
-        with_pair = thetas[:, 1] != 0.0
-        blocks = np.empty((len(thetas), _DIM, _DIM), dtype=complex)
-        for shape in (False, True):
-            rows = np.nonzero(with_pair == shape)[0]
-            if rows.size:
-                blocks[rows] = _slice_unitaries(shape, thetas[rows])
-        for block in blocks:
+    for template, angles in slice_chunks(schedule):
+        for block in _slice_unitaries(template, angles):
             amps = block @ amps
     return amps
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bitstrings import dist, labelled
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
+import cosmopair.encoding as encoding
 from cosmopair.encoding import StepTemplate, build_full_circuit, step_template
 from cosmopair.schedule import build_schedule
 import cosmopair.statevector as statevector
@@ -306,12 +307,12 @@ class TestRunSchedule:
         # radiation switch falls strictly inside one of them.
         sched = SCHEDULE_WINDOWS["default"](1000)
         first = int(np.argmax(sched.radiation))
-        assert len(sched) > statevector.SCHEDULE_CHUNK
-        assert first % statevector.SCHEDULE_CHUNK != 0
+        assert len(sched) > encoding.SCHEDULE_CHUNK
+        assert first % encoding.SCHEDULE_CHUNK != 0
 
     def test_small_chunks(self, monkeypatch):
         # Chunks of 4 over 7 slices, the radiation slice inside the second.
-        monkeypatch.setattr(statevector, "SCHEDULE_CHUNK", 4)
+        monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", 4)
         sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=7))
         assert sched.radiation[-2:].tolist() == [False, True]
         assert _max_amplitude_diff(sched) < 1e-12
@@ -324,63 +325,55 @@ class TestRunSchedule:
         ),
     )
     def test_blocks_match_instantiated_template(self, with_pair, thetas):
-        blocks = statevector._slice_unitaries(with_pair, np.array(thetas))
         template = step_template(with_pair)
-        for block, (theta_zh, theta_a) in zip(blocks, thetas):
-            gatewise = circuit_unitary(Circuit(4, template.instantiate(theta_zh, theta_a)))
+        angles = template.rz_angles(thetas)
+        blocks = statevector._slice_unitaries(template, angles)
+        for block, row in zip(blocks, angles.tolist()):
+            gatewise = circuit_unitary(Circuit(4, template.instantiate(row)))
             assert np.max(np.abs(block - gatewise)) < 1e-14
 
-    def test_segments_of_permuting_runs(self, monkeypatch):
+    @staticmethod
+    def _assert_blocks_match(template):
+        angles = template.rz_angles([[0.3, -0.7], [1.1, 0.05]])
+        for block, row in zip(statevector._slice_unitaries(template, angles), angles.tolist()):
+            gatewise = circuit_unitary(Circuit(4, template.instantiate(row)))
+            assert np.max(np.abs(block - gatewise)) < 1e-14
+
+    def test_segments_of_permuting_runs(self):
         # The real templates open with an RZ; this one opens with a fixed
         # run, and its runs permute and hold H.
-        gates = (
-            Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)), Gate("RZ", (1,), angle=0.0),
-            Gate("X", (2,)), Gate("S", (3,)), Gate("H", (1,)), Gate("CNOT", (1, 3)),
-            Gate("SDG", (0,)), Gate("RZ", (3,), angle=0.0), Gate("H", (0,)),
-            Gate("CNOT", (3, 2)),
-        )  # the first run's permutation is a 3-cycle, not an involution
-        template = StepTemplate(gates=gates, angles=((2, 0, 0.25), (8, 1, -0.125)))
-        monkeypatch.setattr(statevector, "step_template", lambda with_pair: template)
-        statevector._slice_segments.cache_clear()
-        try:
-            thetas = np.array([[0.3, -0.7], [1.1, 0.05]])
-            blocks = statevector._slice_unitaries(True, thetas)
-            for block, (theta_zh, theta_a) in zip(blocks, thetas):
-                gatewise = circuit_unitary(
-                    Circuit(4, template.instantiate(theta_zh, theta_a))
-                )
-                assert np.max(np.abs(block - gatewise)) < 1e-14
-        finally:
-            statevector._slice_segments.cache_clear()
+        template = StepTemplate(
+            runs=(
+                (Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))),
+                (Gate("X", (2,)), Gate("S", (3,)), Gate("H", (1,)), Gate("CNOT", (1, 3)),
+                 Gate("SDG", (0,))),
+                (Gate("H", (0,)), Gate("CNOT", (3, 2))),
+            ),  # the first run's permutation is a 3-cycle, not an involution
+            rzs=((1, 0, 0.25), (3, 1, -0.125)),
+        )
+        self._assert_blocks_match(template)
 
-    def test_folded_permutations_keep_gate_order(self, monkeypatch):
+    def test_folded_permutations_keep_gate_order(self):
         # Each permutation run here fails to commute with the run before it,
         # into which it is folded; the last run is one of them.
-        gates = (
-            Gate("H", (0,)), Gate("RZ", (0,), angle=0.0), Gate("CNOT", (0, 1)),
-            Gate("X", (2,)), Gate("RZ", (1,), angle=0.0), Gate("CNOT", (1, 2)),
-            Gate("H", (1,)), Gate("RZ", (2,), angle=0.0), Gate("CNOT", (2, 0)),
+        template = StepTemplate(
+            runs=(
+                (Gate("H", (0,)),),
+                (Gate("CNOT", (0, 1)), Gate("X", (2,))),
+                (Gate("CNOT", (1, 2)), Gate("H", (1,))),
+                (Gate("CNOT", (2, 0)),),
+            ),
+            rzs=((0, 0, 0.5), (1, 1, -0.25), (2, 0, 0.125)),
         )
-        template = StepTemplate(gates=gates, angles=((1, 0, 0.5), (4, 1, -0.25), (7, 0, 0.125)))
-        monkeypatch.setattr(statevector, "step_template", lambda with_pair: template)
-        statevector._slice_segments.cache_clear()
-        try:
-            assert len(statevector._slice_segments(True)) == 2
-            thetas = np.array([[0.3, -0.7], [1.1, 0.05]])
-            for block, (theta_zh, theta_a) in zip(
-                statevector._slice_unitaries(True, thetas), thetas
-            ):
-                gatewise = circuit_unitary(Circuit(4, template.instantiate(theta_zh, theta_a)))
-                assert np.max(np.abs(block - gatewise)) < 1e-14
-        finally:
-            statevector._slice_segments.cache_clear()
+        assert len(statevector._slice_segments(template)) == 2
+        self._assert_blocks_match(template)
 
     def test_permuting_runs_fold_away(self):
         # CNOT ladders fold into their neighbours: the radiation shape is one
         # diagonal, the pair shape one stacked product per basis change.
-        (run, coef, neg), = statevector._slice_segments(False)
-        assert np.array_equal(run, np.eye(16)) and coef.shape == (12, 2)
-        assert len(statevector._slice_segments(True)) == 10
+        (run, rzs, neg), = statevector._slice_segments(step_template(False))
+        assert np.array_equal(run, np.eye(16)) and rzs.shape == (12,)
+        assert len(statevector._slice_segments(step_template(True))) == 10
 
     def test_empty_schedule_is_prepared_vacuum(self):
         amps = run_schedule([])

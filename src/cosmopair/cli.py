@@ -203,9 +203,9 @@ def _noisy_levels(xs: list[float], args, n_steps: int, model: NoiseModel,
     under `model.scaled(f)` for every x and each distinct f in `factors`, all
     of them in one channel call."""
     factors = tuple(dict.fromkeys(factors))
+    models = [model.scaled(f) for f in factors]  # one per level, shared by every x
     params = [_mode_params(x, args, n_steps) for x in xs]
-    rows = iter(noisy_distributions([p for p in params for _ in factors],
-                                    [model.scaled(f) for _ in params for f in factors]))
+    rows = iter(noisy_distributions([p for p in params for _ in models], models * len(params)))
     return {x: {f: next(rows) for f in factors} for x in xs}
 
 

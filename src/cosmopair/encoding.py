@@ -8,6 +8,10 @@ four-letter strings over {X, Y} with coefficients +-1/8.  All eight strings
 commute (any two differ in an even number of positions), so the product of
 their individual rotations reproduces the pair-generator exponential exactly
 and each time slice maps to one fixed gate block with step-dependent angles.
+
+`step_template` cuts each block shape at its RZ gates (`StepTemplate`,
+whose `rz_angles` is the one RZ-angle formula), and `slice_chunks` walks a
+schedule in runs of one shape for the circuit builder and both fast engines.
 """
 
 from __future__ import annotations
@@ -186,13 +190,12 @@ class StepTemplate:
     Every slice of a given shape emits the same gates; only the RZ angles
     change.  `runs` holds the fixed gate runs before, between and after the
     RZs (one more run than RZs, any of them maybe empty), and `rzs` lists,
-    per RZ in gate order, its qubit, its angle source (THETA_ZH or THETA_A)
-    and its term coefficient.  The circuit builder and both fast engines
-    take the cut from here.
+    per RZ in gate order, its `Gate.qubits` (shared by every instance),
+    angle source and term coefficient.
     """
 
     runs: tuple[tuple[Gate, ...], ...]
-    rzs: tuple[tuple[int, int, float], ...]
+    rzs: tuple[tuple[tuple[int], int, float], ...]
 
     def rz_angles(self, thetas) -> np.ndarray:
         """RZ angles 2 * (theta * coeff) of (theta_zh, theta_a) rows, one column per RZ."""
@@ -202,10 +205,11 @@ class StepTemplate:
 
     def instantiate(self, angles) -> list[Gate]:
         """The slice's gates with the RZs at `angles`, one `rz_angles` row."""
-        gates = list(self.runs[0])
-        for (q, _, _), angle, run in zip(self.rzs, angles, self.runs[1:]):
-            gates.append(Gate("RZ", (q,), angle=angle))
+        gates = []
+        for run, (qubits, _, _), angle in zip(self.runs, self.rzs, angles):
             gates += run
+            gates.append(Gate("RZ", qubits, angle=angle))
+        gates += self.runs[-1]
         return gates
 
 
@@ -218,25 +222,21 @@ def step_template(with_pair: bool) -> StepTemplate:
     """
     z_terms = [(t, THETA_ZH) for t in zq_pauli_sum() if not t.is_identity]
     a_terms = [(t, THETA_A) for t in aq_pauli_sum()] if with_pair else []
-    runs, rzs, run = [], [], []
+    runs, rzs = [()], []
     for term, source in z_terms + a_terms + z_terms:
-        for gate in synthesize_pauli_rotation(term, 0.0):
-            if gate.name == "RZ":
-                runs.append(tuple(run))
-                rzs.append((gate.qubits[0], source, term.coeff))
-                run = []
-            else:
-                run.append(gate)
-    return StepTemplate(runs=(*runs, tuple(run)), rzs=tuple(rzs))
+        fragment = synthesize_pauli_rotation(term, 0.0)
+        i = next(i for i, g in enumerate(fragment) if g.name == "RZ")
+        runs[-1] += tuple(fragment[:i])
+        runs.append(tuple(fragment[i + 1:]))
+        rzs.append((fragment[i].qubits, source, term.coeff))
+    return StepTemplate(runs=tuple(runs), rzs=tuple(rzs))
 
 
 def slice_chunks(schedule):
-    """(template, rz_angles) of each run of consecutive slices of one shape.
+    """(template, rz_angles) of each run of slices of one shape, one row per slice.
 
     A run ends at every multiple of SCHEDULE_CHUNK and where the schedule
-    switches from de Sitter to radiation slices, and nowhere else.  The RZ
-    angles are a float64 array, one row per slice; an empty sequence yields
-    nothing.
+    turns from de Sitter to radiation slices, and nowhere else.
     """
     for start in range(0, len(schedule), SCHEDULE_CHUNK):
         radiation = schedule.radiation[start:start + SCHEDULE_CHUNK]
@@ -262,9 +262,9 @@ def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
 def build_full_circuit(schedule) -> Circuit:
     """Vacuum preparation followed by one template instance per slice.
 
-    Walks `slice_chunks`, so every RZ angle is a Python float; each gate is
-    range-checked once, by the returned Circuit.  An empty sequence gives
-    the preparation-only circuit.
+    Walks `slice_chunks` and takes each row of RZ angles as Python floats;
+    each gate is range-checked once, by the returned Circuit.  An empty
+    sequence gives the preparation-only circuit.
     """
     gates = list(VACUUM_PREP)
     for template, angles in slice_chunks(schedule):

@@ -22,10 +22,10 @@ qubits by keep = 1 - p d²/(d²-1).  So every gate between two RZs, with its
 depolarizing, folds into one map: a gather, a sign and keep1**a * keep2**b
 with integer exponents a, b that no rate or angle enters.  Each RZ is a
 cos/sin rotation of the (X_q, Y_q) coefficient pairs at each row's own
-angle.  The folds of the two slice templates are built from index
-arithmetic on first use and kept, so a slice costs about 20 rotations and
-20 gathers for any batch of rows, and rows at different x run in one batch
-when their circuits have the same sequence of slice shapes.  The
+angle.  The runs of each `StepTemplate` are folded from index arithmetic
+on first use and kept, so a slice costs about 20 rotations and 20 gathers
+for any batch of rows, and rows at different x run in one batch when
+`slice_chunks` cuts their schedules alike.  The
 arithmetic is real multiplies and adds throughout, with no BLAS product and
 no `np.power`, so the bytes depend on neither the BLAS kernel nor numpy's
 SIMD dispatch.  The shots of a stochastic-Pauli model are independent and
@@ -83,7 +83,7 @@ class NoiseModel:
 
     @classmethod
     def default(cls, n_qubits: int = 4) -> "NoiseModel":
-        return cls.symmetric(n_qubits=n_qubits, epsilon=1.49e-2, p2=2.80e-3)
+        return cls.symmetric(n_qubits)
 
     @classmethod
     def noiseless(cls, n_qubits: int = 4) -> "NoiseModel":
@@ -173,8 +173,8 @@ def noisy_distributions(
     which is never built: its schedule is built when its rows run, and its
     slices apply their templates' folds.  Rows whose schedules `slice_chunks`
     cuts alike (a `Circuit`: the same object) run as one batch, one group at
-    a time.  A row's arithmetic is that of a batch of one, bit
-    for bit.  Limited to 12 qubits: 4**n coefficients per row.
+    a time.  A row's arithmetic is that of a batch of one, bit for bit.
+    Limited to 12 qubits: 4**n coefficients per row.
     """
     if isinstance(sources, (Circuit, ModeParams)):
         sources = [sources] * len(models)
@@ -202,9 +202,7 @@ def noisy_distributions(
         if isinstance(first, Circuit):
             n, steps = first.n_qubits, _circuit_steps(first)
         else:
-            params = list(dict.fromkeys(sources[r] for r in rows))
-            index = [params.index(sources[r]) for r in rows]
-            n, steps = 4, _schedule_steps(params, index)
+            n, steps = 4, _schedule_steps([sources[r] for r in rows])
         group = [models[r] for r in rows]
         for r, diag in zip(rows, _diagonals(steps, group, n)):
             out[r] = apply_readout_noise(diag, models[r])
@@ -279,22 +277,22 @@ def _circuit_steps(circuit: Circuit):
             yield run, rz.qubits[0], np.cos(rz.angle), np.sin(rz.angle)
 
 
-def _schedule_steps(params: list[ModeParams], index: list[int]):
+def _schedule_steps(params: list[ModeParams]):
     """The steps of the schedule circuits of rows whose schedules are cut alike.
 
-    Row r takes its RZ angles from the schedule of `params[index[r]]`, one
-    `slice_chunks` run at a time.  A slice's first run joins it to the slice
-    before, or to the vacuum preparation.
+    Each row walks its own schedule through `slice_chunks`, so a running
+    group holds one schedule per row.  A slice's first run joins it to the
+    slice before, or to the vacuum preparation.
     """
     prev = None
-    for chunks in zip(*(slice_chunks(build_schedule(p)) for p in params)):
+    for chunks in zip(*(slice_chunks(build_schedule(p)) for p in params), strict=True):
         template = chunks[0][0]
         runs = _template_fold(template)
-        angles = np.stack([a for _, a in chunks])[index]
+        angles = np.stack([a for _, a in chunks])
         cos, sin = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
         for i in range(angles.shape[1]):
             slice_runs = (_junction(prev, template), *runs[1:-1])
-            for j, (run, (q, _, _)) in enumerate(zip(slice_runs, template.rzs)):
+            for j, (run, ((q,), _, _)) in enumerate(zip(slice_runs, template.rzs)):
                 yield run, q, cos[:, i, j], sin[:, i, j]
             prev = template
     yield _template_fold(prev)[-1], None, None, None

@@ -7,12 +7,11 @@ length 2**n; registers up to 20 qubits are supported (the `Circuit` checks
 the register and every gate's qubits), and the dense unitary builder is
 restricted to 12.  `run_circuit` replays any circuit gate by gate;
 `run_schedule` gives the same final amplitudes for the circuit of a
-coefficient schedule without building the circuit.  Every slice of a given
-shape is the same gate block with step-dependent RZ angles, so the block is
-cut at its RZs: each fixed gate run between them is built once, through
-`circuit_unitary`, as a dense 16x16 matrix, and each RZ is a per-slice
-diagonal phase, one exp per RZ as in the gate itself.  Runs that only
-permute (CNOT ladders) are folded into their neighbours, so a chunk costs
+coefficient schedule without building the circuit.  It walks
+`encoding.slice_chunks`: each fixed gate run of a `StepTemplate` is built
+once, through `circuit_unitary`, as a dense 16x16 matrix, and each RZ is a
+per-slice diagonal phase, one exp per RZ as in the gate itself.  Runs that
+only permute (CNOT ladders) are folded into their neighbours, so a chunk costs
 one diagonal scaling per RZ group and one stacked product per remaining
 run: 10 of each for the pair shape, and a single diagonal for the CNOT-only
 radiation shape.  The product stays a stack of 16x16 matrix products:
@@ -120,18 +119,17 @@ _DIM = 16  # four-qubit register
 
 @functools.lru_cache(maxsize=2)
 def _slice_segments(template: StepTemplate) -> tuple[tuple[np.ndarray, ...], ...]:
-    """`template` as (run, rzs, neg) steps, one per fixed run of its cut.
+    """`template` as (run, rzs, neg) steps: a fixed run, then a group of RZs.
 
-    A run is the `circuit_unitary` of the gates before a group of RZs; the
-    last step's group is empty.  `rzs` indexes the group's RZs in
-    `template.rzs`; RZ(angle) on qubit q is exp(0.5j * angle), taken
-    conjugate where its `neg` column is 1 (q's bit is 0).  A permutation run
-    P, an empty run included, is folded into the step before it, as
-    P diag(d) = diag(P d) P: the radiation shape becomes one diagonal.
+    `rzs` indexes the group in `template.rzs`; the last group is empty.
+    RZ(angle) on qubit q is exp(0.5j * angle), conjugate where its `neg`
+    column is 1 (q's bit is 0).  A permutation run P, an empty run included,
+    is folded into the step before it, as P diag(d) = diag(P d) P: the
+    radiation shape becomes one diagonal.
     """
     index = np.arange(_DIM)[:, None]
     steps = [(circuit_unitary(Circuit(4, list(run))), [r], 1.0 * (index & (8 >> q) == 0))
-             for r, (run, (q, _, _)) in enumerate(zip(template.runs, template.rzs))]
+             for r, (run, ((q,), _, _)) in enumerate(zip(template.runs, template.rzs))]
     steps.append((circuit_unitary(Circuit(4, list(template.runs[-1]))), [], np.zeros((_DIM, 0))))
     for k in range(len(steps) - 1, 0, -1):
         (head, rzs, neg), (perm, next_rzs, next_neg) = steps[k - 1], steps[k]

@@ -499,7 +499,8 @@ class TestNoiseLevelsComputedOnce:
     @pytest.fixture
     def passes(self, monkeypatch):
         """The (p1, p2) of every model of every exact-channel pass, in call order;
-        `passes.rows` holds the (x, p2) of every row of each pass."""
+        `passes.rows` holds the (x, p2) of every row of each pass, and
+        `passes.models` its model objects."""
         import cosmopair.cli as cli
         import cosmopair.noise as noise
 
@@ -509,6 +510,7 @@ class TestNoiseLevelsComputedOnce:
         def counted(sources, models):
             calls.append([(model.p1, model.p2) for model in models])
             calls.rows.append([(params.x, model.p2) for params, model in zip(sources, models)])
+            calls.models.append(list(models))
             return channel(sources, models)
 
         monkeypatch.setattr(cli, "noisy_distributions", counted)
@@ -521,6 +523,7 @@ class TestNoiseLevelsComputedOnce:
         assert len(passes) == 1
         assert passes.rows == [[(x, p2 * f) for x in (1.3, 1.5, 1.8, 2.0, 2.2)
                                 for f in (1.0, 1.5, 2.0)]]
+        assert len({id(model) for model in passes.models[0]}) == 3  # one per level
 
     def test_golden_sweep_noisy_rows(self, tmp_path, capsys, passes):
         argv = ["sweep", "--x", "1.3,2.3", "--methods", "analytic,noisy,mitigated,zne",
@@ -566,6 +569,7 @@ class _Passes(list):
     def __init__(self):
         super().__init__()
         self.rows = []
+        self.models = []
 
 
 class TestPerXFiles:

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from bitstrings import labelled
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit
+import cosmopair.encoding as encoding
 from cosmopair.encoding import (
     PauliString,
     aq_pauli_sum,
     build_full_circuit,
     pauli_to_matrix,
     phase_aligned_distance,
+    slice_chunks,
+    step_template,
     synthesize_pauli_rotation,
     synthesize_step,
     zq_pauli_sum,
@@ -189,3 +192,35 @@ class TestFullCircuit:
         sched = build_schedule(ModeParams(x=1.3, n_steps=1))
         probs = probabilities(run_circuit(build_full_circuit(sched)))
         assert probs[0b1010] == pytest.approx(0.0026326481467, abs=1e-9)
+
+
+class TestSliceChunks:
+    """The one walk over a schedule's slices, shared by the circuit and both engines."""
+
+    @pytest.mark.parametrize(
+        "x, y_i, n_steps, chunk, bounds",
+        [
+            # Radiation from slice 96 (51): the runs cross 128 and 256 and
+            # end in a one-slice chunk.
+            (1.3, -2.5, 257, 128, [0, 96, 128, 256, 257]),
+            (2.0, -2.5, 257, 128, [0, 51, 128, 256, 257]),
+            (2.0, -10.0, 7, 4, [0, 4, 6, 7]),
+            (2.0, -80.0, 4, 4, [0, 4]),
+        ],
+    )
+    def test_cuts_templates_and_angles(self, monkeypatch, x, y_i, n_steps, chunk, bounds):
+        monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", chunk)
+        sched = build_schedule(ModeParams(x=x, y_i=y_i, n_steps=n_steps))
+        chunks = list(slice_chunks(sched))
+        assert np.cumsum([0] + [len(angles) for _, angles in chunks]).tolist() == bounds
+        for (template, angles), start, stop in zip(chunks, bounds, bounds[1:]):
+            radiation = sched.radiation[start:stop].tolist()
+            assert radiation == [radiation[0]] * len(radiation)
+            assert template is step_template(not radiation[0])
+            for thetas, row in zip(zip(*(a.tolist() for a in sched.angles(start, stop))),
+                                   angles.tolist()):
+                # The Python-float formula of a slice's RZ angles, bit for bit.
+                assert row == [2.0 * (thetas[s] * c) for _, s, c in template.rzs]
+
+    def test_empty_sequence_yields_nothing(self):
+        assert list(slice_chunks([])) == []

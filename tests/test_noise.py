@@ -24,6 +24,7 @@ from bitstrings import dist, labelled
 from dispatch_probe import distributions_digest, openblas_core_types, wide_simd_targets
 
 import cosmopair
+import cosmopair.encoding as encoding
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
 from cosmopair.encoding import _PAULI_MATS, PauliString, build_full_circuit, pauli_to_matrix
@@ -474,6 +475,17 @@ class TestBatchIsExact:
         models = mixed_batch()[1][:6]
         circuit = build_full_circuit(build_schedule(params))
         for a, b in zip(noisy_distributions(params, models), noisy_distributions(circuit, models)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [4, 7])
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # Radiation from slice 96 (51), so the runs cross the chunk bounds.
+        params = [ModeParams(x=x, y_i=-2.5, n_steps=257) for x in (1.3, 2.0)]
+        models = [NoiseModel.default(4), NoiseModel.default(4).scaled(2.0)]
+        sources, rows = [p for p in params for _ in models], models * len(params)
+        default = noisy_distributions(sources, rows)
+        monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", chunk)
+        for a, b in zip(noisy_distributions(sources, rows), default):
             assert np.array_equal(a, b)
 
     def test_rejects_a_mismatched_model_in_the_batch(self):

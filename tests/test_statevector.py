@@ -349,7 +349,7 @@ class TestRunSchedule:
                  Gate("SDG", (0,))),
                 (Gate("H", (0,)), Gate("CNOT", (3, 2))),
             ),  # the first run's permutation is a 3-cycle, not an involution
-            rzs=((1, 0, 0.25), (3, 1, -0.125)),
+            rzs=(((1,), 0, 0.25), ((3,), 1, -0.125)),
         )
         self._assert_blocks_match(template)
 
@@ -363,7 +363,7 @@ class TestRunSchedule:
                 (Gate("CNOT", (1, 2)), Gate("H", (1,))),
                 (Gate("CNOT", (2, 0)),),
             ),
-            rzs=((0, 0, 0.5), (1, 1, -0.25), (2, 0, 0.125)),
+            rzs=(((0,), 0, 0.5), ((1,), 1, -0.25), ((2,), 0, 0.125)),
         )
         assert len(statevector._slice_segments(template)) == 2
         self._assert_blocks_match(template)

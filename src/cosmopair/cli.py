@@ -13,7 +13,8 @@ Subcommands and their outputs (all plot-ready CSV/JSON, no rendering):
     verify         built-in check suite; exit 0 iff all pass
 
 Every file starts with a metadata header (tool version, parameters, seed)
-sufficient to regenerate it bit-exactly, and files are written atomically.
+sufficient to regenerate it bit-exactly.  Each command but `verify` yields
+its files, and `main` writes them as one set: all of them or none.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure (singular readout correction, failed ODE integration, oracle
 mismatch, a state that is not normalized).
@@ -79,20 +80,30 @@ class UsageError(Exception):
     pass
 
 
-def _write_atomic(path: Path, text: str | Iterable[str]):
-    """Write through a uniquely named temp file beside `path`, then rename.
+def _write_set(out_dir: Path, files: Iterable[tuple[str, str | Iterable[str]]]):
+    """Write a command's (file name, text) pairs into `out_dir` as one set.
 
-    `text` is one string or an iterable of string chunks, streamed in order.
+    Each text is one string or an iterable of string chunks, streamed into a
+    uniquely named temp file beside its target.  `out_dir` is made when the
+    first file arrives; the files are renamed in order only once the last is
+    written, so a command that fails part way leaves none of them.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    staged = []
     try:
-        with open(tmp, "x") as f:
-            f.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        for name, text in files:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            path = out_dir / name
+            tmp = path.with_name(f".{name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x") as f:
+                staged.append((tmp, path))
+                f.writelines([text] if isinstance(text, str) else text)
+            del text  # freed before the next file's text is made
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            print(f"wrote {path}")
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _metadata_lines(command: str, parameters: dict) -> list[str]:
@@ -184,17 +195,13 @@ def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
     return model
 
 
-def _y_f(x: float, args) -> float:
-    return args.y_f if args.y_f is not None else -x + 2.0
-
-
 def _mode_params(x: float, args, n_steps: int) -> ModeParams:
-    return ModeParams(x=x, y_i=args.y_i, y_f=_y_f(x, args), n_steps=n_steps)
+    return ModeParams(x=x, y_i=args.y_i, y_f=args.y_f, n_steps=n_steps)
 
 
-def _x_parameters(x: float, args, n_steps: int) -> dict:
-    """Metadata parameters of a per-x output file."""
-    return {"x": x, "n_steps": n_steps, "y_i": args.y_i, "y_f": _y_f(x, args)}
+def _x_parameters(params: ModeParams, n_steps: int) -> dict:
+    """Metadata parameters of a per-x output file: `params`' window, `n_steps` slices."""
+    return {"x": params.x, "n_steps": n_steps, "y_i": params.y_i, "y_f": params.y_f}
 
 
 def _noisy_levels(xs: list[float], args, n_steps: int, model: NoiseModel,
@@ -287,7 +294,7 @@ def _sweep_grid(args, methods: list[str]) -> list[float]:
     return xs
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Iterator[tuple[str, str]]:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         raise UsageError(f"method list must be nonempty, got {args.methods!r}")
@@ -326,17 +333,11 @@ def cmd_sweep(args) -> int:
         "y_i": args.y_i,
         "y_f": args.y_f,
     }
-    out_dir = Path(args.out_dir)
     lines = _metadata_lines("sweep", parameters)
     lines.append(",".join(SWEEP_COLUMNS))
     lines.extend(",".join(_fmt(r[c]) for c in SWEEP_COLUMNS) for r in rows)
-    _write_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
-    _write_atomic(
-        out_dir / "sweep.json", _json_envelope("sweep", parameters, rows=rows)
-    )
-    print(f"wrote {out_dir / 'sweep.csv'}")
-    print(f"wrote {out_dir / 'sweep.json'}")
-    return 0
+    yield "sweep.csv", "\n".join(lines) + "\n"
+    yield "sweep.json", _json_envelope("sweep", parameters, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,39 +357,34 @@ def _trajectory_csv(
         yield "".join([",".join(row) + tail for row in rows])
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args) -> Iterator[tuple[str, Iterator[str]]]:
     x_grid = _file_grid(args)
     n_steps = args.n_steps
-    out_dir = Path(args.out_dir)
     for x in x_grid:
         n_k_an = n_k_analytic(x)
+        params = _mode_params(x, args, n_steps or 1)
         if n_steps == 0:
-            y, pops = np.array([args.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
+            y, pops = np.array([params.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
         else:
-            schedule = build_schedule(_mode_params(x, args, n_steps))
+            schedule = build_schedule(params)
             _, pops = evolve(schedule)
             y = schedule.boundaries()  # after evolve, whose chunk temporaries are then freed
-        header = _metadata_lines("trajectory", _x_parameters(x, args, n_steps))
-        path = out_dir / f"trajectory_x{x:g}.csv"
-        _write_atomic(path, _trajectory_csv(header, y, pops, n_k_an))
-        print(f"wrote {path}")
-    return 0
+        header = _metadata_lines("trajectory", _x_parameters(params, n_steps))
+        yield f"trajectory_x{x:g}.csv", _trajectory_csv(header, y, pops, n_k_an)
 
 
 # ---------------------------------------------------------------------------
 # noise-study
 # ---------------------------------------------------------------------------
 
-def cmd_noise_study(args) -> int:
+def cmd_noise_study(args) -> Iterator[tuple[str, str]]:
     x_grid = _file_grid(args)
     n_steps, shots = args.n_steps, args.shots
     model, factors = _noise_inputs(args, zne=True)
 
-    out_dir = Path(args.out_dir)
     n_k = [n_k_analytic(x) for x in x_grid]  # an x whose closed form overflows fails before any run
     levels = _noisy_levels(x_grid, args, n_steps, model, (1.0, *factors))
     results = []
-    counts_files = []
     for xi, (x, n_k_an) in enumerate(zip(x_grid, n_k)):
         schedule = build_schedule(_mode_params(x, args, n_steps))
         ideal = observables_from_probabilities(probabilities(run_schedule(schedule)))
@@ -402,9 +398,6 @@ def cmd_noise_study(args) -> int:
         zne = zne_estimate(factors, [levels[x][f] for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
-        counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"
-        counts_files.append((out_dir / f"counts_x{x:g}.csv", counts_text + counts_to_csv(counts)))
-
         results.append({
             **counts_meta,
             "analytic_n_k": n_k_an,
@@ -430,6 +423,8 @@ def cmd_noise_study(args) -> int:
                 "leakage_values": list(zne["leakage"].values),
             },
         })
+        counts_text = "\n".join(_metadata_lines("noise-study", counts_meta)) + "\n"
+        yield f"counts_x{x:g}.csv", counts_text + counts_to_csv(counts)
 
     parameters = {
         "x_grid": x_grid,
@@ -442,26 +437,20 @@ def cmd_noise_study(args) -> int:
         "y_i": args.y_i,
         "y_f": args.y_f,
     }
-    # The manifest names the counts files, so it is written only after them.
-    for counts_path, text in counts_files:
-        _write_atomic(counts_path, text)
-        print(f"wrote {counts_path}")
-    path = out_dir / "noise_study.json"
-    _write_atomic(path, _json_envelope("noise-study", parameters, results=results))
-    print(f"wrote {path}")
-    return 0
+    # The manifest names the counts files, so it is renamed only after them.
+    yield "noise_study.json", _json_envelope("noise-study", parameters, results=results)
 
 
 # ---------------------------------------------------------------------------
 # dumps and verify
 # ---------------------------------------------------------------------------
 
-def cmd_dump_schedule(args) -> int:
+def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
     x_grid = _file_grid(args)
     n_steps = args.n_steps
-    out_dir = Path(args.out_dir)
     for x in x_grid:
-        schedule = build_schedule(_mode_params(x, args, n_steps))
+        params = _mode_params(x, args, n_steps)
+        schedule = build_schedule(params)
         columns = (schedule.y_mid, schedule.cz, schedule.ca, schedule.radiation)
         steps = [
             {
@@ -476,31 +465,23 @@ def cmd_dump_schedule(args) -> int:
                 zip(*(c.tolist() for c in columns))
             )
         ]
-        path = out_dir / f"schedule_x{x:g}_n{n_steps}.json"
-        parameters = _x_parameters(x, args, n_steps)
-        _write_atomic(path, _json_envelope("dump-schedule", parameters, steps=steps))
-        print(f"wrote {path}")
-    return 0
+        yield f"schedule_x{x:g}_n{n_steps}.json", _json_envelope(
+            "dump-schedule", _x_parameters(params, n_steps), steps=steps)
 
 
-def cmd_dump_circuit(args) -> int:
+def cmd_dump_circuit(args) -> Iterator[tuple[str, str]]:
     x_grid = _file_grid(args)
     n_steps = args.n_steps
-    out_dir = Path(args.out_dir)
     for x in x_grid:
-        steps = build_schedule(_mode_params(x, args, n_steps)) if n_steps else []
-        circuit = build_full_circuit(steps)
+        params = _mode_params(x, args, n_steps or 1)
+        circuit = build_full_circuit(build_schedule(params) if n_steps else [])
         parameters = {
-            **_x_parameters(x, args, n_steps),
+            **_x_parameters(params, n_steps),
             "gate_count": circuit.gate_count,
             "depth": circuit.depth(),
         }
         text = "\n".join(_metadata_lines("dump-circuit", parameters)) + "\n"
-        text += circuit_to_text(circuit)
-        path = out_dir / f"circuit_x{x:g}_n{n_steps}.txt"
-        _write_atomic(path, text)
-        print(f"wrote {path}")
-    return 0
+        yield f"circuit_x{x:g}_n{n_steps}.txt", text + circuit_to_text(circuit)
 
 
 def cmd_verify(_args) -> int:
@@ -576,7 +557,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_verify:
+            return cmd_verify(args)
+        _write_set(Path(args.out_dir), args.func(args))
+        return 0
     except (SingularConfusionError, OdeIntegrationError, OracleMismatchError,
             NotNormalizedError) as exc:  # before ValueError, which NotNormalizedError is
         print(f"error: {exc}", file=sys.stderr)

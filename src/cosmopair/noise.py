@@ -17,7 +17,9 @@ returns the exact outcome distribution, readout included, of each of a list
 of (circuit, model) rows, whatever the shot count.  It holds each row's rho
 as its real Pauli coefficients c_P = Tr(P rho) (the Pauli-transfer
 representation).  X, H, S, SDG and CNOT permute these coefficients with
-signs, and depolarizing at rate p scales those of the Paulis on the gate's
+signs, read off the stabilizer-tableau rules on each letter's (x, z) bits
+(Aaronson and Gottesman, quant-ph/0406196) with no matrix built, and
+depolarizing at rate p scales those of the Paulis on the gate's
 qubits by keep = 1 - p d²/(d²-1).  So every gate between two RZs, with its
 depolarizing, folds into one map: a gather, a sign and keep1**a * keep2**b
 with integer exponents a, b that no rate or angle enters.  Each RZ is a
@@ -45,10 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ModeParams
-from .circuits import GATE_NAMES, Circuit, Gate
-from .encoding import VACUUM_PREP, PauliString, StepTemplate, pauli_to_matrix, slice_chunks
+from .circuits import Circuit
+from .encoding import VACUUM_PREP, StepTemplate, slice_chunks
 from .schedule import build_schedule
-from .statevector import circuit_unitary
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
@@ -327,22 +328,28 @@ class _Run:
 def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
     """One gate and its depolarizing on an n-qubit register; of an RZ, the depolarizing alone.
 
-    An RZ scales X_q and Y_q alike, so its depolarizing commutes with its
-    rotation and opens the run after it.
+    U^dagger P U = sign * P_src from the stabilizer-tableau rules on each
+    operand's letter as bits (x, z): I, X, Y, Z = 00, 10, 11, 01.  An RZ
+    scales X_q and Y_q alike, so its depolarizing commutes with its rotation
+    and opens the run after it.
     """
     index = np.arange(4**n)
     place = [4 ** (n - 1 - q) for q in qubits]
     digits = [index // p % 4 for p in place]
-    local = sum(d * 4 ** (len(qubits) - 1 - j) for j, d in enumerate(digits))
-    if name == "RZ":
-        src, sign = index, np.ones(4**n, dtype=int)
-    else:
-        local_src, local_sign = _clifford(name)
-        moved, src, sign = local_src[local], index.copy(), local_sign[local]
-        for j, (p, d) in enumerate(zip(place, digits)):
-            src += (moved // 4 ** (len(qubits) - 1 - j) % 4 - d) * p
-    acts, idle = (local != 0).astype(int), np.zeros(4**n, dtype=int)
-    return _Run(src, sign, *((idle, acts) if name == "CNOT" else (acts, idle)))
+    x, z = [d % 3 != 0 for d in digits], [d >= 2 for d in digits]
+    flip = np.zeros(4**n, dtype=bool)
+    if name == "X":
+        flip = z[0]
+    elif name == "H":
+        flip, x, z = x[0] & z[0], z, x
+    elif name in ("S", "SDG"):
+        flip, z = x[0] & (z[0] if name == "SDG" else ~z[0]), [z[0] ^ x[0]]
+    elif name == "CNOT":
+        (xc, xt), (zc, zt) = x, z
+        flip, x, z = xc & zt & ~(xt ^ zc), [xc, xt ^ xc], [zc ^ zt, zt]
+    src = index + sum(((3 * zj ^ xj) - d) * p for p, d, xj, zj in zip(place, digits, x, z))
+    acts, idle = (sum(digits) != 0).astype(int), np.zeros(4**n, dtype=int)
+    return _Run(src, 1 - 2 * flip.astype(int), *((idle, acts) if name == "CNOT" else (acts, idle)))
 
 
 def _fold(gates, n: int):
@@ -370,22 +377,3 @@ def _junction(before: StepTemplate | None, after: StepTemplate) -> _Run:
     preparation) to the first RZ of `after`."""
     tail = next(_fold(VACUUM_PREP, 4))[0] if before is None else _template_fold(before)[-1]
     return tail.then(_template_fold(after)[0])
-
-
-@functools.cache
-def _clifford(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(src, sign) with U^dagger P_a U = sign[a] P_src[a], P_a over the gate's own qubits."""
-    k = GATE_NAMES[name][0]
-    u = circuit_unitary(Circuit(k, [Gate(name, tuple(range(k)))]))
-    paulis = _paulis(k).reshape(4**k, -1)
-    images = (u.conj().T @ _paulis(k) @ u).reshape(4**k, -1)
-    overlap = (images @ paulis.conj().T).real / 2**k  # Tr(P_b^dagger U^dagger P_a U) / 2^k
-    src = np.abs(overlap).argmax(axis=1)
-    return src, np.rint(overlap[np.arange(4**k), src]).astype(int)
-
-
-@functools.cache
-def _paulis(k: int) -> np.ndarray:
-    """The 4^k Paulis on k qubits; a's base-4 digits, qubit 0 first, run over (I, X, Y, Z)."""
-    letters = ("".join("IXYZ"[i] for i in digits) for digits in np.ndindex((4,) * k))
-    return np.array([pauli_to_matrix(PauliString(s, 1.0), k) for s in letters])

@@ -253,18 +253,43 @@ class TestTrajectory:
         assert lines[3] == "y,p_vac,p_plus,p_minus,p_pair,n_k_analytic"
         assert lines[4:] == rows + [""]
 
-    def test_failed_stream_leaves_no_file(self, tmp_path):
-        from cosmopair.cli import _write_atomic
+    def test_failed_stream_leaves_no_file(self, tmp_path, capsys):
+        from cosmopair.cli import _write_set
 
         def chunks():
             yield "partial\n"
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            _write_atomic(tmp_path / "t.csv", chunks())
+            _write_set(tmp_path, [("t.csv", chunks())])
         assert list(tmp_path.iterdir()) == []
-        _write_atomic(tmp_path / "t.csv", iter(["a\n", "b\n"]))
+        # The first file is complete, the second one's stream fails: neither stays.
+        with pytest.raises(OSError, match="disk full"):
+            _write_set(tmp_path, [("a.csv", "a\n"), ("t.csv", chunks())])
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+        _write_set(tmp_path, [("t.csv", iter(["a\n", "b\n"]))])
         assert (tmp_path / "t.csv").read_text() == "a\nb\n"
+        assert capsys.readouterr().out == f"wrote {tmp_path / 't.csv'}\n"
+
+    def test_failure_at_a_later_x_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        import cosmopair.cli as cli
+
+        real_evolve, calls = cli.evolve, []
+
+        def evolve(schedule):
+            calls.append(schedule)
+            if len(calls) == 2:
+                raise ValueError("second x fails")
+            return real_evolve(schedule)
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        assert main(["trajectory", "--x", "1.5,2.0", "--n-steps", "10",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err == "error: second x fails\n"
+        assert list(tmp_path.glob("trajectory_x*.csv")) == []
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_longer_wavelength_ends_higher(self, tmp_path):
         # Final pair occupation decreases with x, consistent with 1/(4x^4).

@@ -7,6 +7,7 @@ matrix evolved gate by gate through each unitary and the Pauli sum of each
 depolarizing map.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from cosmopair.circuits import Circuit, Gate
 from cosmopair.encoding import _PAULI_MATS, PauliString, build_full_circuit, pauli_to_matrix
 from cosmopair.noise import (
     NoiseModel,
+    _gate_run,
     apply_readout_noise,
     noisy_distributions,
 )
@@ -544,6 +546,33 @@ class TestDenseReference:
         models = [model, model.scaled(0.0), saturated]
         for row, ref in zip(noisy_distributions(circuit, models), dense_reference(circuit, models)):
             assert np.max(np.abs(row - ref)) < 1e-13
+
+
+class TestTableau:
+    """Each gate's Pauli action from the tableau rules equals U^dagger P_a U =
+    sign[a] P_src[a] of its dense `circuit_unitary`, for every Pauli string,
+    so also the signs that never reach the diagonal from |0...0>."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_gate_on_every_qubit_tuple(self, n):
+        letters = ["".join("IXYZ"[d] for d in digits) for digits in np.ndindex((4,) * n)]
+        paulis = [pauli_to_matrix(PauliString(s, 1.0), n) for s in letters]
+        for name in _GATE_NAMES:
+            for qubits in itertools.permutations(range(n), 2 if name == "CNOT" else 1):
+                run = _gate_run(name, qubits, n)
+                acts = [int(any(s[q] != "I" for q in qubits)) for s in letters]
+                idle = [0] * len(letters)
+                assert (run.a.tolist(), run.b.tolist()) == (
+                    (idle, acts) if name == "CNOT" else (acts, idle))
+                if name == "RZ":  # the depolarizing alone
+                    assert run.src.tolist() == list(range(4**n))
+                    assert run.sign.tolist() == [1] * 4**n
+                    continue
+                u = circuit_unitary(Circuit(n, [Gate(name, qubits)]))
+                for a, pauli in enumerate(paulis):
+                    image = u.conj().T @ pauli @ u
+                    assert np.max(np.abs(image - run.sign[a] * paulis[run.src[a]])) < 1e-12, (
+                        name, qubits, letters[a])
 
 
 def _probe(**env) -> list[str]:

@@ -8,15 +8,23 @@ the register and every gate's qubits), and the dense unitary builder is
 restricted to 12.  `run_circuit` replays any circuit gate by gate;
 `run_schedule` gives the same final amplitudes for the circuit of a
 coefficient schedule without building the circuit.  It walks
-`encoding.slice_chunks`: each fixed gate run of a `StepTemplate` is built
-once, through `circuit_unitary`, as a dense 16x16 matrix, and each RZ is a
-per-slice diagonal phase, one exp per RZ as in the gate itself.  Runs that
-only permute (CNOT ladders) are folded into their neighbours, so a chunk costs
-one diagonal scaling per RZ group and one stacked product per remaining
-run: 10 of each for the pair shape, and a single diagonal for the CNOT-only
-radiation shape.  The product stays a stack of 16x16 matrix products:
-collapsed into one tall product, it is large enough for BLAS to start a
-second thread, which doubles the CPU time for no gain in wall time.
+`encoding.slice_chunks` and compiles each `StepTemplate` once.  Each fixed
+gate run is a dense 16x16 matrix (through `circuit_unitary`) and each RZ a
+per-slice diagonal phase; runs that only permute (CNOT ladders) are folded
+into their neighbours.  The last RZ group stays a per-slice diagonal on the
+left, and the first on the right when the run before it only permutes.
+Each RZ in between is a fixed multiple of one reference RZ per angle
+source, so together with the runs they multiply out to a Laurent polynomial
+in the references' phases with fixed 16x16 coefficient matrices.  For the
+pair shape the eight pair RZs at +-theta_a/4 give nine terms,
+exp(1j * k * theta_a / 8) for k = -8, -6, ..., 8; the CNOT-only radiation
+shape is one diagonal around the identity.  A chunk of slices then costs
+nine elementwise multiply-adds of (slices, 256) arrays and two diagonal
+scalings, and each slice unitary is applied to the state in turn.  The sum
+stays elementwise: as one (slices, 9) @ (9, 256) product it is large
+enough for BLAS to start a second thread, which doubles the CPU time for no
+gain in wall time.  Every term is kept: under the rounded 1/sqrt(2) of H,
+the k = +-2, +-4, +-6 matrices hold entries of about 1e-31, not zeros.
 
 An outcome distribution is a float array of length 2**n indexed by basis
 state, in the amplitude layout above; counts are an int array in the same
@@ -133,32 +141,81 @@ def _slice_segments(template: StepTemplate) -> tuple[tuple[np.ndarray, ...], ...
     steps.append((circuit_unitary(Circuit(4, list(template.runs[-1]))), [], np.zeros((_DIM, 0))))
     for k in range(len(steps) - 1, 0, -1):
         (head, rzs, neg), (perm, next_rzs, next_neg) = steps[k - 1], steps[k]
-        if np.all((perm == 0) | (perm == 1)):
+        if _permutes(perm):
             neg = np.hstack([perm.real @ neg, next_neg])
             steps[k - 1:k + 1] = [(perm @ head, rzs + next_rzs, neg)]
     return tuple((run, np.array(rzs, dtype=int), neg.astype(int)) for run, rzs, neg in steps)
 
 
+def _permutes(run: np.ndarray) -> bool:
+    return bool(np.all((run == 0) | (run == 1)))
+
+
+@functools.lru_cache(maxsize=2)
+def _slice_map(template: StepTemplate):
+    """`template`'s slice unitary as diag(out) . sum_t phase_t C_t . diag(in).
+
+    Returns (out, in, refs, powers, coeffs).  `out` is the last RZ group of
+    `_slice_segments` and `in` the first, carried to the right edge when the
+    run before it only permutes (as diag(d) P = P diag(P^T d)); each is an
+    (rzs, neg) pair, maybe empty.  Every RZ in between is a fixed multiple
+    of the first of them with its angle source, so with the runs they
+    multiply out to a Laurent polynomial in the phases exp(0.5j * angle) of
+    those reference RZs, `refs`: term t raises reference v to the power
+    powers[t, v], and coeffs[t] is its 16x16 coefficient matrix, flattened.
+    Every term that arises is kept, however small.
+    """
+    segments = _slice_segments(template)
+    runs, groups = [run for run, *_ in segments], [group for _, *group in segments[:-1]]
+    out, inn = segments[-1][1:], (np.zeros(0, dtype=int), np.zeros((_DIM, 0), dtype=int))
+    if groups and _permutes(runs[0]):
+        inn, groups[0] = (groups[0][0], runs[0].real.T.astype(int) @ groups[0][1]), inn
+    middle = [r for rzs, _ in groups for r in rzs.tolist()]
+    refs: dict = {}  # angle source -> its first RZ in the polynomial
+    ratio = np.zeros((len(template.rzs), len({template.rzs[r][1] for r in middle})))
+    for r in middle:  # each RZ's angle over its reference's
+        _, source, coeff = template.rzs[r]
+        ref = refs.setdefault(source, r)
+        ratio[r, list(refs).index(source)] = coeff / template.rzs[ref][2]
+    poly = {(0.0,) * len(refs): runs[0]}
+    for (rzs, neg), run in zip(groups, runs[1:]):
+        shift = (1 - 2 * neg) @ ratio[rzs]  # per basis state, the powers its phase adds
+        # Distinct rows by set, not np.unique(axis=0): that imports numpy.ma (1 MB).
+        masks = {s: np.all(shift == s, axis=1)[:, None] for s in sorted(set(map(tuple, shift)))}
+        terms: dict = {}
+        for p, c in poly.items():
+            for s, mask in masks.items():
+                key = tuple(np.add(p, s).tolist())
+                terms[key] = terms.get(key, 0) + run @ (mask * c)
+        poly = terms
+    keys = sorted(poly)
+    return (out, inn, np.array(list(refs.values()), dtype=int), np.array(keys),
+            np.stack([poly[k].reshape(-1) for k in keys]))
+
+
+def _diagonal(angles: np.ndarray, rzs: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """(slices, 16) diagonal of the RZ group `rzs`: one exp per RZ and slice, as in the gate."""
+    phase = np.exp(0.5j * angles[:, rzs])
+    both = np.stack([phase, phase.conj()], axis=1)
+    return both[:, neg, np.arange(len(rzs))].prod(axis=2)
+
+
 def _slice_unitaries(template: StepTemplate, angles: np.ndarray) -> np.ndarray:
     """(len(angles), 16, 16) stack of `template`'s slice unitaries at rows of its RZ angles."""
-    def scale(u, rzs, neg):  # one exp per RZ and slice, as in the gate itself
-        phase = np.exp(0.5j * angles[:, rzs])
-        both = np.stack([phase, phase.conj()], axis=1)
-        return both[:, neg, np.arange(len(rzs))].prod(axis=2)[:, :, None] * u
-
-    (run, *group), *steps = _slice_segments(template)
-    u = np.broadcast_to(run, (len(angles), _DIM, _DIM))
-    for run, *next_group in steps:
-        u = run @ scale(u, *group)  # a stack of 16x16 products: see module docstring
-        group = next_group
-    return scale(u, *group)
+    out, inn, refs, powers, coeffs = _slice_map(template)
+    phases = np.exp(0.5j * angles[:, refs, None] * powers.T).prod(axis=1)
+    u = phases[:, :1] * coeffs[0]
+    for t in range(1, len(coeffs)):  # multiply-adds, not phases @ coeffs: see module docstring
+        u += phases[:, t:t + 1] * coeffs[t]
+    u = u.reshape(-1, _DIM, _DIM)
+    return _diagonal(angles, *out)[:, :, None] * u * _diagonal(angles, *inn)[:, None, :]
 
 
 def run_schedule(schedule) -> np.ndarray:
     """Final amplitudes of `build_full_circuit(schedule)`, without building it.
 
     Builds the slice unitaries of each `slice_chunks` run from its RZ angles
-    and its template's segments, and chains them on the prepared vacuum.
+    and its template's compiled map, and chains them on the prepared vacuum.
     Agrees with gate-by-gate `run_circuit` to rounding; an empty sequence
     gives the prepared vacuum.
     """

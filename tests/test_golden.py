@@ -17,7 +17,14 @@ moved by about 1e-17 and `ideal.leakage` by about 4e-16, the rounding of a
 different product order; the counts files, and every other digest across
 the change of the noisy channel to Pauli-transfer coefficients and then to
 cached Clifford folds (distributions moved by about 3e-14, no draw
-flipped), stayed byte-identical.  `dump-circuit` has its own golden test in test_cli.py.
+flipped), stayed byte-identical.  The six digests that hold `statevector`
+rows (`sweep`, `sweep-noiseless`, `radiation-sweep`, `chunk-sweep`,
+`noise-study`, `chunk-noise-study`) were re-taken when `run_schedule` began
+evaluating each template as a compiled polynomial in its RZ phases instead
+of multiplying out its runs slice by slice: the `statevector` `n_k` and
+the ideal `p_pair` moved by at most 1.8e-15, their `leakage` by at most
+2.2e-14; every counts file, every other row and every other digest stayed
+byte-identical.  `dump-circuit` has its own golden test in test_cli.py.
 
 The windows above hold de Sitter slices only.  The `radiation-*` entries
 start the grid at y_i = -10 with 10 slices, so at x = 2.0 (and at x = 1.3)
@@ -28,8 +35,8 @@ The `chunk-*` entries pin where the fast engines cut a schedule into
 batches.  Over y_i = -2.5 with 257 slices the first radiation slice is 96
 (x = 1.3) and 51 (x = 2.0), so the radiation runs cross the batch bounds at
 128 and 256 and end in a one-slice batch.  `run_schedule`'s bytes depend on
-the size of each stack of slice unitaries, so a batch cut anywhere else
-moves the last digits of the `statevector` rows; the
+how its slices are batched, so a batch cut anywhere else may move the last
+digits of the `statevector` rows; the
 de-Sitter-only and ten-slice windows above cannot see that.
 """
 
@@ -45,16 +52,16 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "48915a5687504b5f6ec9669ed8028051849ed4f09b5c34457cb4d282ba603b90",
-            "sweep.json": "7a8bb7d7fb18433e7f92b0b5368b82bd8764bd4ee13d9d9d485815c0c1e810fa",
+            "sweep.csv": "c702f131fcb1535491d0459554769afd7e9f22564c3ef1e5d960a39ac2220f04",
+            "sweep.json": "49601a7e97bb60228c6bd5ccaac40f10114b935f35cf990cbf2eea5c6ffee10c",
         },
     ),
     "sweep-noiseless": (
         ["sweep", "--x", "1.3,2.3", "--methods", "analytic,matrix,statevector,shots",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "27a0688bdca6afc333af1aee9042605cb5194e55a2e8c0011334a842f27d7428",
-            "sweep.json": "5fce8fd9b612c195899bb12d762e472366cab8e11ce824489085a1eff3872bef",
+            "sweep.csv": "2cbb3102fd4990a986354d5f1b8118bc5af7315c717d0567bee9f48e747d325c",
+            "sweep.json": "8b356a27807da9c8893ecedd191f5297b6ca93709983377825e922cdf908ab16",
         },
     ),
     "noise-study": (
@@ -62,7 +69,7 @@ GOLDEN = {
         {
             "counts_x1.3.csv": "bb0250f6d425649683496de05fcc3647eb32962354975f93b18f687d20a5f9a0",
             "counts_x2.2.csv": "87986ee80e22b272a112416b099353a4719b7d9d98b63284e512b104a9bb0626",
-            "noise_study.json": "fde82eb65a5ed7cdc9d1c4a103914d1e4ca35b259f7167f3985df870c81a01c2",
+            "noise_study.json": "47b0af10f93a8bb09e620947ef2630ad812240c11cd6ddd04f8ce563343080a0",
         },
     ),
     "trajectory": (
@@ -97,8 +104,8 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "10", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "7caef705571ff4b7822850ae1d0109ca45634cb1dfa8f731dad6eebd59a6a11f",
-            "sweep.json": "d7063aa553627157c3ae3d54f108562f89845f4937ef212eb7890be0372e3b94",
+            "sweep.csv": "3e593a57d0fae5aa0970a799351cb16efddb922cbabedcf684d498b1607c5e42",
+            "sweep.json": "e02aed37143f17cfe24e89e26a531d9f7d253d55fb58a1c349c6f186a00a8aaf",
         },
     ),
     "chunk-sweep": (
@@ -106,8 +113,8 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "257", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "e464b46a59aa9c81f0aa8005097adb0a9ca5a1f6dad344e882c2df74d8686f82",
-            "sweep.json": "3a99ffa7a53f7c08aebe845748baca69cf91d4ca2955b0ada4752d1ec7ebddc5",
+            "sweep.csv": "a2a7560c1b2d9089633f148a3c72e8f3955ce9d45d443bb5b66ddc4d22e4d7f0",
+            "sweep.json": "a40f68450a818c86c4b066d6d4461006f95314bc5819caf25d9dd01a31fc18b0",
         },
     ),
     "chunk-dump-circuit": (
@@ -123,7 +130,7 @@ GOLDEN = {
         {
             "counts_x1.3.csv": "53746989ac52eb5e099a75967929d2a94d2e30d353cd7d9a8ab2333c87c6d613",
             "counts_x2.csv": "d93de849e91b7cb75f2394deb639295c9180688e41306b2bbae80dd62d9969b6",
-            "noise_study.json": "70d8aaa54bf49091809e3c4ab9100112da57e619246172ce5326a42b623ab3c8",
+            "noise_study.json": "a56303f006853b6a680fc9d575655571963d114e7c084fc0ccd8aa8b5c8479f9",
         },
     ),
 }

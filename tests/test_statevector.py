@@ -375,6 +375,21 @@ class TestRunSchedule:
         assert np.array_equal(run, np.eye(16)) and rzs.shape == (12,)
         assert len(statevector._slice_segments(step_template(True))) == 10
 
+    def test_slice_maps(self):
+        # The pair shape: its eight pair RZs at +-theta_a/4 give nine powers
+        # of exp(0.5j * angle) of the first, exp(1j * k * theta_a / 8) for
+        # k = -8, -6, ..., 8; the Z half-blocks stay edge diagonals, the
+        # opening one carried through the empty, so permuting, run before it.
+        out, inn, refs, powers, coeffs = statevector._slice_map(step_template(True))
+        assert out[0].tolist() == list(range(14, 20)) and inn[0].tolist() == list(range(6))
+        assert refs.tolist() == [6] and powers.ravel().tolist() == list(range(-8, 9, 2))
+        assert coeffs.shape == (9, 256)
+        # The radiation shape: one diagonal around the identity.
+        out, inn, refs, powers, coeffs = statevector._slice_map(step_template(False))
+        assert out[0].tolist() == list(range(12)) and inn[0].size == 0
+        assert refs.size == 0 and powers.shape == (1, 0)
+        assert np.array_equal(coeffs.reshape(16, 16), np.eye(16))
+
     def test_empty_schedule_is_prepared_vacuum(self):
         amps = run_schedule([])
         assert np.array_equal(amps, run_circuit(build_full_circuit([])))
@@ -395,8 +410,10 @@ class TestRunSchedule:
         assert large < 4 * 1024 * 1024
 
     def test_stacked_products_stay_on_one_thread(self):
-        # One tall (m*16, 16) product instead of the stack of 16x16 products
-        # lets BLAS start a second thread: CPU about 2x wall instead of 1x.
+        # No product in run_schedule may start a BLAS thread.  Summing the
+        # slice polynomials as one (slices, 9) @ (9, 256) product, or building
+        # the slices as one tall (m*16, 16) product, lets OpenBLAS start a
+        # second thread: CPU about 2x wall instead of 1x.
         src = str(Path(statevector.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         # OpenBLAS's worker threads spin for a while after the library loads,

@@ -7,6 +7,7 @@ matrix evolved gate by gate through each unitary and the Pauli sum of each
 depolarizing map.
 """
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -67,6 +68,15 @@ def hand_built_two_qubit():
     circuit.add("H", 0)
     c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
     return circuit, NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
+
+
+def test_hand_built_two_qubit_bytes():
+    """Its gate-by-gate bytes, pinned as in test_statevector.TestGateByGateBytes."""
+    circuit, _ = hand_built_two_qubit()
+    digests = [hashlib.sha256((a + 0.0).tobytes()).hexdigest()
+               for a in (run_circuit(circuit), circuit_unitary(circuit))]
+    assert digests == ["b07c98cc83638c64f3963d7bced7df70c177993c6c259971aef79d8ae48d58a9",
+                       "a609e9787e22f8c2b80de968f691c6d96d9fef1ff0c0fceccb86f61dea9a7bbe"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate kernels, probability extraction, seeded sampling, and observables."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -268,6 +269,47 @@ class TestEngineEquivalence:
         probs = probabilities(run_circuit(build_full_circuit(sched)))
         leak = 1.0 - sum(probs[[0b0101, 0b1001, 0b0110, 0b1010]])
         assert abs(leak) < 1e-10
+
+
+def gatewise_digest(amps) -> str:
+    """sha256 of an amplitude array's bytes, with -0.0 read as 0.0."""
+    return hashlib.sha256((amps + 0.0).tobytes()).hexdigest()
+
+
+class TestGateByGateBytes:
+    """Gate-by-gate bytes, pinned: `tests/test_golden.py` sees only `run_schedule`.
+
+    Taken before each gate kind got its own in-place kernel; only signed
+    zeros may differ from them.
+    """
+
+    @pytest.mark.parametrize(
+        "x, n_steps, digest",
+        [
+            (1.3, 1, "af27337ff2e005edf3a782c7ab1d201e3fd3ef1b5c65767d9ecc431625712e3b"),
+            (1.3, 10, "611fbd71863e3f8859e343af01d60cc4ce487ca21c08c1192d2c3aa285cebf08"),
+            (1.3, 257, "82062de5518945b7d6bff230795a642d824964567c8aa674655769925d6f5417"),
+            (2.0, 1, "6c8943eaf6b7432997783916cc8b67096c25e09d825dfb796fb72e7871bba9a6"),
+            (2.0, 10, "32895d3b67c85e1c1f43cdfd172307da4f8fb5cd4843004a4aa444fcd9366059"),
+            (2.0, 257, "25b58b03ccdf18e58ea4205cabcc9fbd5f1aa3956781365b17a5df2b1e952151"),
+        ],
+    )
+    def test_run_circuit(self, x, n_steps, digest):
+        circuit = build_full_circuit(build_schedule(ModeParams(x, n_steps=n_steps)))
+        assert gatewise_digest(run_circuit(circuit)) == digest
+
+    @pytest.mark.parametrize(
+        "with_pair, digest",
+        [
+            (False, "3a0f786b9d4c2242a3b8e2dd274652562fdc38975cc8224a18bf97841b059d12"),
+            (True, "a7ce222ab21c4d3e516b8e9c5f77ae9080a900adc073b6ef374bd08526d2e5f5"),
+        ],
+    )
+    def test_template_runs(self, with_pair, digest):
+        # The fixed runs that `run_schedule` compiles, each through `circuit_unitary`.
+        runs = step_template(with_pair).runs
+        unitaries = np.stack([circuit_unitary(Circuit(4, list(run))) for run in runs])
+        assert gatewise_digest(unitaries) == digest
 
 
 def _window(x, y_i, y_f, n_steps):

@@ -11,7 +11,9 @@ and each time slice maps to one fixed gate block with step-dependent angles.
 
 `step_template` cuts each block shape at its RZ gates (`StepTemplate`,
 whose `rz_angles` is the one RZ-angle formula), and `slice_chunks` walks a
-schedule in runs of one shape for the circuit builder and both fast engines.
+schedule in runs of one shape for the circuit builder and both fast
+engines.  `slice_cuts` is the one place that says where those runs end;
+the noisy channel batches rows whose schedules have equal cuts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "SCHEDULE_CHUNK",
     "StepTemplate",
     "step_template",
+    "slice_cuts",
     "slice_chunks",
     "synthesize_step",
     "build_full_circuit",
@@ -232,19 +235,31 @@ def step_template(with_pair: bool) -> StepTemplate:
     return StepTemplate(runs=tuple(runs), rzs=tuple(rzs))
 
 
+def slice_cuts(schedule) -> tuple[int, bool, tuple[int, ...]]:
+    """(slices, whether slice 0 is radiation, each slice whose branch differs from the one before).
+
+    `slice_chunks` cuts a schedule at these slices and at every multiple of
+    SCHEDULE_CHUNK, and nowhere else: schedules with equal cuts are chunked
+    alike, which is how the noisy channel batches their rows.
+    """
+    if not len(schedule):
+        return 0, False, ()
+    radiation = schedule.radiation
+    changes = np.flatnonzero(radiation[1:] != radiation[:-1]) + 1
+    return len(radiation), bool(radiation[0]), tuple(changes.tolist())
+
+
 def slice_chunks(schedule):
     """(template, rz_angles) of each run of slices of one shape, one row per slice.
 
     A run ends at every multiple of SCHEDULE_CHUNK and where the schedule
-    turns from de Sitter to radiation slices, and nowhere else.
+    turns from de Sitter to radiation slices (`slice_cuts`), and nowhere else.
     """
-    for start in range(0, len(schedule), SCHEDULE_CHUNK):
-        radiation = schedule.radiation[start:start + SCHEDULE_CHUNK]
-        thetas = np.column_stack(schedule.angles(start, start + SCHEDULE_CHUNK))
-        cuts = [0, *(np.flatnonzero(radiation[1:] != radiation[:-1]) + 1).tolist(), len(thetas)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            template = step_template(not radiation[lo])
-            yield template, template.rz_angles(thetas[lo:hi])
+    n, _, changes = slice_cuts(schedule)
+    cuts = sorted({*range(0, n, SCHEDULE_CHUNK), *changes, n})
+    for lo, hi in zip(cuts, cuts[1:]):
+        template = step_template(not schedule.radiation[lo])
+        yield template, template.rz_angles(np.column_stack(schedule.angles(lo, hi)))
 
 
 def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:

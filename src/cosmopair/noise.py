@@ -27,7 +27,7 @@ cos/sin rotation of the (X_q, Y_q) coefficient pairs at each row's own
 angle.  The runs of each `StepTemplate` are folded from index arithmetic
 on first use and kept, so a slice costs about 20 rotations and 20 gathers
 for any batch of rows, and rows at different x run in one batch when
-`slice_chunks` cuts their schedules alike.  The
+their schedules have equal `encoding.slice_cuts`.  The
 arithmetic is real multiplies and adds throughout, with no BLAS product and
 no `np.power`, so the bytes depend on neither the BLAS kernel nor numpy's
 SIMD dispatch.  The shots of a stochastic-Pauli model are independent and
@@ -48,7 +48,7 @@ import numpy as np
 
 from .background import ModeParams
 from .circuits import Circuit
-from .encoding import VACUUM_PREP, StepTemplate, slice_chunks
+from .encoding import VACUUM_PREP, StepTemplate, slice_chunks, slice_cuts
 from .schedule import build_schedule
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
@@ -172,8 +172,8 @@ def noisy_distributions(
     `sources` holds one circuit per model, or is one circuit for every model.
     A `ModeParams` stands for `build_full_circuit(build_schedule(params))`,
     which is never built: its schedule is built when its rows run, and its
-    slices apply their templates' folds.  Rows whose schedules `slice_chunks`
-    cuts alike (a `Circuit`: the same object) run as one batch, one group at
+    slices apply their templates' folds.  Rows whose schedules have equal
+    `slice_cuts` (a `Circuit`: the same object) run as one batch, one group at
     a time.  A row's arithmetic is that of a batch of one, bit for bit.
     Limited to 12 qubits: 4**n coefficients per row.
     """
@@ -192,9 +192,7 @@ def noisy_distributions(
             key = id(source)
         else:
             if source not in cuts:  # built and dropped: only a running group holds its schedules
-                radiation = build_schedule(source).radiation
-                changes = np.flatnonzero(radiation[1:] != radiation[:-1])
-                cuts[source] = (len(radiation), bool(radiation[0]), tuple(changes.tolist()))
+                cuts[source] = slice_cuts(build_schedule(source))
             key = cuts[source]
         groups.setdefault(key, []).append(row)
     out = [None] * len(models)

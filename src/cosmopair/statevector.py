@@ -5,7 +5,18 @@ i.e. the most significant bit of the flat index, so printed bitstrings read
 exactly like ket labels.  A state is a plain complex amplitude array of
 length 2**n; registers up to 20 qubits are supported (the `Circuit` checks
 the register and every gate's qubits), and the dense unitary builder is
-restricted to 12.  `run_circuit` replays any circuit gate by gate;
+restricted to 12.  `run_circuit` replays any circuit gate by gate, and
+`circuit_unitary` runs the same gate loop over every basis state at once.
+
+Each gate kind has one in-place kernel on views of the target qubit's two
+halves, taken from the state as a (batch, 2, ..., 2) array: X swaps the
+halves, and CNOT swaps them inside the control's 1-half; S multiplies the
+1-half by 1j and SDG by -1j; RZ multiplies each half by its phase; H mixes
+the two with a rounded 1/sqrt(2).  No gate builds a matrix.  RZ multiplies
+each half into a new array and copies it back: numpy's complex multiply
+rounds some products in their last bit differently when it writes over
+its own operand, and the new arrays keep the bytes RZ has always given.
+
 `run_schedule` gives the same final amplitudes for the circuit of a
 coefficient schedule without building the circuit.  It walks
 `encoding.slice_chunks` and compiles each `StepTemplate` once.  Each fixed
@@ -67,55 +78,43 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _mat_1q(gate: Gate) -> np.ndarray:
-    if gate.name == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.name == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-    if gate.name == "S":
-        return np.diag([1.0, 1j])
-    if gate.name == "SDG":
-        return np.diag([1.0, -1j])
-    if gate.name == "RZ":
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    raise ValueError(f"not a single-qubit gate: {gate.name}")
-
-
-def _apply_1q_inplace(amps: np.ndarray, n: int, q: int, mat: np.ndarray):
-    # Leading axes (qubits before q, and any batch of states) fold into one.
-    view = amps.reshape(-1, 2, 2 ** (n - 1 - q))
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
-def _apply_cnot_inplace(amps: np.ndarray, n: int, control: int, target: int):
-    view = amps.reshape((-1,) + (2,) * n)  # leading batch axis, maybe of one
-    sel: list = [slice(None)] * (n + 1)
-    sel[1 + control] = 1
-    i0, i1 = sel.copy(), sel.copy()
-    i0[1 + target] = 0
-    i1[1 + target] = 1
-    tmp = view[tuple(i0)].copy()
-    view[tuple(i0)] = view[tuple(i1)]
-    view[tuple(i1)] = tmp
-
-
 def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate):
+    """Apply `gate` in place to a state or a (batch, 2**n) array of states.
+
+    Works on views of the target qubit's 0- and 1-halves, within the
+    control's 1-half for a CNOT; see the module docstring.
+    """
+    view = amps.reshape((-1,) + (2,) * n)  # leading batch axis, maybe of one
+    index: list = [slice(None)] * (n + 1)
     if gate.name == "CNOT":
-        _apply_cnot_inplace(amps, n, *gate.qubits)
+        index[1 + gate.qubits[0]] = 1
+    index[1 + gate.qubits[-1]] = 0
+    a0 = view[tuple(index)]
+    index[1 + gate.qubits[-1]] = 1
+    a1 = view[tuple(index)]
+    if gate.name in ("X", "CNOT"):
+        a0[...], a1[...] = a1.copy(), a0.copy()
+    elif gate.name == "H":
+        s, d = _INV_SQRT2 * a0, _INV_SQRT2 * a1
+        a0[...], a1[...] = s + d, s - d
+    elif gate.name == "RZ":  # into new arrays, not in place: see the module docstring
+        a0[...], a1[...] = np.exp(-0.5j * gate.angle) * a0, np.exp(0.5j * gate.angle) * a1
     else:
-        _apply_1q_inplace(amps, n, gate.qubits[0], _mat_1q(gate))
+        a1 *= 1j if gate.name == "S" else -1j
+
+
+def _run(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """`amps`, one state or a batch of them, after every gate of `circuit` in order."""
+    for gate in circuit.gates:
+        _apply_gate_inplace(amps, circuit.n_qubits, gate)
+    return amps
 
 
 def run_circuit(circuit: Circuit) -> np.ndarray:
     """Amplitudes after every gate in order, starting from |0...0>."""
     amps = np.zeros(2**circuit.n_qubits, dtype=complex)
     amps[0] = 1.0
-    for gate in circuit.gates:
-        _apply_gate_inplace(amps, circuit.n_qubits, gate)
-    return amps
+    return _run(amps, circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +226,16 @@ def run_schedule(schedule) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit; verification tool, limited to 12 qubits."""
+    """Dense unitary of a circuit, limited to 12 qubits.
+
+    Runs every basis state through the gates as one batch of rows.  It
+    builds the fixed runs that `run_schedule` compiles, and checks circuits
+    against their target unitaries.
+    """
     n = circuit.n_qubits
     if n > 12:
         raise ValueError(f"dense unitary limited to 12 qubits, got {n}")
-    # Evolve all basis states at once as a batch of rows, then transpose.
-    rows = np.eye(2**n, dtype=complex)
-    for gate in circuit.gates:
-        _apply_gate_inplace(rows, n, gate)
-    return rows.T.copy()
+    return _run(np.eye(2**n, dtype=complex), circuit).T.copy()
 
 
 class NotNormalizedError(ValueError):

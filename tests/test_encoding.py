@@ -1,5 +1,7 @@
 """Operator embedding, rotation synthesis, and circuit/matrix equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from cosmopair.encoding import (
     pauli_to_matrix,
     phase_aligned_distance,
     slice_chunks,
+    slice_cuts,
     step_template,
     synthesize_pauli_rotation,
     synthesize_step,
@@ -224,3 +227,22 @@ class TestSliceChunks:
 
     def test_empty_sequence_yields_nothing(self):
         assert list(slice_chunks([])) == []
+
+    def test_equal_cuts_exactly_when_chunked_alike(self):
+        # `slice_cuts` is the key that the noisy channel groups rows by.
+        rng = np.random.default_rng(5)
+        params = [ModeParams(x=float(rng.choice([1.3, 1.32, 1.6, 2.0, 2.02])),
+                             y_i=float(rng.choice([-2.5, -3.0, -10.0])),
+                             n_steps=int(rng.choice([1, 127, 128, 129, 256, 257, 300])))
+                  for _ in range(60)]
+        rows = []
+        for p in params:
+            sched = build_schedule(p)
+            shape = [(template, len(angles)) for template, angles in slice_chunks(sched)]
+            rows.append((p, slice_cuts(sched), shape))
+        alike_apart = unlike_same_steps = 0
+        for (p, key_p, shape_p), (q, key_q, shape_q) in itertools.combinations(rows, 2):
+            assert (key_p == key_q) == (shape_p == shape_q)
+            alike_apart += key_p == key_q and p != q
+            unlike_same_steps += key_p != key_q and p.n_steps == q.n_steps
+        assert alike_apart > 0 and unlike_same_steps > 0

@@ -29,7 +29,7 @@ import cosmopair
 import cosmopair.encoding as encoding
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
-from cosmopair.encoding import _PAULI_MATS, PauliString, build_full_circuit, pauli_to_matrix
+from cosmopair.encoding import PauliString, build_full_circuit, pauli_to_matrix
 from cosmopair.noise import (
     NoiseModel,
     _gate_run,
@@ -39,7 +39,6 @@ from cosmopair.noise import (
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     CountsTable,
-    _apply_1q_inplace,
     _apply_gate_inplace,
     circuit_unitary,
     counts_rng,
@@ -87,15 +86,22 @@ def test_hand_built_two_qubit_bytes():
 # stored ideal state after that gate.
 # ---------------------------------------------------------------------------
 
+def apply_pauli(amps, n, q, letter):
+    """Pauli `letter` on qubit q of a state or a batch of states, by its 2x2 matrix."""
+    m = pauli_to_matrix(PauliString(letter, 1.0), 1)
+    view = amps.reshape(-1, 2, 2 ** (n - 1 - q))
+    a0, a1 = view[:, 0].copy(), view[:, 1].copy()
+    view[:, 0], view[:, 1] = m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1
+
+
 def _replay_inject(rng, amps, n, gate):
     if gate.name == "CNOT":
         pair = int(rng.integers(15)) + 1
         for q, letter in zip(gate.qubits, ("IXYZ"[pair // 4], "IXYZ"[pair % 4])):
             if letter != "I":
-                _apply_1q_inplace(amps, n, q, _PAULI_MATS[letter])
+                apply_pauli(amps, n, q, letter)
     else:
-        letter = "XYZ"[int(rng.integers(3))]
-        _apply_1q_inplace(amps, n, gate.qubits[0], _PAULI_MATS[letter])
+        apply_pauli(amps, n, gate.qubits[0], "XYZ"[int(rng.integers(3))])
 
 
 def replay_noisy_circuit(circuit, model, shots, seed):
@@ -636,16 +642,19 @@ class TestBatchedKernels:
         st.integers(0, 2**32 - 1),
     )
     def test_batch_is_bitwise_row_by_row(self, gates, batch, seed):
+        # The drawn gates, then one of every kind, each followed by a Pauli.
+        every_kind = [Gate("X", (0,)), Gate("H", (1,)), Gate("S", (2,)), Gate("SDG", (3,)),
+                      Gate("RZ", (1,), 0.9), Gate("CNOT", (3, 0))]
         rng = np.random.default_rng(seed)
         states = rng.normal(size=(batch, 16)) + 1j * rng.normal(size=(batch, 16))
         rows = [row.copy() for row in states]
-        for gate in gates:
+        for gate in gates + every_kind:
             _apply_gate_inplace(states, 4, gate)
             for row in rows:
                 _apply_gate_inplace(row, 4, gate)
             letter = "XYZ"[int(rng.integers(3))]
             q = int(rng.integers(4))
-            _apply_1q_inplace(states, 4, q, _PAULI_MATS[letter])
+            apply_pauli(states, 4, q, letter)
             for row in rows:
-                _apply_1q_inplace(row, 4, q, _PAULI_MATS[letter])
+                apply_pauli(row, 4, q, letter)
         assert states.tobytes() == np.array(rows).tobytes()

@@ -1,6 +1,8 @@
 """Gate kernels, probability extraction, seeded sampling, and observables."""
 
+import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -106,6 +108,45 @@ class TestGates:
             else:
                 c.add(name, q)
         assert abs(np.linalg.norm(run_circuit(c)) - 1.0) < 1e-12
+
+
+def _oracle(gate: Gate, n: int) -> np.ndarray:
+    """The gate's dense 2**n matrix, a sum of np.kron products of 2x2 matrices."""
+    def kron(on):  # {qubit: 2x2}, identity elsewhere; qubit 0 is the leftmost factor
+        return functools.reduce(np.kron, [on.get(q, np.eye(2)) for q in range(n)])
+
+    x = np.array([[0, 1], [1, 0]])
+    if gate.name == "CNOT":
+        control, target = gate.qubits
+        return kron({control: np.diag([1, 0])}) + kron({control: np.diag([0, 1]), target: x})
+    theta = gate.angle or 0.0
+    return kron({gate.qubits[0]: {
+        "X": x,
+        "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+        "S": np.diag([1, 1j]),
+        "SDG": np.diag([1, -1j]),
+        "RZ": np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]),
+    }[gate.name]})
+
+
+class TestGateKernel:
+    """`_apply_gate_inplace` against each gate's dense matrix, row by row."""
+
+    @pytest.mark.parametrize("name, n", [(name, n) for name in ("X", "H", "S", "SDG", "RZ", "CNOT")
+                                         for n in range(1 + (name == "CNOT"), 5)])
+    def test_matches_dense_matrix(self, name, n):
+        rng = np.random.default_rng(17 * n + len(name))
+        arity = 2 if name == "CNOT" else 1
+        for qubits in itertools.permutations(range(n), arity):
+            gate = Gate(name, qubits, float(rng.uniform(-7.0, 7.0)) if name == "RZ" else None)
+            states = rng.normal(size=(5, 2**n)) + 1j * rng.normal(size=(5, 2**n))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            expected = np.array([_oracle(gate, n) @ row for row in states])
+            statevector._apply_gate_inplace(states, n, gate)
+            if name in ("H", "RZ"):
+                assert np.max(np.abs(states - expected)) < 1e-15
+            else:  # moves and exact products: equal bit for bit, up to the sign of a zero
+                assert np.array_equal(states, expected)
 
 
 class TestProbabilities:

@@ -177,9 +177,9 @@ def _noise_inputs(args, zne: bool) -> tuple[NoiseModel, tuple[float, ...]]:
     return model, factors
 
 
-def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
+def _load_model(path: str | None) -> NoiseModel:
     if path is None:
-        return NoiseModel.default(n_qubits)
+        return NoiseModel.symmetric(4)
     file = Path(path)
     if not file.exists():
         raise UsageError(f"noise model file not found: {file}")
@@ -187,11 +187,8 @@ def _load_model(path: str | None, n_qubits: int = 4) -> NoiseModel:
         model = NoiseModel.from_json(file.read_text())
     except ValueError as exc:
         raise UsageError(f"{file}: {exc}") from None
-    if model.n_qubits != n_qubits:
-        raise UsageError(
-            f"{file}: noise model covers {model.n_qubits} qubits, "
-            f"expected {n_qubits}"
-        )
+    if model.n_qubits != 4:
+        raise UsageError(f"{file}: noise model covers {model.n_qubits} qubits, expected 4")
     return model
 
 
@@ -211,9 +208,8 @@ def _noisy_levels(xs: list[float], args, n_steps: int, model: NoiseModel,
     of them in one channel call."""
     factors = tuple(dict.fromkeys(factors))
     models = [model.scaled(f) for f in factors]  # one per level, shared by every x
-    params = [_mode_params(x, args, n_steps) for x in xs]
-    rows = iter(noisy_distributions([p for p in params for _ in models], models * len(params)))
-    return {x: {f: next(rows) for f in factors} for x in xs}
+    grid = noisy_distributions([_mode_params(x, args, n_steps) for x in xs], models)
+    return {x: dict(zip(factors, row)) for x, row in zip(xs, grid)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ target that hardware gate folding only approximates.
 
 Injecting a uniformly random non-identity Pauli with probability p is
 exactly the depolarizing channel on the gate's operands.  `noisy_distributions`
-returns the exact outcome distribution, readout included, of each of a list
-of (circuit, model) rows, whatever the shot count.  It holds each row's rho
+takes a list of schedule windows and a list of noise models and returns the
+exact outcome distribution, readout included, of every (window, model) pair
+of that grid, whatever the shot count.  It holds each pair's rho
 as its real Pauli coefficients c_P = Tr(P rho) (the Pauli-transfer
 representation).  X, H, S, SDG and CNOT permute these coefficients with
 signs, read off the stabilizer-tableau rules on each letter's (x, z) bits
@@ -23,11 +24,11 @@ depolarizing at rate p scales those of the Paulis on the gate's
 qubits by keep = 1 - p d²/(d²-1).  So every gate between two RZs, with its
 depolarizing, folds into one map: a gather, a sign and keep1**a * keep2**b
 with integer exponents a, b that no rate or angle enters.  Each RZ is a
-cos/sin rotation of the (X_q, Y_q) coefficient pairs at each row's own
+cos/sin rotation of the (X_q, Y_q) coefficient pairs at each window's own
 angle.  The runs of each `StepTemplate` are folded from index arithmetic
 on first use and kept, so a slice costs about 20 rotations and 20 gathers
-for any batch of rows, and rows at different x run in one batch when
-their schedules have equal `encoding.slice_cuts`.  The
+for any batch of pairs, and windows run in one batch when their schedules
+have equal `encoding.slice_cuts`.  The
 arithmetic is real multiplies and adds throughout, with no BLAS product and
 no `np.power`, so the bytes depend on neither the BLAS kernel nor numpy's
 SIMD dispatch.  The shots of a stochastic-Pauli model are independent and
@@ -40,14 +41,12 @@ from __future__ import annotations
 
 import functools
 import json
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .background import ModeParams
-from .circuits import Circuit
 from .encoding import VACUUM_PREP, StepTemplate, slice_chunks, slice_cuts
 from .schedule import build_schedule
 
@@ -81,14 +80,6 @@ class NoiseModel:
     @property
     def n_qubits(self) -> int:
         return len(self.readout)
-
-    @classmethod
-    def default(cls, n_qubits: int = 4) -> "NoiseModel":
-        return cls.symmetric(n_qubits)
-
-    @classmethod
-    def noiseless(cls, n_qubits: int = 4) -> "NoiseModel":
-        return cls.symmetric(n_qubits=n_qubits, epsilon=0.0, p2=0.0, p1=0.0)
 
     @classmethod
     def symmetric(
@@ -164,135 +155,109 @@ def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     return p.reshape(-1)
 
 
-def noisy_distributions(
-    sources: Circuit | ModeParams | Sequence[Circuit | ModeParams], models: Sequence[NoiseModel]
-) -> list[np.ndarray]:
-    """Exact outcome distribution of each row's circuit under its noise model, in order.
+def noisy_distributions(params: Sequence[ModeParams], models: Sequence[NoiseModel]) -> np.ndarray:
+    """Exact outcome distribution of each window's schedule circuit under each model.
 
-    `sources` holds one circuit per model, or is one circuit for every model.
-    A `ModeParams` stands for `build_full_circuit(build_schedule(params))`,
-    which is never built: its schedule is built when its rows run, and its
-    slices apply their templates' folds.  Rows whose schedules have equal
-    `slice_cuts` (a `Circuit`: the same object) run as one batch, one group at
-    a time.  A row's arithmetic is that of a batch of one, bit for bit.
-    Limited to 12 qubits: 4**n coefficients per row.
+    Entry [i, j] of the (len(params), len(models), 16) float64 array is that
+    of `build_full_circuit(build_schedule(params[i]))` under `models[j]`.  The
+    circuit is never built: a window's schedule is built for its group key,
+    dropped, and built once more, for all models, when its group runs; its
+    slices apply their templates' folds.  Windows whose schedules have equal
+    `slice_cuts` run as one batch of (window, model) rows, one group at a
+    time.  A row's arithmetic is that of a batch of one, bit for bit.
     """
-    if isinstance(sources, (Circuit, ModeParams)):
-        sources = [sources] * len(models)
-    if len(sources) != len(models):
-        raise ValueError(f"{len(sources)} circuits for {len(models)} noise models")
-    cuts, groups = {}, {}
-    for row, (source, model) in enumerate(zip(sources, models)):
-        n = source.n_qubits if isinstance(source, Circuit) else 4
-        if n != model.n_qubits:
-            raise ValueError(f"model covers {model.n_qubits} qubits, circuit has {n}")
-        if n > 12:
-            raise ValueError(f"Pauli coefficients limited to 12 qubits, got {n}")
-        if isinstance(source, Circuit):
-            key = id(source)
-        else:
-            if source not in cuts:  # built and dropped: only a running group holds its schedules
-                cuts[source] = slice_cuts(build_schedule(source))
-            key = cuts[source]
-        groups.setdefault(key, []).append(row)
-    out = [None] * len(models)
+    for model in models:
+        if model.n_qubits != 4:
+            raise ValueError(f"model covers {model.n_qubits} qubits, circuit has 4")
+    groups = {}
+    for i, p in enumerate(params):  # built and dropped: only a running group holds its schedules
+        groups.setdefault(slice_cuts(build_schedule(p)), []).append(i)
+    out = np.empty((len(params), len(models), 16))
     for rows in groups.values():
-        first = sources[rows[0]]
-        if isinstance(first, Circuit):
-            n, steps = first.n_qubits, _circuit_steps(first)
-        else:
-            n, steps = 4, _schedule_steps([sources[r] for r in rows])
-        group = [models[r] for r in rows]
-        for r, diag in zip(rows, _diagonals(steps, group, n)):
-            out[r] = apply_readout_noise(diag, models[r])
+        steps = _schedule_steps([params[i] for i in rows], len(models))
+        out[rows] = _diagonals(steps, list(models) * len(rows)).reshape(len(rows), len(models), 16)
+    for i, j in np.ndindex(out.shape[:2]):
+        out[i, j] = apply_readout_noise(out[i, j], models[j])
     return out
 
 
-def _diagonals(steps, models: list[NoiseModel], n: int) -> np.ndarray:
-    """diag(rho) of each model's row after the (run, qubit, cos, sin) steps.
+def _diagonals(steps, models: list[NoiseModel]) -> np.ndarray:
+    """diag(rho), (rows, 16), of each model's row after the (run, qubit, cos, sin) steps.
 
-    Each row starts at c_P = 1 on the 2^n strings over {I, Z} (|0...0>) and
+    Each row starts at c_P = 1 on the 16 strings over {I, Z} (|0000>) and
     ends in the per-qubit Walsh map [[1/2, 1/2], [1/2, -1/2]] of its {I, Z}
     coefficients.
     """
-    iz = (slice(None),) + (slice(None, None, 3),) * n  # the letters I and Z of every qubit
-    coeffs = np.zeros((len(models),) + (4,) * n)
+    iz = (slice(None, None, 3),) * 4  # the letters I and Z of every qubit
+    coeffs = np.zeros((4,) * 4 + (len(models),))
     coeffs[iz] = 1.0
-    coeffs = _evolve(coeffs.reshape(len(models), -1), steps, _scaler(models))
-    walsh = coeffs.reshape(coeffs.shape[:1] + (4,) * n)[iz]
-    for axis in range(1, n + 1):
+    coeffs = _evolve(coeffs.reshape(256, len(models)), steps, _scaler(models))
+    walsh = coeffs.reshape((4,) * 4 + (len(models),))[iz]
+    for axis in range(4):
         i, z = np.split(walsh, 2, axis=axis)
         walsh = 0.5 * np.concatenate([i + z, i - z], axis=axis)
-    return walsh.reshape(len(models), 2**n)
+    return walsh.reshape(16, len(models)).T
 
 
 def _evolve(coeffs: np.ndarray, steps, scale) -> np.ndarray:
-    """Apply each step to the rows of Pauli coefficients: its run, then its RZ.
+    """Apply each step to the (256, rows) Pauli coefficients: its run, then its RZ.
 
-    A run is a gather and a per-row scale.  RZ(theta) on qubit q turns each
-    (X_q, Y_q) coefficient pair (x, y) into (cos x - sin y, sin x + cos y)
-    at its row's angle; the last step has no RZ.
+    Held Pauli-major, so a run's gather copies whole rows of the batch and
+    each RZ works on views.  A run is a gather and a per-row scale.
+    RZ(theta) on qubit q turns each (X_q, Y_q) coefficient pair (x, y) into
+    (cos x - sin y, sin x + cos y) at its row's angle; the last step has no RZ.
     """
     for run, q, cos, sin in steps:
-        coeffs = coeffs[:, run.src] * scale(run)
+        coeffs = coeffs[run.src] * scale(run)
         if q is not None:
-            view = coeffs.reshape(len(coeffs), 4**q, 4, -1)
-            x, y = view[:, :, 1], view[:, :, 2]
-            view[:, :, 1], view[:, :, 2] = cos * x - sin * y, sin * x + cos * y
+            view = coeffs.reshape((4**q, 4, 4 ** (3 - q)) + coeffs.shape[1:])
+            x, y = view[:, 1], view[:, 2]
+            view[:, 1], view[:, 2] = cos * x - sin * y, sin * x + cos * y
     return coeffs
 
 
 def _scaler(models: list[NoiseModel]):
-    """run -> its per-row scale sign * keep1**a * keep2**b, kept for one pass
-    while the run lives: a circuit's runs are dropped as its fold goes on.
+    """run -> its (256, rows) scale sign * keep1**a * keep2**b, kept for one group.
 
-    keep = 1 - p d²/(d²-1) at p1 (d = 2) and p2 (d = 4).  keep**e is column e
+    keep = 1 - p d²/(d²-1) at p1 (d = 2) and p2 (d = 4).  keep**e is row e
     of the running products 1, keep, keep * keep, ...: plain multiplies,
     which no SIMD dispatch rounds differently, where `np.power` does.
     """
     keeps = (1.0 - np.array([m.p1 for m in models]) * 4 / 3,
              1.0 - np.array([m.p2 for m in models]) * 16 / 15)
-    memo = weakref.WeakKeyDictionary()
+    memo = {}
 
     def power(keep, exponents):
-        factors = np.repeat(keep[:, None], exponents.max() + 1, axis=1)
-        factors[:, 0] = 1.0
-        return np.cumprod(factors, axis=1)[:, exponents]
+        factors = np.repeat(keep[None, :], exponents.max() + 1, axis=0)
+        factors[0] = 1.0
+        return np.cumprod(factors, axis=0)[exponents]
 
     def scale(run):
         if run not in memo:
-            memo[run] = run.sign * power(keeps[0], run.a) * power(keeps[1], run.b)
+            memo[run] = run.sign[:, None] * power(keeps[0], run.a) * power(keeps[1], run.b)
         return memo[run]
 
     return scale
 
 
-def _circuit_steps(circuit: Circuit):
-    """The steps of a circuit's own fold, as it goes; every row takes the gates' RZ angles."""
-    for run, rz in _fold(circuit.gates, circuit.n_qubits):
-        if rz is None:
-            yield run, None, None, None
-        else:
-            yield run, rz.qubits[0], np.cos(rz.angle), np.sin(rz.angle)
+def _schedule_steps(params: list[ModeParams], models: int):
+    """The steps of the schedule circuits of windows whose schedules are cut alike,
+    for `models` rows per window, window-major.
 
-
-def _schedule_steps(params: list[ModeParams]):
-    """The steps of the schedule circuits of rows whose schedules are cut alike.
-
-    Each row walks its own schedule through `slice_chunks`, so a running
-    group holds one schedule per row.  A slice's first run joins it to the
+    Each window walks its own schedule through `slice_chunks`, so a running
+    group holds one schedule per window.  A slice's first run joins it to the
     slice before, or to the vacuum preparation.
     """
     prev = None
     for chunks in zip(*(slice_chunks(build_schedule(p)) for p in params), strict=True):
         template = chunks[0][0]
         runs = _template_fold(template)
-        angles = np.stack([a for _, a in chunks])
-        cos, sin = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
-        for i in range(angles.shape[1]):
+        angles = np.repeat(np.stack([a for _, a in chunks], axis=-1), models, axis=-1)
+        cos, sin = np.cos(angles), np.sin(angles)
+        for i in range(len(angles)):
             slice_runs = (_junction(prev, template), *runs[1:-1])
             for j, (run, ((q,), _, _)) in enumerate(zip(slice_runs, template.rzs)):
-                yield run, q, cos[:, i, j], sin[:, i, j]
+                yield run, q, cos[i, j], sin[i, j]
             prev = template
     yield _template_fold(prev)[-1], None, None, None
 
@@ -350,11 +315,11 @@ def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
     return _Run(src, 1 - 2 * flip.astype(int), *((idle, acts) if name == "CNOT" else (acts, idle)))
 
 
-def _fold(gates, n: int):
-    """Cut a gate list at its RZs: (run, RZ) for the gates before each RZ, then (run, None)."""
-    run = _Run(np.arange(4**n), np.ones(4**n, dtype=int), *np.zeros((2, 4**n), dtype=int))
+def _fold(gates):
+    """Cut a 4-qubit gate list at its RZs: (run, RZ) for the gates before each RZ, then (run, None)."""
+    run = _Run(np.arange(256), np.ones(256, dtype=int), *np.zeros((2, 256), dtype=int))
     for gate in gates:
-        step = _gate_run(gate.name, gate.qubits, n)
+        step = _gate_run(gate.name, gate.qubits, 4)
         if gate.name == "RZ":
             yield run, gate
             run = step
@@ -366,12 +331,12 @@ def _fold(gates, n: int):
 @functools.lru_cache(maxsize=2)
 def _template_fold(template: StepTemplate) -> tuple[_Run, ...]:
     """The runs of `_fold` of a slice template: one per fixed run of its cut."""
-    return tuple(run for run, _ in _fold(template.instantiate([0.0] * len(template.rzs)), 4))
+    return tuple(run for run, _ in _fold(template.instantiate([0.0] * len(template.rzs))))
 
 
 @functools.cache
 def _junction(before: StepTemplate | None, after: StepTemplate) -> _Run:
     """The run from the last RZ of slice template `before` (None: the vacuum
     preparation) to the first RZ of `after`."""
-    tail = next(_fold(VACUUM_PREP, 4))[0] if before is None else _template_fold(before)[-1]
+    tail = next(_fold(VACUUM_PREP))[0] if before is None else _template_fold(before)[-1]
     return tail.then(_template_fold(after)[0])

@@ -36,14 +36,11 @@ def openblas_core_types() -> list[str]:
 
 
 def distributions_digest() -> str:
-    """sha256 of one `noisy_distributions` call over a few (x, N, factor) rows."""
+    """sha256 of one `noisy_distributions` grid over a few (x, N) windows and
+    factors, its rows in x-major, factor-minor order."""
     params = [ModeParams(x=x, n_steps=n) for x, n in ((1.3, 1), (2.2, 3))]
-    models = [NoiseModel.default(4).scaled(f) for f in (1.0, 2.0)]
-    rows = noisy_distributions([p for p in params for _ in models], models * len(params))
-    digest = hashlib.sha256()
-    for row in rows:
-        digest.update(row.tobytes())
-    return digest.hexdigest()
+    models = [NoiseModel.symmetric(4).scaled(f) for f in (1.0, 2.0)]
+    return hashlib.sha256(noisy_distributions(params, models).tobytes()).hexdigest()
 
 
 if __name__ == "__main__":

@@ -257,7 +257,7 @@ def test_criterion_08_shot_statistics():
 def test_criterion_09_mitigation_properties():
     t0 = time.perf_counter()
     # (a) Readout round trip on an exact distribution.
-    model = NoiseModel.default(4)
+    model = NoiseModel.symmetric(4)
     true = {"0101": 0.96, "1010": 0.025, "1001": 0.01, "0110": 0.005}
     fixed = mitigate_readout(apply_readout_noise(dist(true), model), model)
     round_trip = max(abs(fixed.quasi[int(s, 2)] - v) for s, v in true.items())
@@ -270,12 +270,11 @@ def test_criterion_09_mitigation_properties():
     # premise needs the per-trajectory injection probability to stay small,
     # which holds at p2 = 1e-3 but not at the default 2.8e-3, where the
     # saturation curvature of the injection process biases the intercept.
-    sched = build_schedule(ModeParams(x=1.3, n_steps=1))
-    circuit = build_full_circuit(sched)
-    ideal = probabilities(run_circuit(circuit))[0b1010]
+    params = ModeParams(x=1.3, n_steps=1)
+    ideal = probabilities(run_circuit(build_full_circuit(build_schedule(params))))[0b1010]
     stochastic_model = NoiseModel.symmetric(4, epsilon=1.49e-2, p2=1e-3)
     factors = (1.0, 1.5, 2.0)
-    levels = noisy_distributions(circuit, [stochastic_model.scaled(f) for f in factors])
+    (levels,) = noisy_distributions([params], [stochastic_model.scaled(f) for f in factors])
     zne = zne_estimate(factors, levels, 100000, SEED)["p_pair"]
     pull = abs(zne.extrapolated - ideal) / zne.extrapolated_stderr
     elapsed = time.perf_counter() - t0

@@ -304,7 +304,7 @@ class TestTrajectory:
 class TestNoiseStudy:
     def test_zero_noise_model_matches_ideal(self, tmp_path):
         model_file = tmp_path / "model.json"
-        model_file.write_text(NoiseModel.noiseless(4).to_json())
+        model_file.write_text(NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0).to_json())
         assert main(["noise-study", "--x", "1.3", "--shots", "4096", "--seed", "0",
                      "--model-file", str(model_file), "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "noise_study.json").read_text())
@@ -524,19 +524,19 @@ class TestNoiseLevelsComputedOnce:
     @pytest.fixture
     def passes(self, monkeypatch):
         """The (p1, p2) of every model of every exact-channel pass, in call order;
-        `passes.rows` holds the (x, p2) of every row of each pass, and
-        `passes.models` its model objects."""
+        `passes.rows` holds the (x, p2) of every entry of each pass's grid,
+        x-major, and `passes.models` its model objects."""
         import cosmopair.cli as cli
         import cosmopair.noise as noise
 
         calls = _Passes()
         channel = noise.noisy_distributions
 
-        def counted(sources, models):
+        def counted(params, models):
             calls.append([(model.p1, model.p2) for model in models])
-            calls.rows.append([(params.x, model.p2) for params, model in zip(sources, models)])
+            calls.rows.append([(p.x, model.p2) for p in params for model in models])
             calls.models.append(list(models))
-            return channel(sources, models)
+            return channel(params, models)
 
         monkeypatch.setattr(cli, "noisy_distributions", counted)
         monkeypatch.setattr(noise, "noisy_distributions", counted)
@@ -548,7 +548,7 @@ class TestNoiseLevelsComputedOnce:
         assert len(passes) == 1
         assert passes.rows == [[(x, p2 * f) for x in (1.3, 1.5, 1.8, 2.0, 2.2)
                                 for f in (1.0, 1.5, 2.0)]]
-        assert len({id(model) for model in passes.models[0]}) == 3  # one per level
+        assert len({id(model) for model in passes.models[0]}) == len(passes.models[0]) == 3
 
     def test_golden_sweep_noisy_rows(self, tmp_path, capsys, passes):
         argv = ["sweep", "--x", "1.3,2.3", "--methods", "analytic,noisy,mitigated,zne",
@@ -569,9 +569,10 @@ class TestNoiseLevelsComputedOnce:
         assert [[r[1] for r in rates] for rates in passes] == [[p2, p2 * 1.5, p2 * 3.0]]
 
     def test_deep_rows_are_built_one_group_at_a_time(self, tmp_path, capsys, monkeypatch):
-        # At 20000 slices a schedule is about 0.5 MB.  The slice loop stops
-        # after its first step, once it holds its group's angle columns: this
-        # checks what is held around the evolution, not its arithmetic.
+        # At 20000 slices a schedule is about 0.5 MB, and a running group
+        # holds one per x.  The slice loop stops after its first step, once it
+        # holds its group's angle columns: this checks what is held around the
+        # evolution, not its arithmetic.
         import cosmopair.noise as noise
 
         def first_step_only(coeffs, steps, scale):

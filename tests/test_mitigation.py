@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bitstrings import dist
 from cosmopair.background import ModeParams
-from cosmopair.encoding import build_full_circuit
 from cosmopair.mitigation import (
     SingularConfusionError,
     _restricted_confusion,
@@ -16,7 +15,6 @@ from cosmopair.mitigation import (
     zne_estimate,
 )
 from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distributions
-from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     CountsTable,
     derived_seed,
@@ -49,7 +47,7 @@ class TestRestrictedConfusion:
     """The vectorized matrix is the entry-by-entry loop, bit for bit."""
 
     @pytest.mark.parametrize(
-        "model", [NoiseModel.default(4), _ASYMMETRIC], ids=["default", "asymmetric"]
+        "model", [NoiseModel.symmetric(4), _ASYMMETRIC], ids=["default", "asymmetric"]
     )
     def test_four_qubit_models(self, model):
         rng = np.random.default_rng(0)
@@ -71,7 +69,7 @@ class TestRestrictedConfusion:
 class TestReadoutMitigation:
     def test_identity_model_returns_frequencies(self):
         counts = CountsTable(shots=100, counts=dist({"0101": 75, "1010": 25}, int), seed=0)
-        fixed = mitigate_readout(counts, NoiseModel.noiseless(4))
+        fixed = mitigate_readout(counts, NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0))
         assert fixed.quasi == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert fixed.clipped == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert not fixed.ill_conditioned
@@ -88,7 +86,7 @@ class TestReadoutMitigation:
     @pytest.mark.parametrize("shape", [(8,), (32,), (4, 4)])
     def test_rejects_weights_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="do not match 4 qubits"):
-            mitigate_readout(np.ones(shape), NoiseModel.default(4))
+            mitigate_readout(np.ones(shape), NoiseModel.symmetric(4))
 
     def test_single_qubit_exact_recovery(self):
         c = np.array([[0.99, 0.02], [0.01, 0.98]])
@@ -98,7 +96,7 @@ class TestReadoutMitigation:
         assert fixed.quasi[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_four_qubit_round_trip(self):
-        model = NoiseModel.default(4)
+        model = NoiseModel.symmetric(4)
         true = {"0101": 0.92, "1010": 0.05, "1001": 0.02, "0110": 0.01}
         noisy = apply_readout_noise(dist(true), model)
         fixed = mitigate_readout(noisy, model)
@@ -110,7 +108,7 @@ class TestReadoutMitigation:
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=16, max_size=16))
     def test_round_trip_random_distributions(self, weights):
         true = np.array(weights) / sum(weights)
-        model = NoiseModel.default(4)
+        model = NoiseModel.symmetric(4)
         fixed = mitigate_readout(apply_readout_noise(true, model), model)
         assert fixed.quasi == pytest.approx(true, abs=1e-10)
 
@@ -129,13 +127,13 @@ class TestReadoutMitigation:
 
     def test_clipped_variant_is_renormalized(self):
         counts = CountsTable(shots=64, counts=dist({"0101": 63, "1010": 1}, int), seed=0)
-        fixed = mitigate_readout(counts, NoiseModel.default(4))
+        fixed = mitigate_readout(counts, NoiseModel.symmetric(4))
         assert fixed.clipped.sum() == pytest.approx(1.0)
         assert fixed.clipped.min() >= 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            mitigate_readout(np.zeros(16), NoiseModel.default(4))
+            mitigate_readout(np.zeros(16), NoiseModel.symmetric(4))
 
     def test_singular_model_raises(self):
         c = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -174,20 +172,20 @@ class TestLinearExtrapolation:
 
 
 @pytest.fixture(scope="module")
-def circuit():
-    return build_full_circuit(build_schedule(ModeParams(x=1.3, n_steps=1)))
+def params():
+    return ModeParams(x=1.3, n_steps=1)
 
 
-def run_zne(circuit, model, factors, shots, seed):
-    """`zne_estimate` over the exact distribution of `circuit` at each factor."""
-    levels = noisy_distributions(circuit, [model.scaled(f) for f in factors])
+def run_zne(params, model, factors, shots, seed):
+    """`zne_estimate` over the exact distribution of `params`' circuit at each factor."""
+    (levels,) = noisy_distributions([params], [model.scaled(f) for f in factors])
     return zne_estimate(factors, levels, shots, seed)
 
 
 class TestZNE:
 
-    def test_factor_validation(self, circuit):
-        probs = noisy_distributions(circuit, [NoiseModel.default(4)])[0]
+    def test_factor_validation(self, params):
+        probs = noisy_distributions([params], [NoiseModel.symmetric(4)])[0, 0]
         with pytest.raises(ValueError):
             zne_estimate((1.0,), [probs], 64, 0)
         with pytest.raises(ValueError):
@@ -198,38 +196,38 @@ class TestZNE:
             with pytest.raises(ValueError, match="finite"):
                 zne_estimate((1.0, bad), [probs] * 2, 64, 0)
 
-    def test_one_distribution_per_factor(self, circuit):
-        probs = noisy_distributions(circuit, [NoiseModel.default(4)])[0]
+    def test_one_distribution_per_factor(self, params):
+        probs = noisy_distributions([params], [NoiseModel.symmetric(4)])[0, 0]
         with pytest.raises(ValueError, match="1 distributions for 2 noise factors"):
             zne_estimate((1.0, 2.0), [probs], 64, 0)
 
-    def test_zero_noise_model_reproduces_ideal(self, circuit):
-        model = NoiseModel.noiseless(4)
-        result = run_zne(circuit, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
+    def test_zero_noise_model_reproduces_ideal(self, params):
+        model = NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0)
+        result = run_zne(params, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
         ideal = 0.0026326481467
         sigma = np.sqrt(ideal * (1 - ideal) / 20000)
         for v in result.values:
             assert abs(v - ideal) < 4 * sigma
         assert abs(result.extrapolated - ideal) < 4 * sigma
 
-    def test_deterministic(self, circuit):
-        model = NoiseModel.default(4)
-        a = run_zne(circuit, model, (1.0, 1.5, 2.0), 512, 9)
-        b = run_zne(circuit, model, (1.0, 1.5, 2.0), 512, 9)
+    def test_deterministic(self, params):
+        model = NoiseModel.symmetric(4)
+        a = run_zne(params, model, (1.0, 1.5, 2.0), 512, 9)
+        b = run_zne(params, model, (1.0, 1.5, 2.0), 512, 9)
         assert a == b
 
-    def test_values_increase_with_amplification(self, circuit):
+    def test_values_increase_with_amplification(self, params):
         # Gate noise inflates the pair estimate, so amplified runs sit higher.
-        model = NoiseModel.default(4)
-        result = run_zne(circuit, model, (1.0, 2.0), 20000, 2)["p_pair"]
+        model = NoiseModel.symmetric(4)
+        result = run_zne(params, model, (1.0, 2.0), 20000, 2)["p_pair"]
         assert result.values[1] > result.values[0]
         assert result.extrapolated < result.values[0]
 
-    def test_both_observables_come_from_the_same_runs(self, circuit):
-        model = NoiseModel.default(4)
-        result = run_zne(circuit, model, (1.0, 2.0), 256, 7)
+    def test_both_observables_come_from_the_same_runs(self, params):
+        model = NoiseModel.symmetric(4)
+        result = run_zne(params, model, (1.0, 2.0), 256, 7)
         for i, factor in enumerate((1.0, 2.0)):
-            probs = noisy_distributions(circuit, [model.scaled(factor)])[0]
+            probs = noisy_distributions([params], [model.scaled(factor)])[0, 0]
             counts = sample_counts(probs, 256, derived_seed(7, i))
             obs = observables_from_counts(counts)
             assert result["p_pair"].values[i] == obs.p_pair
@@ -238,7 +236,7 @@ class TestZNE:
                 v = result[name].values[i]
                 assert result[name].stderrs[i] == max(np.sqrt(v * (1 - v) / 256), 1 / 256)
 
-    def test_leakage_extrapolates_toward_zero(self, circuit):
+    def test_leakage_extrapolates_toward_zero(self, params):
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=2.8e-3)
-        result = run_zne(circuit, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
+        result = run_zne(params, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
         assert result.extrapolated < result.values[0]

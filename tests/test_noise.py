@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dispatch_probe import distributions_digest, openblas_core_types, wide_simd_
 
 import cosmopair
 import cosmopair.encoding as encoding
+import cosmopair.noise as noise
 from cosmopair.background import ModeParams
 from cosmopair.circuits import Circuit, Gate
 from cosmopair.encoding import PauliString, build_full_circuit, pauli_to_matrix
@@ -49,15 +51,22 @@ from cosmopair.statevector import (
 )
 
 
+def circuit_of(params):
+    """The schedule circuit the channel stands for, built gate by gate."""
+    return build_full_circuit(build_schedule(params))
+
+
 def single_step_circuit(x=1.3, n_steps=1):
-    return build_full_circuit(build_schedule(ModeParams(x=x, n_steps=n_steps)))
+    return circuit_of(ModeParams(x=x, n_steps=n_steps))
+
+
+def channel(params, model):
+    """The channel's distribution of one window under one model: a 1 x 1 grid."""
+    return noisy_distributions([params], [model])[0, 0]
 
 
 def hand_built_two_qubit():
-    """Two CNOTs, so two-qubit depolarizing, with an asymmetric readout.
-
-    Each H, RZ(theta), H is RX(theta).
-    """
+    """Two CNOTs on two qubits; each H, RZ(theta), H is RX(theta)."""
     circuit = Circuit(n_qubits=2)
     circuit.add("H", 0).add("RZ", 0, angle=0.7).add("H", 0)
     circuit.add("H", 1)
@@ -65,13 +74,12 @@ def hand_built_two_qubit():
     circuit.add("H", 1).add("RZ", 1, angle=-1.9).add("H", 1)
     circuit.add("CNOT", 0, 1)
     circuit.add("H", 0)
-    c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
-    return circuit, NoiseModel(readout=(c0, c0[::-1, ::-1].copy()), p1=0.15, p2=0.3)
+    return circuit
 
 
 def test_hand_built_two_qubit_bytes():
     """Its gate-by-gate bytes, pinned as in test_statevector.TestGateByGateBytes."""
-    circuit, _ = hand_built_two_qubit()
+    circuit = hand_built_two_qubit()
     digests = [hashlib.sha256((a + 0.0).tobytes()).hexdigest()
                for a in (run_circuit(circuit), circuit_unitary(circuit))]
     assert digests == ["b07c98cc83638c64f3963d7bced7df70c177993c6c259971aef79d8ae48d58a9",
@@ -168,7 +176,10 @@ def assert_counts_follow(table, probs):
 # its depolarizing map as the Pauli sum it stands for,
 # (1 - p) rho + p/(d²-1) Σ P rho P over the d² - 1 non-identity Paulis P on
 # the gate's qubits, from `pauli_to_matrix`; the diagonal goes through the
-# model's readout.
+# model's readout.  `circuit_unitary`'s H is the rounded 1/sqrt(2), so each H
+# scales rho by the same factor, which takes the trace to 1 - 1.4e-13 at
+# N = 12; dividing the diagonal by the trace takes that factor out of the
+# reference, not the channel, whose tableau H is exact.
 # ---------------------------------------------------------------------------
 
 @cache
@@ -193,7 +204,8 @@ def dense_reference(circuit, models):
         paulis = _gate_paulis(n, gate.qubits)
         p = np.array([m.p2 if gate.name == "CNOT" else m.p1 for m in models])[:, None, None]
         rho = (1.0 - p) * rho + p / len(paulis) * sum(pauli @ rho @ pauli for pauli in paulis)
-    return [apply_readout_noise(r.diagonal().real.copy(), m) for r, m in zip(rho, models)]
+    diagonals = rho.diagonal(axis1=1, axis2=2).real
+    return [apply_readout_noise(d / d.sum(), m) for d, m in zip(diagonals, models)]
 
 
 _GATE_NAMES = ("X", "H", "S", "SDG", "RZ", "CNOT")
@@ -210,34 +222,40 @@ def _gates(draw):
     return Gate(name, (draw(st.integers(0, 3)),), angle)
 
 
+_C0 = np.array([[0.97, 0.05], [0.03, 0.95]])
+_C1 = _C0[::-1, ::-1].copy()
+
+#: One model at each rate corner, keep = 1 (p = 0), keep = 0 (p1 = 3/4,
+#: p2 = 15/16) and keep < 0 (p = 1), all under one asymmetric readout.
+CORNERS = [NoiseModel(readout=(_C0, _C1, _C1, _C0), p1=p1, p2=p2)
+           for p1, p2 in ((0.0, 0.0), (0.75, 15 / 16), (1.0, 1.0))]
+
+
 def mixed_batch():
-    """(sources, models): rows at x in {1.3, 2.2} and N in {1, 3, 10} in one list,
-    at the rate corners keep = 1 (p = 0), keep = 0 (p1 = 3/4, p2 = 15/16)
-    and keep < 0 (p = 1), and under two readouts."""
-    c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
-    c1 = c0[::-1, ::-1].copy()
+    """(params, models): a grid of windows at x in {1.3, 2.2} and N in {1, 3, 10}
+    by models at the rate corners keep = 1 (p = 0), keep = 0 (p1 = 3/4,
+    p2 = 15/16) and keep < 0 (p = 1), and under two readouts."""
     models = [
-        NoiseModel.default(4),
+        NoiseModel.symmetric(4),
         NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
         NoiseModel.symmetric(4, epsilon=0.02, p2=15 / 16, p1=0.75),
         NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
-        NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
-        NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
+        NoiseModel(readout=(_C0, _C1, _C1, _C0), p1=3e-4, p2=3e-3),
+        NoiseModel(readout=(_C1, _C0, _C0, _C1), p1=3e-4, p2=3e-3),
     ]
-    params = [ModeParams(x=x, n_steps=n) for x in (1.3, 2.2) for n in (1, 3, 10)]
-    return [p for p in params for _ in models], [m for _ in params for m in models]
+    return [ModeParams(x=x, n_steps=n) for x in (1.3, 2.2) for n in (1, 3, 10)], models
 
 
 class TestNoiseModel:
     def test_default_magnitudes(self):
-        m = NoiseModel.default(4)
+        m = NoiseModel.symmetric(4)
         assert m.p2 == 2.80e-3
         assert m.p1 == 2.80e-4
         assert m.readout[0][1, 0] == 1.49e-2
         assert m.n_qubits == 4
 
     def test_scaling_touches_rates_only(self):
-        m = NoiseModel.default(4).scaled(1.5)
+        m = NoiseModel.symmetric(4).scaled(1.5)
         assert m.p2 == pytest.approx(4.2e-3)
         assert m.p1 == pytest.approx(4.2e-4)
         assert m.readout[0][1, 0] == 1.49e-2
@@ -261,7 +279,7 @@ class TestNoiseModel:
 
 class TestReadoutChannel:
     def test_identity_confusion_is_identity(self):
-        model = NoiseModel.noiseless(4)
+        model = NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0)
         probs = dist({"0101": 0.7, "1010": 0.3})
         noisy = labelled(apply_readout_noise(probs, model))
         assert noisy["0101"] == pytest.approx(0.7)
@@ -297,62 +315,57 @@ class TestReadoutChannel:
         if total == 0.0:
             return
         probs = np.array(weights) / total
-        noisy = apply_readout_noise(probs, NoiseModel.default(4))
+        noisy = apply_readout_noise(probs, NoiseModel.symmetric(4))
         assert sum(noisy.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(8,), (32,), (4, 4)])
     def test_rejects_a_distribution_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="does not match 4 qubits"):
-            apply_readout_noise(np.full(shape, 1.0 / np.prod(shape)), NoiseModel.default(4))
+            apply_readout_noise(np.full(shape, 1.0 / np.prod(shape)), NoiseModel.symmetric(4))
 
 
 class TestNoisyRunner:
     def test_zero_rate_model_equals_ideal_sampling(self):
-        circuit = single_step_circuit()
-        model = NoiseModel.noiseless(4)
-        noisy = sample_counts(noisy_distributions(circuit, [model])[0], 4096, seed=11)
-        ideal = sample_counts(probabilities(run_circuit(circuit)), 4096, seed=11)
+        model = NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0)
+        noisy = sample_counts(channel(ModeParams(x=1.3), model), 4096, seed=11)
+        ideal = sample_counts(probabilities(run_circuit(single_step_circuit())), 4096, seed=11)
         assert np.array_equal(noisy.counts, ideal.counts)
 
     def test_deterministic_under_seed(self):
-        circuit = single_step_circuit()
-        model = NoiseModel.default(4)
-        a = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=5)
-        b = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=5)
+        params = ModeParams(x=1.3)
+        model = NoiseModel.symmetric(4)
+        a = sample_counts(channel(params, model), 512, seed=5)
+        b = sample_counts(channel(params, model), 512, seed=5)
         assert np.array_equal(a.counts, b.counts)
-        c = sample_counts(noisy_distributions(circuit, [model])[0], 512, seed=6)
+        c = sample_counts(channel(params, model), 512, seed=6)
         assert not np.array_equal(c.counts, a.counts)
 
     def test_default_rates_produce_leakage_and_bias(self):
-        circuit = single_step_circuit()
-        model = NoiseModel.default(4)
-        probs = noisy_distributions(circuit, [model])[0]
+        probs = channel(ModeParams(x=1.3), NoiseModel.symmetric(4))
         obs = observables_from_counts(sample_counts(probs, 8192, seed=0))
         assert obs.leakage > 0.05  # noise floor, far above the ideal 0
         assert obs.p_pair > 0.0026  # biased above the ideal single-step value
 
     def test_always_inject_moves_distribution(self):
-        circuit = single_step_circuit()
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=1.0, p1=1.0)
-        probs = noisy_distributions(circuit, [model])[0]
+        probs = channel(ModeParams(x=1.3), model)
         obs = observables_from_counts(sample_counts(probs, 2048, seed=0))
         # Saturated injection scrambles the state far from the ideal output.
         assert obs.leakage > 0.3
 
     def test_shots_accounted(self):
-        probs = noisy_distributions(single_step_circuit(), [NoiseModel.default(4)])[0]
+        probs = channel(ModeParams(x=1.3), NoiseModel.symmetric(4))
         table = sample_counts(probs, 777, 3)
         assert table.counts.sum() == 777
         assert table.shots == 777
 
     def test_rejects_mismatched_register(self):
-        model = NoiseModel.default(2)
         with pytest.raises(ValueError):
-            noisy_distributions(single_step_circuit(), [model])[0]
+            channel(ModeParams(x=1.3), NoiseModel.symmetric(2))
 
     @pytest.mark.parametrize("shots", [0, -3])
     def test_rejects_nonpositive_shots(self, shots):
-        probs = noisy_distributions(single_step_circuit(), [NoiseModel.default(4)])[0]
+        probs = channel(ModeParams(x=1.3), NoiseModel.symmetric(4))
         with pytest.raises(ValueError, match="shots must be >= 1"):
             sample_counts(probs, shots, 0)
 
@@ -366,12 +379,12 @@ class TestBatchedRunMatchesReplay:
 
     @pytest.mark.parametrize("x, n_steps", [(1.3, 1), (1.3, 2), (2.2, 1), (2.2, 2)])
     def test_schedule_circuits(self, x, n_steps):
-        circuit = single_step_circuit(x, n_steps)
+        params = ModeParams(x=x, n_steps=n_steps)
+        circuit = circuit_of(params)
         for seed, factor in enumerate((1.0, 2.0, 5.0)):
-            model = NoiseModel.default(4).scaled(factor)
+            model = NoiseModel.symmetric(4).scaled(factor)
             assert_counts_follow(
-                replay_noisy_circuit(circuit, model, 600, seed),
-                noisy_distributions(circuit, [model])[0],
+                replay_noisy_circuit(circuit, model, 600, seed), channel(params, model)
             )
 
     @pytest.mark.parametrize(
@@ -379,32 +392,24 @@ class TestBatchedRunMatchesReplay:
         ids=["saturated", "p2-only", "p1-only"],
     )
     def test_rate_corners(self, p1, p2, shots):
-        circuit = single_step_circuit(2.0)
         model = NoiseModel.symmetric(4, epsilon=0.02, p2=p2, p1=p1)
         assert_counts_follow(
-            replay_noisy_circuit(circuit, model, shots, seed=3),
-            noisy_distributions(circuit, [model])[0],
-        )
-
-    def test_hand_built_two_qubit_circuit(self):
-        circuit, model = hand_built_two_qubit()
-        assert_counts_follow(
-            replay_noisy_circuit(circuit, model, 4000, seed=1),
-            noisy_distributions(circuit, [model])[0],
+            replay_noisy_circuit(single_step_circuit(2.0), model, shots, seed=3),
+            channel(ModeParams(x=2.0), model),
         )
 
     def test_memory_does_not_grow_with_gate_count(self):
         # The replay keeps one stored state per gate (G+1 rows of 16); the
-        # exact channel keeps the 4**n real Pauli coefficients of each model's
-        # rho and folds the circuit's gates as it goes, whatever the gate
+        # exact channel keeps the 256 real Pauli coefficients of each model's
+        # rho and applies the slices' folds as it goes, whatever the gate
         # count.
-        model = NoiseModel.default(4)
+        model = NoiseModel.symmetric(4)
         peaks = {}
         for n_steps in (1, 20):
-            circuit = single_step_circuit(2.0, n_steps)
-            sample_counts(noisy_distributions(circuit, [model])[0], 32, 0)
+            params = ModeParams(x=2.0, n_steps=n_steps)
+            sample_counts(channel(params, model), 32, 0)
             tracemalloc.start()
-            sample_counts(noisy_distributions(circuit, [model])[0], 32, 0)
+            sample_counts(channel(params, model), 32, 0)
             peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         prefix_bytes = (len(single_step_circuit(2.0, 20).gates) + 1) * 16 * 16
@@ -412,74 +417,62 @@ class TestBatchedRunMatchesReplay:
 
 
 class TestNoisyDistribution:
-    def test_single_gates_at_rate_one(self):
-        # Of the 3 one-qubit Paulis, Z keeps X|0> = |1>; of the 15 two-qubit
-        # ones, 3 keep |00> (letters from {I, Z}) and 4 lead to each other string.
-        one = Circuit(n_qubits=1)
-        one.add("X", 0)
-        model = NoiseModel.symmetric(1, epsilon=0.0, p2=0.0, p1=1.0)
-        exact = noisy_distributions(one, [model])[0]
-        assert exact == pytest.approx(dist({"0": 2 / 3, "1": 1 / 3}), abs=1e-15)
-        two = Circuit(n_qubits=2)
-        two.add("CNOT", 0, 1)
-        model = NoiseModel.symmetric(2, epsilon=0.0, p2=1.0, p1=0.0)
-        exact = noisy_distributions(two, [model])[0]
-        expected = {"00": 3 / 15, "01": 4 / 15, "10": 4 / 15, "11": 4 / 15}
-        assert exact == pytest.approx(dist(expected), abs=1e-15)
-
     @pytest.mark.parametrize("x", [1.3, 2.2])
     def test_zero_gate_rates_give_the_ideal_distribution(self, x):
-        circuit = single_step_circuit(x, 2)
         c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
         c1 = c0[::-1, ::-1].copy()
         model = NoiseModel(readout=(c0, c1, c1, c0), p1=0.0, p2=0.0)
-        exact = noisy_distributions(circuit, [model])[0]
+        exact = channel(ModeParams(x=x, n_steps=2), model)
         # run_circuit's H is the rounded 1/sqrt(2): each H scales the whole
         # state by the same factor, about 1 - 2.5e-14 in all here.  Dividing
         # by the total takes that factor out of the reference, not the channel.
-        ideal = probabilities(run_circuit(circuit))
+        ideal = probabilities(run_circuit(single_step_circuit(x, 2)))
         ideal = apply_readout_noise(ideal / ideal.sum(), model)
         assert exact.shape == ideal.shape
         assert np.max(np.abs(exact - ideal)) < 1e-14
 
     def test_rejects_mismatched_register(self):
         with pytest.raises(ValueError, match="model covers 2 qubits"):
-            noisy_distributions(single_step_circuit(), [NoiseModel.default(2)])[0]
+            channel(ModeParams(x=1.3), NoiseModel.symmetric(2))
 
-    def test_rejects_registers_above_12_qubits(self):
-        circuit = Circuit(n_qubits=13)
-        circuit.add("H", 12)
-        with pytest.raises(ValueError, match="limited to 12 qubits"):
-            noisy_distributions(circuit, [NoiseModel.default(13)])[0]
+    def test_empty_grids(self):
+        models = [NoiseModel.symmetric(4), NoiseModel.symmetric(4).scaled(2.0)]
+        params = [ModeParams(x=1.3), ModeParams(x=2.2, n_steps=3)]
+        for grid, shape in ((noisy_distributions([], models), (0, 2, 16)),
+                            (noisy_distributions(params, []), (2, 0, 16)),
+                            (noisy_distributions([], []), (0, 0, 16))):
+            assert grid.shape == shape and grid.dtype == np.float64
 
 
 class TestBatchIsExact:
-    """Each row of a batched pass is its model's one-model pass, bit for bit."""
+    """Each entry of a grid is its (window, model) pass alone, bit for bit,
+    and a window's rows are those of its circuit."""
 
     @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("x", [1.3, 2.2])
     def test_rows_equal_one_model_passes(self, x, n_steps):
-        circuit = single_step_circuit(x, n_steps)
+        params = ModeParams(x=x, n_steps=n_steps)
         c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
         c1 = c0[::-1, ::-1].copy()
-        models = [NoiseModel.default(4).scaled(f) for f in (1.0, 1.5, 2.0, 5.0)] + [
+        models = [NoiseModel.symmetric(4).scaled(f) for f in (1.0, 1.5, 2.0, 5.0)] + [
             NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
             NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
             NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
             NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
         ]
-        batch = noisy_distributions(circuit, models)
-        assert len(batch) == len(models)
+        (batch,) = noisy_distributions([params], models)
+        assert batch.shape == (len(models), 16)
         for model, row in zip(models, batch):
-            assert np.array_equal(row, noisy_distributions(circuit, [model])[0])
+            assert np.array_equal(row, channel(params, model))
         # The rows differ, the last two through their readout alone.
         assert len({tuple(row.tolist()) for row in batch}) == len(models)
 
     def test_rows_at_every_x_equal_one_row_passes(self):
-        sources, models = mixed_batch()
-        batch = noisy_distributions(sources, models)
-        for source, model, row in zip(sources, models, batch):
-            assert np.array_equal(row, noisy_distributions(source, [model])[0])
+        params, models = mixed_batch()
+        grid = noisy_distributions(params, models)
+        assert grid.shape == (len(params), len(models), 16)
+        for i, j in np.ndindex(grid.shape[:2]):
+            assert np.array_equal(grid[i, j], channel(params[i], models[j]))
 
     @pytest.mark.parametrize(
         "params",
@@ -488,28 +481,31 @@ class TestBatchIsExact:
         ids=["1.3-3", "2.2-10", "radiation-2.0", "radiation-1.3"],
     )
     def test_schedule_rows_equal_the_rows_of_its_circuit(self, params):
-        # The radiation windows end in two radiation slices, so their folds
-        # join slices of both shapes.
-        models = mixed_batch()[1][:6]
-        circuit = build_full_circuit(build_schedule(params))
-        for a, b in zip(noisy_distributions(params, models), noisy_distributions(circuit, models)):
-            assert np.array_equal(a, b)
+        # The rows of the circuit are those of its dense density matrix.  The
+        # radiation windows end in two radiation slices, so their folds join
+        # slices of both shapes.
+        models = mixed_batch()[1]
+        (rows,) = noisy_distributions([params], models)
+        for row, ref in zip(rows, dense_reference(circuit_of(params), models)):
+            assert np.max(np.abs(row - ref)) < 1e-13
 
     @pytest.mark.parametrize("chunk", [4, 7])
     def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
         # Radiation from slice 96 (51), so the runs cross the chunk bounds.
         params = [ModeParams(x=x, y_i=-2.5, n_steps=257) for x in (1.3, 2.0)]
-        models = [NoiseModel.default(4), NoiseModel.default(4).scaled(2.0)]
-        sources, rows = [p for p in params for _ in models], models * len(params)
-        default = noisy_distributions(sources, rows)
+        models = [NoiseModel.symmetric(4), NoiseModel.symmetric(4).scaled(2.0)]
+        default = noisy_distributions(params, models)
         monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", chunk)
-        for a, b in zip(noisy_distributions(sources, rows), default):
-            assert np.array_equal(a, b)
+        assert np.array_equal(noisy_distributions(params, models), default)
 
-    def test_rejects_a_mismatched_model_in_the_batch(self):
-        models = [NoiseModel.default(4), NoiseModel.default(2)]
+    def test_rejects_a_mismatched_model_in_the_batch(self, monkeypatch):
+        def no_schedule(params):
+            raise AssertionError("a schedule was built before the models were checked")
+
+        monkeypatch.setattr(noise, "build_schedule", no_schedule)
+        models = [NoiseModel.symmetric(4), NoiseModel.symmetric(2)]
         with pytest.raises(ValueError, match="model covers 2 qubits"):
-            noisy_distributions(single_step_circuit(), models)
+            noisy_distributions([ModeParams(x=1.3), ModeParams(x=2.2)], models)
 
 
 class TestDenseReference:
@@ -518,49 +514,43 @@ class TestDenseReference:
     @pytest.mark.parametrize("n_steps", [1, 3, 10])
     @pytest.mark.parametrize("x", [1.3, 2.2])
     def test_schedule_circuits(self, x, n_steps):
-        circuit = single_step_circuit(x, n_steps)
+        params = ModeParams(x=x, n_steps=n_steps)
         c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
         c1 = c0[::-1, ::-1].copy()
-        models = [NoiseModel.default(4).scaled(f) for f in (1.0, 2.0)] + [
+        models = [NoiseModel.symmetric(4).scaled(f) for f in (1.0, 2.0)] + [
             NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0),
             NoiseModel.symmetric(4, epsilon=0.02, p2=1.0, p1=1.0),
             NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
             NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
         ]
-        exact = noisy_distributions(circuit, models)
-        reference = dense_reference(circuit, models)
+        (exact,) = noisy_distributions([params], models)
+        reference = dense_reference(circuit_of(params), models)
         assert len(exact) == len(reference) == len(models)
         for row, ref in zip(exact, reference):
             assert np.max(np.abs(row - ref)) < 1e-13
 
     def test_one_batch_of_rows_at_every_x(self):
-        sources, models = mixed_batch()
-        exact = noisy_distributions(sources, models)
-        for params in dict.fromkeys(sources):
-            rows = [r for r, source in enumerate(sources) if source == params]
-            circuit = build_full_circuit(build_schedule(params))
-            reference = dense_reference(circuit, [models[r] for r in rows])
-            for r, ref in zip(rows, reference):
-                assert np.max(np.abs(exact[r] - ref)) < 1e-13
+        params, models = mixed_batch()
+        grid = noisy_distributions(params, models)
+        for p, rows in zip(params, grid):
+            for row, ref in zip(rows, dense_reference(circuit_of(p), models)):
+                assert np.max(np.abs(row - ref)) < 1e-13
 
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=20)
     @given(
-        st.lists(_gates(), min_size=0, max_size=16),
-        st.lists(st.sampled_from([0.0, 0.01, 0.3, 0.75, 1.0]), min_size=2, max_size=2),
+        st.floats(0.5, 5.0),
+        st.floats(1e-6, 1.0),
+        st.floats(1e-3, 5.0),
+        st.integers(1, 12),
+        st.sampled_from([encoding.SCHEDULE_CHUNK, 4]),
     )
-    def test_random_gate_lists(self, gates, rates):
-        circuit = Circuit(4, gates)
-        c0 = np.array([[0.97, 0.05], [0.03, 0.95]])
-        models = [NoiseModel(readout=(c0,) * 4, p1=rates[0], p2=rates[1]),
-                  NoiseModel.symmetric(4, epsilon=0.01, p2=rates[0], p1=rates[1])]
-        for row, ref in zip(noisy_distributions(circuit, models), dense_reference(circuit, models)):
-            assert np.max(np.abs(row - ref)) < 1e-13
-
-    def test_hand_built_two_qubit_circuit(self):
-        circuit, model = hand_built_two_qubit()
-        saturated = NoiseModel(readout=model.readout, p1=1.0, p2=1.0)
-        models = [model, model.scaled(0.0), saturated]
-        for row, ref in zip(noisy_distributions(circuit, models), dense_reference(circuit, models)):
+    def test_random_windows(self, x, before, after, n_steps, chunk):
+        # y_i from just below the transition y_e = -x down to -40, y_f above
+        # it; a chunk of 4 slices cuts the runs within the window.
+        params = ModeParams(x=x, y_i=-x - before * (40.0 - x), y_f=-x + after, n_steps=n_steps)
+        with mock.patch.object(encoding, "SCHEDULE_CHUNK", chunk):
+            (rows,) = noisy_distributions([params], CORNERS)
+        for row, ref in zip(rows, dense_reference(circuit_of(params), CORNERS)):
             assert np.max(np.abs(row - ref)) < 1e-13
 
 

@@ -21,7 +21,6 @@ from .background import (
 from .circuits import Circuit, Gate, circuit_from_text, circuit_to_text
 from .encoding import (
     PauliString,
-    PauliSum,
     aq_pauli_sum,
     build_full_circuit,
     pauli_to_matrix,
@@ -39,7 +38,6 @@ from .mitigation import (
 from .noise import NoiseModel, apply_readout_noise, noisy_distributions
 from .schedule import CoeffSchedule, build_schedule
 from .statevector import (
-    CountsTable,
     Observables,
     observables_from_counts,
     probabilities,

@@ -41,8 +41,8 @@ class OracleMismatchError(RuntimeError):
     """Extracted mixing coefficients drift between radiation-era probes."""
 
 
-#: Largest |y| of an evolution window: the de Sitter coefficient -1/y^2 of
-#: every slice stays a finite, nonzero float.
+#: Largest |y| of an evolution window, and 1 / MAX_ABS_Y the smallest x: the
+#: de Sitter coefficient -1/y^2 of every slice stays a finite, nonzero float.
 MAX_ABS_Y = 1e150
 
 
@@ -63,6 +63,8 @@ class ModeParams:
     def __post_init__(self):
         if not self.x > 0:
             raise ValueError(f"x must be positive, got {self.x}")
+        if self.x < 1.0 / MAX_ABS_Y:
+            raise ValueError(f"x = {self.x} is too small: it must be at least {1.0 / MAX_ABS_Y:g}")
         if self.y_f is None:
             object.__setattr__(self, "y_f", -self.x + 2.0)
         if not (abs(self.y_i) <= MAX_ABS_Y and abs(self.y_f) <= MAX_ABS_Y):

@@ -69,12 +69,6 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    def extend(self, gates) -> "Circuit":
-        for g in gates:
-            self._check(g)
-            self.gates.append(g)
-        return self
-
     @property
     def gate_count(self) -> int:
         return len(self.gates)

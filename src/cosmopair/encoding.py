@@ -19,6 +19,7 @@ the noisy channel batches rows whose schedules have equal cuts.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .circuits import Circuit, Gate
 
 __all__ = [
     "PauliString",
-    "PauliSum",
     "zq_pauli_sum",
     "aq_pauli_sum",
     "pauli_to_matrix",
@@ -74,53 +74,38 @@ class PauliString:
         return [q for q, c in enumerate(self.letters) if c != "I"]
 
 
-@dataclass(frozen=True)
-class PauliSum:
-    terms: tuple[PauliString, ...]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def zq_pauli_sum() -> PauliSum:
+def zq_pauli_sum() -> tuple[PauliString, ...]:
     """Embedded number operator: 7 diagonal terms including the identity."""
-    return PauliSum(
-        terms=(
-            PauliString("IIII", 0.5),
-            PauliString("ZIII", -0.25),
-            PauliString("IZII", 0.25),
-            PauliString("IIZI", -0.25),
-            PauliString("IIIZ", 0.25),
-            PauliString("ZZII", -0.25),
-            PauliString("IIZZ", -0.25),
-        )
+    return (
+        PauliString("IIII", 0.5),
+        PauliString("ZIII", -0.25),
+        PauliString("IZII", 0.25),
+        PauliString("IIZI", -0.25),
+        PauliString("IIIZ", 0.25),
+        PauliString("ZZII", -0.25),
+        PauliString("IIZZ", -0.25),
     )
 
 
-def aq_pauli_sum() -> PauliSum:
+def aq_pauli_sum() -> tuple[PauliString, ...]:
     """Embedded pair operator: 8 mutually commuting XY strings, +-1/8 each."""
-    return PauliSum(
-        terms=(
-            PauliString("XXXX", 0.125),
-            PauliString("XXYY", 0.125),
-            PauliString("XYXY", -0.125),
-            PauliString("XYYX", 0.125),
-            PauliString("YXXY", 0.125),
-            PauliString("YXYX", -0.125),
-            PauliString("YYXX", 0.125),
-            PauliString("YYYY", 0.125),
-        )
+    return (
+        PauliString("XXXX", 0.125),
+        PauliString("XXYY", 0.125),
+        PauliString("XYXY", -0.125),
+        PauliString("XYYX", 0.125),
+        PauliString("YXXY", 0.125),
+        PauliString("YXYX", -0.125),
+        PauliString("YYXX", 0.125),
+        PauliString("YYYY", 0.125),
     )
 
 
-def pauli_to_matrix(p: PauliSum | PauliString, n_qubits: int) -> np.ndarray:
-    """Dense Kronecker expansion, for verification at small register sizes."""
+def pauli_to_matrix(p: PauliString | Sequence[PauliString], n_qubits: int) -> np.ndarray:
+    """Dense Kronecker expansion of one string or their sum, for small-register checks."""
     if n_qubits > 12:
         raise ValueError(f"dense expansion limited to 12 qubits, got {n_qubits}")
-    terms = p.terms if isinstance(p, PauliSum) else (p,)
+    terms = (p,) if isinstance(p, PauliString) else p
     out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     for term in terms:
         if len(term.letters) != n_qubits:
@@ -235,30 +220,28 @@ def step_template(with_pair: bool) -> StepTemplate:
     return StepTemplate(runs=tuple(runs), rzs=tuple(rzs))
 
 
-def slice_cuts(schedule) -> tuple[int, bool, tuple[int, ...]]:
-    """(slices, whether slice 0 is radiation, each slice whose branch differs from the one before).
+def slice_cuts(schedule) -> tuple[int, int]:
+    """(slices, index of the first radiation slice, or slices if there is none).
 
-    `slice_chunks` cuts a schedule at these slices and at every multiple of
-    SCHEDULE_CHUNK, and nowhere else: schedules with equal cuts are chunked
-    alike, which is how the noisy channel batches their rows.
+    Slice midpoints increase, so every schedule is de Sitter slices and then
+    radiation slices.  `slice_chunks` cuts a schedule at the switch and at
+    every multiple of SCHEDULE_CHUNK, and nowhere else: schedules with equal
+    cuts are chunked alike, which is how the noisy channel batches their rows.
     """
-    if not len(schedule):
-        return 0, False, ()
-    radiation = schedule.radiation
-    changes = np.flatnonzero(radiation[1:] != radiation[:-1]) + 1
-    return len(radiation), bool(radiation[0]), tuple(changes.tolist())
+    n = len(schedule)  # an empty sequence, as for the preparation alone, has no `radiation`
+    return n, int(np.searchsorted(schedule.radiation, True)) if n else 0
 
 
 def slice_chunks(schedule):
     """(template, rz_angles) of each run of slices of one shape, one row per slice.
 
-    A run ends at every multiple of SCHEDULE_CHUNK and where the schedule
-    turns from de Sitter to radiation slices (`slice_cuts`), and nowhere else.
+    A run ends at every multiple of SCHEDULE_CHUNK, at the first radiation
+    slice (`slice_cuts`) and at the end, and nowhere else.
     """
-    n, _, changes = slice_cuts(schedule)
-    cuts = sorted({*range(0, n, SCHEDULE_CHUNK), *changes, n})
+    n, switch = slice_cuts(schedule)
+    cuts = sorted({*range(0, n, SCHEDULE_CHUNK), switch, n})
     for lo, hi in zip(cuts, cuts[1:]):
-        template = step_template(not schedule.radiation[lo])
+        template = step_template(lo < switch)
         yield template, template.rz_angles(np.column_stack(schedule.angles(lo, hi)))
 
 

@@ -1,9 +1,9 @@
 """Readout-error correction and zero-noise extrapolation.
 
-Readout correction solves the confusion linear system restricted to the
-observed basis states (never building the full 2^n assignment matrix) and
-reports both the raw quasi-probabilities, which may be slightly negative,
-and a clipped-renormalized variant; neither choice is hidden.
+Readout correction takes counts or an exact distribution, solves the
+confusion system restricted to the observed basis states (never building
+the full 2^n assignment matrix) and reports both the raw quasi-probabilities,
+which may be slightly negative, and a clipped-renormalized variant.
 
 Extrapolation samples the exact outcome distribution at each amplified
 gate-noise level, supplied by the caller, estimates p_pair and leakage from
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .noise import NoiseModel
-from .statevector import CountsTable, derived_seed, observables_from_counts, sample_counts
+from .statevector import derived_seed, observables_from_counts, sample_counts
 
 __all__ = [
     "SingularConfusionError",
@@ -60,15 +60,15 @@ def _restricted_confusion(observed: np.ndarray, model: NoiseModel) -> np.ndarray
     return m
 
 
-def mitigate_readout(counts: CountsTable | np.ndarray, model: NoiseModel) -> ReadoutMitigation:
+def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigation:
     """Invert the readout channel on the subspace of observed basis states.
 
-    Accepts a counts table or any basis-indexed weight array (weights are
-    normalized internally), so exact distributions can be corrected too.  In
-    the exact-distribution, fully-supported limit the correction recovers the
-    true distribution to solver precision.
+    Takes any basis-indexed weight array, counts or an exact distribution
+    (weights are normalized internally).  In the exact-distribution,
+    fully-supported limit the correction recovers the true distribution to
+    solver precision.
     """
-    raw = np.asarray(counts.counts if isinstance(counts, CountsTable) else counts)
+    raw = np.asarray(weights)
     if raw.shape != (2**model.n_qubits,):
         raise ValueError(f"weights of shape {raw.shape} do not match {model.n_qubits} qubits")
     observed = np.flatnonzero(raw > 0)
@@ -101,24 +101,17 @@ def mitigate_readout(counts: CountsTable | np.ndarray, model: NoiseModel) -> Rea
 
 
 def linear_extrapolate(
-    factors: Sequence[float],
-    values: Sequence[float],
-    stderrs: Sequence[float] | None = None,
+    factors: Sequence[float], values: Sequence[float], stderrs: Sequence[float]
 ) -> tuple[float, float]:
     """Weighted straight-line fit; returns (intercept at 0, intercept stderr).
 
-    With `stderrs` given, points are weighted by 1/stderr (floored to avoid
-    infinite weights) and the intercept variance comes from the unscaled
-    normal-equation covariance; without them the fit is unweighted and the
-    reported stderr is 0 for an exact fit.
+    Points are weighted by 1/stderr (floored to avoid infinite weights) and
+    the intercept variance comes from the unscaled normal-equation covariance.
     """
     x = np.asarray(factors, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two (factor, value) points")
-    if stderrs is None:
-        coeffs = np.polyfit(x, y, 1)
-        return float(np.polyval(coeffs, 0.0)), 0.0
     s = np.asarray(stderrs, dtype=float)
     floor = max(s[s > 0].min() if np.any(s > 0) else 1.0, 1e-300)
     w = 1.0 / np.maximum(s, floor * 1e-6)
@@ -144,7 +137,6 @@ def validate_factors(factors: Iterable[float]) -> tuple[float, ...]:
 class ZNEResult:
     """Per-factor estimates and the zero-noise intercept of the linear fit."""
 
-    noise_factors: tuple[float, ...]
     values: tuple[float, ...]
     stderrs: tuple[float, ...]
     extrapolated: float
@@ -178,5 +170,5 @@ def zne_estimate(
             max(float(np.sqrt(max(v * (1.0 - v), 0.0) / shots)), 1.0 / shots)
             for v in values
         )
-        out[name] = ZNEResult(f, values, stderrs, *linear_extrapolate(f, values, stderrs))
+        out[name] = ZNEResult(values, stderrs, *linear_extrapolate(f, values, stderrs))
     return out

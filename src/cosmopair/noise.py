@@ -25,16 +25,16 @@ qubits by keep = 1 - p d²/(d²-1).  So every gate between two RZs, with its
 depolarizing, folds into one map: a gather, a sign and keep1**a * keep2**b
 with integer exponents a, b that no rate or angle enters.  Each RZ is a
 cos/sin rotation of the (X_q, Y_q) coefficient pairs at each window's own
-angle.  The runs of each `StepTemplate` are folded from index arithmetic
-on first use and kept, so a slice costs about 20 rotations and 20 gathers
-for any batch of pairs, and windows run in one batch when their schedules
-have equal `encoding.slice_cuts`.  The
-arithmetic is real multiplies and adds throughout, with no BLAS product and
-no `np.power`, so the bytes depend on neither the BLAS kernel nor numpy's
-SIMD dispatch.  The shots of a stochastic-Pauli model are independent and
-identically distributed, so a noisy run's counts are one `sample_counts`
-draw over that distribution; one distribution serves every run of the same
-circuit and noise level.
+angle.  Each of a `StepTemplate`'s fixed `runs` is folded from index
+arithmetic on first use and kept, so a slice costs about 20 rotations and
+20 gathers for any batch of pairs, and windows run in one batch when their
+schedules have equal `encoding.slice_cuts`; each model's readout then takes
+all windows in one call.  The arithmetic is real multiplies and adds
+throughout, with no BLAS product and no `np.power`, so the bytes depend on
+neither the BLAS kernel nor numpy's SIMD dispatch.  The shots of a
+stochastic-Pauli model are independent and identically distributed, so a
+noisy run's counts are one `sample_counts` draw over that distribution; one
+distribution serves every run of the same circuit and noise level.
 """
 
 from __future__ import annotations
@@ -136,23 +136,23 @@ class NoiseModel:
 
 
 def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """Push an outcome distribution through the tensor-product confusion.
+    """Push outcome distributions through the tensor-product confusion.
 
-    Takes and returns the 2^n basis-indexed array (tiny entries kept); the
-    total is preserved.  Each qubit's 2x2 matrix is applied as separate real
-    multiplies and adds, so the bytes depend on no BLAS kernel.
+    Takes and returns a (..., 2^n) array of basis-indexed distributions (tiny
+    entries kept); each total is preserved.  Each qubit's 2x2 matrix is applied
+    as separate real multiplies and adds, so no BLAS kernel or batch moves a bit.
     """
     n = model.n_qubits
     if n > 16:
         raise ValueError("dense confusion product limited to 16 qubits")
     p = np.asarray(probs, dtype=float)
-    if p.shape != (2**n,):
+    if p.shape[-1:] != (2**n,):
         raise ValueError(f"distribution of shape {p.shape} does not match {n} qubits")
     for q, c in enumerate(model.readout):
-        t = p.reshape(2**q, 2, -1)
-        zero, one = t[:, 0], t[:, 1]
-        p = np.stack([c[0, 0] * zero + c[0, 1] * one, c[1, 0] * zero + c[1, 1] * one], axis=1)
-    return p.reshape(-1)
+        t = p.reshape(-1, 2**q, 2, 2 ** (n - 1 - q))
+        zero, one = t[:, :, 0], t[:, :, 1]
+        p = np.stack([c[0, 0] * zero + c[0, 1] * one, c[1, 0] * zero + c[1, 1] * one], axis=2)
+    return p.reshape(np.shape(probs))
 
 
 def noisy_distributions(params: Sequence[ModeParams], models: Sequence[NoiseModel]) -> np.ndarray:
@@ -176,8 +176,8 @@ def noisy_distributions(params: Sequence[ModeParams], models: Sequence[NoiseMode
     for rows in groups.values():
         steps = _schedule_steps([params[i] for i in rows], len(models))
         out[rows] = _diagonals(steps, list(models) * len(rows)).reshape(len(rows), len(models), 16)
-    for i, j in np.ndindex(out.shape[:2]):
-        out[i, j] = apply_readout_noise(out[i, j], models[j])
+    for j, model in enumerate(models):
+        out[:, j] = apply_readout_noise(out[:, j], model)
     return out
 
 
@@ -315,28 +315,25 @@ def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
     return _Run(src, 1 - 2 * flip.astype(int), *((idle, acts) if name == "CNOT" else (acts, idle)))
 
 
-def _fold(gates):
-    """Cut a 4-qubit gate list at its RZs: (run, RZ) for the gates before each RZ, then (run, None)."""
-    run = _Run(np.arange(256), np.ones(256, dtype=int), *np.zeros((2, 256), dtype=int))
+def _fold(gates, run=_Run(np.arange(256), np.ones(256, dtype=int),
+                          *np.zeros((2, 256), dtype=int))) -> _Run:
+    """`run`, the identity by default, then each of the 4-qubit `gates` with its depolarizing."""
     for gate in gates:
-        step = _gate_run(gate.name, gate.qubits, 4)
-        if gate.name == "RZ":
-            yield run, gate
-            run = step
-        else:
-            run = run.then(step)
-    yield run, None
+        run = run.then(_gate_run(gate.name, gate.qubits, 4))
+    return run
 
 
 @functools.lru_cache(maxsize=2)
 def _template_fold(template: StepTemplate) -> tuple[_Run, ...]:
-    """The runs of `_fold` of a slice template: one per fixed run of its cut."""
-    return tuple(run for run, _ in _fold(template.instantiate([0.0] * len(template.rzs))))
+    """The fold of each fixed run of a slice template; each run after the
+    first opens with the depolarizing of the RZ before it."""
+    rzs = (_gate_run("RZ", qubits, 4) for qubits, _, _ in template.rzs)
+    return (_fold(template.runs[0]), *map(_fold, template.runs[1:], rzs))
 
 
 @functools.cache
 def _junction(before: StepTemplate | None, after: StepTemplate) -> _Run:
     """The run from the last RZ of slice template `before` (None: the vacuum
     preparation) to the first RZ of `after`."""
-    tail = next(_fold(VACUUM_PREP))[0] if before is None else _template_fold(before)[-1]
+    tail = _fold(VACUUM_PREP) if before is None else _template_fold(before)[-1]
     return tail.then(_template_fold(after)[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import background, encoding, statevector, subspace
 from .background import ModeParams
-from .encoding import PauliSum, phase_aligned_distance
+from .encoding import PauliString, phase_aligned_distance
 from .schedule import build_schedule
 
 __all__ = ["CheckResult", "run_checks", "format_report"]
@@ -48,7 +48,7 @@ def _check_normalization() -> CheckResult:
     )
 
 
-def _check_number_embedding(zq_terms: PauliSum) -> CheckResult:
+def _check_number_embedding(zq_terms: tuple[PauliString, ...]) -> CheckResult:
     dense = encoding.pauli_to_matrix(zq_terms, 4)
     idx = np.array(subspace.PHYS_INDICES)
     sub = dense[np.ix_(idx, idx)]
@@ -60,7 +60,7 @@ def _check_number_embedding(zq_terms: PauliSum) -> CheckResult:
     )
 
 
-def _check_pair_embedding(aq_terms: PauliSum) -> CheckResult:
+def _check_pair_embedding(aq_terms: tuple[PauliString, ...]) -> CheckResult:
     dense = encoding.pauli_to_matrix(aq_terms, 4)
     idx = np.array(subspace.PHYS_INDICES)
     sub = dense[np.ix_(idx, idx)]
@@ -75,7 +75,7 @@ def _check_pair_embedding(aq_terms: PauliSum) -> CheckResult:
     )
 
 
-def _check_pair_commutation(aq_terms: PauliSum) -> CheckResult:
+def _check_pair_commutation(aq_terms: tuple[PauliString, ...]) -> CheckResult:
     mats = [encoding.pauli_to_matrix(t, 4) for t in aq_terms]
     worst = max(
         float(np.max(np.abs(a @ b - b @ a)))
@@ -133,7 +133,7 @@ def _check_step_synthesis() -> CheckResult:
 
 
 def run_checks(
-    zq_terms: PauliSum | None = None, aq_terms: PauliSum | None = None
+    zq_terms: tuple[PauliString, ...] | None = None, aq_terms: tuple[PauliString, ...] | None = None
 ) -> list[CheckResult]:
     """Run every check; operator tables may be overridden for negative tests."""
     zq = encoding.zq_pauli_sum() if zq_terms is None else zq_terms

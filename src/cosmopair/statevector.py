@@ -44,7 +44,8 @@ layout.  Only `counts_to_csv` writes a basis state as a bitstring.
 Shot sampling draws one multinomial per request from a Philox counter-based
 generator seeded through numpy's SeedSequence, so identical (probs, shots,
 seed) give identical counts on every platform.  Probabilities below 1e-15
-are clamped to zero before sampling.
+are clamped to zero before sampling.  The draw is the int64 counts array
+itself: its sum is the shot count.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .encoding import VACUUM_PREP, StepTemplate, slice_chunks
 from .subspace import PHYS_INDICES
 
 __all__ = [
-    "CountsTable",
     "NotNormalizedError",
     "Observables",
     "run_circuit",
@@ -267,15 +267,6 @@ def derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    """Measurement outcomes of a finite-shot run, counts indexed by basis state."""
-
-    shots: int
-    counts: np.ndarray
-    seed: int
-
-
 #: Most shots one draw takes: numpy's multinomial sampler counts in a C long.
 MAX_SHOTS = 2**63 - 1
 
@@ -288,8 +279,8 @@ def check_shots(shots: int):
         raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int) -> CountsTable:
-    """One multinomial draw over the outcome distribution's nonzero entries.
+def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """One multinomial draw over the outcome distribution: int64 counts by basis state.
 
     Negative entries below -1e-12 are rejected; tiny negatives are clamped
     to zero and the distribution renormalized.  numpy's draw hands its last
@@ -306,7 +297,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> CountsTable:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     counts = np.zeros(len(probs), dtype=np.int64)
     counts[support] = counts_rng(seed).multinomial(shots, p / total)
-    return CountsTable(shots=shots, counts=counts, seed=int(seed))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -332,18 +323,26 @@ def observables_from_probabilities(probs) -> Observables:
     )
 
 
-def observables_from_counts(counts: CountsTable) -> Observables:
-    """Occupations from measured frequencies, with the binomial p_pair stderr."""
+def observables_from_counts(counts: np.ndarray) -> Observables:
+    """Occupations from measured frequencies, with the binomial p_pair stderr.
+
+    Raises ValueError unless `counts` is an integer array with a positive total.
+    """
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    shots = int(counts.sum())
+    if shots < 1:
+        raise ValueError(f"counts must total at least 1 shot, got {shots}")
     # A Python-int division rounds once, also above 2**53 shots.
-    freq = {i: int(counts.counts[i]) / counts.shots for i in PHYS_INDICES}
+    freq = {i: int(counts[i]) / shots for i in PHYS_INDICES}
     obs = observables_from_probabilities(freq)
-    stderr = float(np.sqrt(obs.p_pair * (1.0 - obs.p_pair) / counts.shots))
+    stderr = float(np.sqrt(obs.p_pair * (1.0 - obs.p_pair) / shots))
     return replace(obs, stderr_pair=stderr)
 
 
-def counts_to_csv(table: CountsTable) -> str:
+def counts_to_csv(counts: np.ndarray) -> str:
     """`bitstring,count` lines of the observed states, in basis order."""
-    n = len(table.counts).bit_length() - 1
+    n = len(counts).bit_length() - 1
     lines = ["bitstring,count"]
-    lines.extend(f"{i:0{n}b},{c}" for i, c in enumerate(table.counts.tolist()) if c)
+    lines.extend(f"{i:0{n}b},{c}" for i, c in enumerate(counts.tolist()) if c)
     return "\n".join(lines) + "\n"

@@ -263,7 +263,7 @@ def test_criterion_09_mitigation_properties():
     round_trip = max(abs(fixed.quasi[int(s, 2)] - v) for s, v in true.items())
 
     # (b1) Exactly affine observable: intercept to machine precision.
-    intercept, _ = linear_extrapolate((1.0, 1.5, 2.0), (0.0125, 0.0175, 0.0225))
+    intercept, _ = linear_extrapolate((1.0, 1.5, 2.0), (0.0125, 0.0175, 0.0225), (1.0, 1.0, 1.0))
     affine_exact = abs(intercept - 0.0025) < 1e-15
 
     # (b2) Stochastic model in the small-p2 regime (p2 <= 3e-3): the linear

@@ -11,7 +11,7 @@ import pytest
 from cosmopair.background import ModeParams, n_k_analytic
 from cosmopair.circuits import circuit_from_text
 from cosmopair.cli import main
-from cosmopair.encoding import zq_pauli_sum, PauliString, PauliSum
+from cosmopair.encoding import zq_pauli_sum, PauliString
 from cosmopair.noise import NoiseModel
 from cosmopair.schedule import build_schedule
 from cosmopair.selfcheck import format_report, run_checks
@@ -98,13 +98,18 @@ class TestSweep:
             (["trajectory", "--x=1e-200", "--n-steps=1"], "too small"),
             (["sweep", "--x=1e-100", "--methods", "analytic"], "too small"),
             (["dump-circuit", "--x=0.8", "--y-i=-1e206"], "must be finite and within"),
+            # Below x = 1e-150, -1/y^2 overflows at a de Sitter midpoint.
+            (["dump-schedule", "--x=1e-160", "--y-i=-4e-160", "--y-f=0"], "too small"),
+            (["dump-circuit", "--x=1e-160", "--y-i=-4e-160", "--y-f=0"], "too small"),
         ],
-        ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window"],
+        ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window",
+             "dump_schedule_tiny_window", "dump_circuit_tiny_window"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "factors, message",
@@ -657,7 +662,7 @@ class TestVerify:
         # Negative control: corrupt one number-operator coefficient.
         terms = list(zq_pauli_sum())
         terms[1] = PauliString(terms[1].letters, -0.35)
-        results = run_checks(zq_terms=PauliSum(tuple(terms)))
+        results = run_checks(zq_terms=tuple(terms))
         failed = [r.name for r in results if not r.passed]
         assert "number_operator_embedding" in failed
         report = format_report(results)

@@ -1,8 +1,9 @@
 """Fuzz `cosmopair.cli.main` over argv and model-file JSON.
 
 Every run must end in exit 0 (success), 2 (usage error) or 3 (numerical
-failure), never in a traceback.  Inputs are kept cheap: at most 32 shots
-and 2 steps per run.
+failure), never in a traceback.  On exit 0 every JSON output must hold only
+finite numbers and every circuit file must read back.  Inputs are kept
+cheap: at most 32 shots and 2 steps per run.
 """
 
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cosmopair.circuits import circuit_from_text
 from cosmopair.cli import METHODS, main
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
@@ -59,15 +61,20 @@ def _argv(draw):
         ["sweep", "noise-study", "trajectory", "dump-schedule", "dump-circuit"]
     ))
     # "--opt=value" keeps a negative value from reading as an option.
-    argv = [command, f"--n-steps={draw(_mostly(st.integers(1, 2), st.integers(-2, 0)))}"]
-    if command == "sweep" and draw(st.booleans()):
-        x_end = _mostly(st.floats(0.5, 6.0), _any_float)
-        argv += [f"--x-min={draw(x_end)!r}", f"--x-max={draw(x_end)!r}",
-                 f"--x-points={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
+    if draw(st.integers(0, 15)) == 0:
+        # A tiny window: at its one midpoint, -1/y^2 is near or past overflow.
+        x = draw(st.floats(1e-200, 1e-140))
+        argv = [command, "--n-steps=1", f"--x={x!r}", f"--y-i={-4 * x!r}", "--y-f=0"]
     else:
-        argv += [f"--x={draw(_x_text)}"]
-    if draw(st.booleans()):
-        argv += [f"--y-i={draw(_mostly(st.floats(-100.0, -10.0), _any_float))!r}"]
+        argv = [command, f"--n-steps={draw(_mostly(st.integers(1, 2), st.integers(-2, 0)))}"]
+        if command == "sweep" and draw(st.booleans()):
+            x_end = _mostly(st.floats(0.5, 6.0), _any_float)
+            argv += [f"--x-min={draw(x_end)!r}", f"--x-max={draw(x_end)!r}",
+                     f"--x-points={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
+        else:
+            argv += [f"--x={draw(_x_text)}"]
+        if draw(st.booleans()):
+            argv += [f"--y-i={draw(_mostly(st.floats(-100.0, -10.0), _any_float))!r}"]
     if command in ("sweep", "noise-study"):
         argv += [f"--shots={draw(_mostly(st.integers(-3, 32), st.integers(2**63, 2**70)))}",
                  f"--seed={draw(_mostly(st.integers(0, 2**40), st.integers(-2, -1)))}"]
@@ -94,4 +101,14 @@ def test_cli_exits_cleanly(case):
             code = main(argv + ["--out-dir", str(Path(tmp, "out"))])
         except SystemExit as exc:  # argparse rejecting argv
             code = exc.code
-    assert code in (0, 2, 3), (argv, model, code)
+        assert code in (0, 2, 3), (argv, model, code)
+        if code == 0:
+            for path in Path(tmp, "out").iterdir():
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_reject_constant)
+                elif path.name.startswith("circuit_"):
+                    circuit_from_text(path.read_text())
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in a JSON output")

@@ -97,20 +97,17 @@ class TestRotationSynthesis:
             synthesize_pauli_rotation(PauliString("IIII", 1.0), 0.1)
 
     def test_zero_angle_is_identity(self):
-        c = Circuit(n_qubits=4)
-        c.extend(synthesize_pauli_rotation(PauliString("XYZI", 1.0), 0.0))
+        c = Circuit(4, synthesize_pauli_rotation(PauliString("XYZI", 1.0), 0.0))
         assert phase_aligned_distance(circuit_unitary(c), np.eye(16)) < 1e-12
 
     def test_zz_half_turn(self):
-        c = Circuit(n_qubits=2)
-        c.extend(synthesize_pauli_rotation(PauliString("ZZ", 1.0), np.pi / 2))
+        c = Circuit(2, synthesize_pauli_rotation(PauliString("ZZ", 1.0), np.pi / 2))
         target = -1j * pauli_to_matrix(PauliString("ZZ", 1.0), 2)
         assert phase_aligned_distance(circuit_unitary(c), target) < 1e-12
 
     def test_four_qubit_x_string(self):
         p = PauliString("XXXX", 1.0)
-        c = Circuit(n_qubits=4)
-        c.extend(synthesize_pauli_rotation(p, 0.1))
+        c = Circuit(4, synthesize_pauli_rotation(p, 0.1))
         expected = np.cos(0.1) * np.eye(16) - 1j * np.sin(0.1) * pauli_to_matrix(p, 4)
         assert np.max(np.abs(circuit_unitary(c) - expected)) < 1e-12
 
@@ -124,8 +121,7 @@ class TestRotationSynthesis:
             return
         n = len(letters)
         p = PauliString(letters, 1.0)
-        c = Circuit(n_qubits=n)
-        c.extend(synthesize_pauli_rotation(p, angle))
+        c = Circuit(n, synthesize_pauli_rotation(p, angle))
         expected = np.cos(angle) * np.eye(2**n) - 1j * np.sin(angle) * pauli_to_matrix(p, n)
         assert np.max(np.abs(circuit_unitary(c) - expected)) < 1e-12
 
@@ -150,9 +146,8 @@ class TestStepSynthesis:
 
     def test_pair_block_preserves_physical_subspace(self):
         for theta in (0.01, 0.1, 1.0):
-            c = Circuit(n_qubits=4)
-            for term in aq_pauli_sum():
-                c.extend(synthesize_pauli_rotation(term, theta * term.coeff))
+            c = Circuit(4, [g for term in aq_pauli_sum()
+                            for g in synthesize_pauli_rotation(term, theta * term.coeff)])
             u = circuit_unitary(c)
             outside = np.setdiff1d(np.arange(16), IDX)
             leak = np.max(np.abs(u[np.ix_(outside, IDX)]))

@@ -40,7 +40,6 @@ from cosmopair.noise import (
 )
 from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
-    CountsTable,
     _apply_gate_inplace,
     circuit_unitary,
     counts_rng,
@@ -147,18 +146,18 @@ def replay_noisy_circuit(circuit, model, shots, seed):
             for q in range(n)
         )
         counts[observed] += 1
-    return CountsTable(shots=shots, counts=counts, seed=int(seed))
+    return counts
 
 
-def assert_counts_follow(table, probs):
+def assert_counts_follow(counts, probs):
     """Pearson chi-squared of the counts against `probs`, below its 1 - 1e-6 quantile.
 
     Bins are taken in increasing expected count and merged until each group
     expects at least 5 shots; a short last group joins the one before it.
     """
-    assert table.counts.shape == probs.shape
+    assert counts.shape == probs.shape
     groups, expected, observed = [], 0.0, 0
-    for e, o in sorted(zip((table.shots * probs).tolist(), table.counts.tolist())):
+    for e, o in sorted(zip((int(counts.sum()) * probs).tolist(), counts.tolist())):
         expected, observed = expected + e, observed + o
         if expected >= 5.0:
             groups.append((expected, observed))
@@ -318,6 +317,15 @@ class TestReadoutChannel:
         noisy = apply_readout_noise(probs, NoiseModel.symmetric(4))
         assert sum(noisy.tolist()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 16), (0, 16)])
+    def test_a_batch_is_read_out_row_by_row(self, shape):
+        rows = np.random.default_rng(0).random(shape)
+        model = NoiseModel(readout=(_C0, _C1, _C1, _C0), p1=0.0, p2=0.0)
+        batch = apply_readout_noise(rows, model)
+        assert batch.shape == shape
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(batch[index], apply_readout_noise(rows[index], model))
+
     @pytest.mark.parametrize("shape", [(8,), (32,), (4, 4)])
     def test_rejects_a_distribution_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="does not match 4 qubits"):
@@ -329,16 +337,16 @@ class TestNoisyRunner:
         model = NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0)
         noisy = sample_counts(channel(ModeParams(x=1.3), model), 4096, seed=11)
         ideal = sample_counts(probabilities(run_circuit(single_step_circuit())), 4096, seed=11)
-        assert np.array_equal(noisy.counts, ideal.counts)
+        assert np.array_equal(noisy, ideal)
 
     def test_deterministic_under_seed(self):
         params = ModeParams(x=1.3)
         model = NoiseModel.symmetric(4)
         a = sample_counts(channel(params, model), 512, seed=5)
         b = sample_counts(channel(params, model), 512, seed=5)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
         c = sample_counts(channel(params, model), 512, seed=6)
-        assert not np.array_equal(c.counts, a.counts)
+        assert not np.array_equal(c, a)
 
     def test_default_rates_produce_leakage_and_bias(self):
         probs = channel(ModeParams(x=1.3), NoiseModel.symmetric(4))
@@ -355,9 +363,9 @@ class TestNoisyRunner:
 
     def test_shots_accounted(self):
         probs = channel(ModeParams(x=1.3), NoiseModel.symmetric(4))
-        table = sample_counts(probs, 777, 3)
-        assert table.counts.sum() == 777
-        assert table.shots == 777
+        counts = sample_counts(probs, 777, 3)
+        assert counts.sum() == 777
+        assert counts.dtype == np.int64
 
     def test_rejects_mismatched_register(self):
         with pytest.raises(ValueError):
@@ -473,6 +481,17 @@ class TestBatchIsExact:
         assert grid.shape == (len(params), len(models), 16)
         for i, j in np.ndindex(grid.shape[:2]):
             assert np.array_equal(grid[i, j], channel(params[i], models[j]))
+
+    def test_readout_of_every_entry_is_its_own_model_alone(self):
+        # The readout runs once per model over all windows; an identity
+        # readout leaves each entry's distribution before the readout.
+        params, models = mixed_batch()
+        c2 = np.array([[0.9, 0.25], [0.1, 0.75]])
+        models.append(NoiseModel(readout=(c2, _C1, c2, _C0), p1=1e-3, p2=1e-2))
+        bare = [NoiseModel(readout=(np.eye(2),) * 4, p1=m.p1, p2=m.p2) for m in models]
+        grid, rows = noisy_distributions(params, models), noisy_distributions(params, bare)
+        for i, j in np.ndindex(grid.shape[:2]):
+            assert np.array_equal(grid[i, j], apply_readout_noise(rows[i, j], models[j]))
 
     @pytest.mark.parametrize(
         "params",

@@ -24,7 +24,6 @@ from cosmopair.encoding import StepTemplate, build_full_circuit, step_template
 from cosmopair.schedule import build_schedule
 import cosmopair.statevector as statevector
 from cosmopair.statevector import (
-    CountsTable,
     NotNormalizedError,
     circuit_unitary,
     counts_rng,
@@ -175,13 +174,13 @@ class TestProbabilities:
 
 class TestSampling:
     def test_deterministic_point_mass(self):
-        table = sample_counts(dist({"0101": 1.0}), 100, seed=123)
-        assert labelled(table.counts) == {"0101": 100}
+        counts = sample_counts(dist({"0101": 1.0}), 100, seed=123)
+        assert labelled(counts) == {"0101": 100}
 
     def test_shot_count_limits(self):
         # numpy's multinomial sampler counts in a C long: 2**63 - 1 at most.
-        table = sample_counts(dist({"0": 0.5, "1": 0.5}), 2**63 - 1, seed=1)
-        assert int(table.counts.sum()) == 2**63 - 1
+        counts = sample_counts(dist({"0": 0.5, "1": 0.5}), 2**63 - 1, seed=1)
+        assert int(counts.sum()) == 2**63 - 1
         for shots in (2**63, 2**70):
             with pytest.raises(ValueError, match=f"shots must be <= {2**63 - 1}"):
                 sample_counts(dist({"0": 1.0}), shots, seed=1)
@@ -190,40 +189,40 @@ class TestSampling:
         probs = dist({"0101": 0.9, "1010": 0.1})
         a = sample_counts(probs, 8192, seed=7)
         b = sample_counts(probs, 8192, seed=7)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
         c = sample_counts(probs, 8192, seed=8)
-        assert not np.array_equal(c.counts, a.counts)
+        assert not np.array_equal(c, a)
 
     def test_zero_probability_states_get_no_counts(self):
         # numpy hands the last category of a draw what the others leave; over
         # the whole array, 66 of these shots landed on zero-probability states.
         literal = {"0001": 72 / 305, "0100": 94 / 305, "0110": 88 / 305, "1001": 51 / 305}
-        table = sample_counts(dist(literal), 2**62, seed=3)
+        counts = sample_counts(dist(literal), 2**62, seed=3)
         support = [int(s, 2) for s in literal]
-        assert int(table.counts.sum()) == 2**62
-        assert not np.any(np.delete(table.counts, support))
+        assert int(counts.sum()) == 2**62
+        assert not np.any(np.delete(counts, support))
         expected = counts_rng(3).multinomial(2**62, list(literal.values()))
-        assert table.counts[support].tolist() == expected.tolist()
+        assert counts[support].tolist() == expected.tolist()
 
     def test_frozen_generator_vector(self):
         # Philox(SeedSequence(7)) regression pin: flags any silent change of
         # generator, seeding path, or key ordering.
-        table = sample_counts(dist({"0101": 0.9, "1010": 0.1}), 1000, seed=7)
-        assert labelled(table.counts) == {"0101": 893, "1010": 107}
+        counts = sample_counts(dist({"0101": 0.9, "1010": 0.1}), 1000, seed=7)
+        assert labelled(counts) == {"0101": 893, "1010": 107}
 
     def test_binomial_scale(self):
         shots = 131072
-        table = sample_counts(dist({"0101": 0.9, "1010": 0.1}), shots, seed=7)
+        counts = sample_counts(dist({"0101": 0.9, "1010": 0.1}), shots, seed=7)
         sigma = np.sqrt(0.1 * 0.9 / shots)
-        assert abs(table.counts[0b1010] / shots - 0.1) < 4 * sigma
+        assert abs(counts[0b1010] / shots - 0.1) < 4 * sigma
 
     def test_total_is_shots(self):
-        table = sample_counts(dist({"0101": 0.5, "0110": 0.25, "1010": 0.25}), 999, seed=1)
-        assert table.counts.sum() == 999
+        counts = sample_counts(dist({"0101": 0.5, "0110": 0.25, "1010": 0.25}), 999, seed=1)
+        assert counts.sum() == 999
 
     def test_clamps_tiny_negatives(self):
-        table = sample_counts(dist({"01": 1.0, "10": -1e-13}), 50, seed=0)
-        assert labelled(table.counts) == {"01": 50}
+        counts = sample_counts(dist({"01": 1.0, "10": -1e-13}), 50, seed=0)
+        assert labelled(counts) == {"01": 50}
 
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError):
@@ -246,13 +245,13 @@ class TestSampling:
 
 class TestObservables:
     def test_vacuum_counts(self):
-        table = CountsTable(shots=4096, counts=dist({"0101": 4096}, int), seed=0)
-        obs = observables_from_counts(table)
+        counts = dist({"0101": 4096}, int)
+        obs = observables_from_counts(counts)
         assert (obs.n_plus, obs.n_minus, obs.p_pair, obs.leakage) == (0, 0, 0, 0)
 
     def test_pair_fraction(self):
-        table = CountsTable(shots=4096, counts=dist({"0101": 4000, "1010": 96}, int), seed=0)
-        obs = observables_from_counts(table)
+        counts = dist({"0101": 4000, "1010": 96}, int)
+        obs = observables_from_counts(counts)
         assert obs.p_pair == pytest.approx(96 / 4096)
         assert obs.n_plus == obs.p_pair and obs.n_minus == obs.p_pair
         assert obs.leakage == pytest.approx(0.0, abs=1e-15)
@@ -262,8 +261,8 @@ class TestObservables:
 
     def test_counts_and_distribution_share_one_definition(self):
         literal = {"0101": 900, "1001": 30, "0110": 20, "1010": 40, "1111": 10}
-        table = CountsTable(shots=1000, counts=dist(literal, int), seed=0)
-        from_counts = observables_from_counts(table)
+        counts = dist(literal, int)
+        from_counts = observables_from_counts(counts)
         exact = observables_from_probabilities(dist({s: c / 1000 for s, c in literal.items()}))
         assert (from_counts.n_plus, from_counts.n_minus, from_counts.p_pair,
                 from_counts.leakage) == (exact.n_plus, exact.n_minus, exact.p_pair,
@@ -275,22 +274,31 @@ class TestObservables:
         # A float division rounds the shot count first, then the quotient.
         shots = 2**60 + 75
         counts = dist({"0101": shots - 7, "1010": 7}, int)
-        obs = observables_from_counts(CountsTable(shots=shots, counts=counts, seed=0))
+        obs = observables_from_counts(counts)
         assert obs.p_pair == 7 / shots != np.float64(7) / np.float64(shots)
 
     def test_unphysical_string_counts_as_leakage(self):
-        table = CountsTable(shots=4096, counts=dist({"0101": 4000, "0000": 96}, int), seed=0)
-        obs = observables_from_counts(table)
+        counts = dist({"0101": 4000, "0000": 96}, int)
+        obs = observables_from_counts(counts)
         assert obs.p_pair == 0.0
         assert obs.leakage == pytest.approx(96 / 4096)
+
+    @pytest.mark.parametrize(
+        "counts", [dist({"0101": 0.9, "1010": 0.1}), np.zeros(16, dtype=np.int64)],
+        ids=["probabilities", "no_shots"],
+    )
+    def test_rejects_what_is_not_a_draw(self, counts):
+        # int() of a probability would truncate every frequency to zero.
+        with pytest.raises(ValueError, match="counts must"):
+            observables_from_counts(counts)
 
 
 class TestSerialization:
     def test_counts_csv_sorted(self):
         from cosmopair.statevector import counts_to_csv
 
-        table = CountsTable(shots=10, counts=dist({"1010": 3, "0101": 7}, int), seed=0)
-        assert counts_to_csv(table) == "bitstring,count\n0101,7\n1010,3\n"
+        counts = dist({"1010": 3, "0101": 7}, int)
+        assert counts_to_csv(counts) == "bitstring,count\n0101,7\n1010,3\n"
 
 
 class TestEngineEquivalence:

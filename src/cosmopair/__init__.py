@@ -18,7 +18,7 @@ from .background import (
     omega_squared,
     scale_factor,
 )
-from .circuits import Circuit, Gate, circuit_from_text, circuit_to_text
+from .circuits import N_QUBITS, Gate, circuit_from_text, circuit_to_text, gate_count_and_depth
 from .encoding import (
     PauliString,
     aq_pauli_sum,

@@ -1,18 +1,34 @@
-"""Gate records, circuits over a small fixed gate set, and text serialization.
+"""The register's gate records, and circuit text serialization.
+
+The register is N_QUBITS = 4 qubits: one momentum pair in its
+single-excitation encoding.  `Gate` checks every qubit against it, so no
+other part of the package carries a qubit count.  A circuit is any iterable
+of gates, which may be a generator: `gate_count_and_depth` measures one in
+a single pass and `circuit_to_text` writes one in chunks, so a circuit of
+any length is written without being held.
 
 Gate set: X, H, S, Sdg, RZ(theta), CNOT.  Qubit 0 is the leftmost
 position of a measurement bitstring (most significant bit of the state
-index).  The text format is one gate per line, `NAME q[,q2][,angle]`, angles
-in radians with 17 significant digits so files round-trip bit-exactly.
+index).  The text format is a `QUBITS 4` header, then one gate per line,
+`NAME q[,q2][,angle]`, angles in radians with 17 significant digits so files
+round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
-__all__ = ["GATE_NAMES", "Gate", "Circuit", "circuit_to_text", "circuit_from_text"]
+__all__ = [
+    "N_QUBITS", "GATE_NAMES", "Gate", "gate_count_and_depth", "circuit_to_text",
+    "circuit_from_text",
+]
+
+#: Qubits of the register: one mode pair, two qubits per mode.
+N_QUBITS = 4
 
 #: name -> (number of qubits, takes an angle)
 GATE_NAMES = {
@@ -41,63 +57,41 @@ class Gate:
             raise ValueError(f"{self.name}: angle mismatch (angle={self.angle})")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name}: repeated qubit in {self.qubits}")
+        for q in self.qubits:
+            if not 0 <= q < N_QUBITS:
+                raise ValueError(f"qubit {q} out of range for the {N_QUBITS}-qubit register")
 
 
-@dataclass
-class Circuit:
-    """Ordered gate list on a fixed register; indices are validated on add."""
-
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= 20:
-            raise ValueError(f"n_qubits must be in [1, 20], got {self.n_qubits}")
-        for g in self.gates:
-            self._check(g)
-
-    def _check(self, gate: Gate):
-        for q in gate.qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(
-                    f"qubit {q} out of range for {self.n_qubits}-qubit circuit"
-                )
-
-    def add(self, name: str, *qubits: int, angle: float | None = None) -> "Circuit":
-        gate = Gate(name=name, qubits=tuple(qubits), angle=angle)
-        self._check(gate)
-        self.gates.append(gate)
-        return self
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
-    def depth(self) -> int:
-        """Greedy layering depth: gates on disjoint qubits share a layer."""
-        frontier = [0] * self.n_qubits
-        for g in self.gates:
-            layer = 1 + max(frontier[q] for q in g.qubits)
-            for q in g.qubits:
-                frontier[q] = layer
-        return max(frontier, default=0)
+def gate_count_and_depth(gates: Iterable[Gate]) -> tuple[int, int]:
+    """(gates, greedy layering depth) in one pass: gates on disjoint qubits share a layer."""
+    frontier = [0] * N_QUBITS
+    count = 0
+    for count, g in enumerate(gates, 1):
+        layer = 1 + max(frontier[q] for q in g.qubits)
+        for q in g.qubits:
+            frontier[q] = layer
+    return count, max(frontier)
 
 
-def circuit_to_text(circuit: Circuit) -> str:
-    """Serialize one gate per line; header line carries the register size."""
-    lines = [f"QUBITS {circuit.n_qubits}"]
-    for g in circuit.gates:
-        parts = [str(q) for q in g.qubits]
-        if g.angle is not None:
-            parts.append(f"{g.angle:.17g}")
-        lines.append(f"{g.name} {','.join(parts)}")
-    return "\n".join(lines) + "\n"
+def _gate_line(g: Gate) -> str:
+    parts = [str(q) for q in g.qubits]
+    if g.angle is not None:
+        parts.append(f"{g.angle:.17g}")
+    return f"{g.name} {','.join(parts)}\n"
 
 
-def circuit_from_text(text: str) -> Circuit:
+def circuit_to_text(gates: Iterable[Gate]) -> Iterator[str]:
+    """The `QUBITS 4` header, then one line per gate, as chunks of a few thousand lines."""
+    yield f"QUBITS {N_QUBITS}\n"
+    lines = map(_gate_line, gates)
+    while chunk := "".join(itertools.islice(lines, 4096)):
+        yield chunk
+
+
+def circuit_from_text(text: str) -> list[Gate]:
     """Parse `circuit_to_text` output; a malformed line is a ValueError naming it.
 
-    The header is exactly `QUBITS n`; each gate line must hold exactly the
+    The header is exactly `QUBITS 4`; each gate line must hold exactly the
     gate's qubits, as integers inside the register, and, for RZ, one finite
     angle.
     """
@@ -108,9 +102,10 @@ def circuit_from_text(text: str) -> Circuit:
     ]
     first = lines[0] if lines else ""
     head = re.fullmatch(r"QUBITS\s+(\d+)", first, re.ASCII)
-    if head is None:
-        raise ValueError(f"circuit text must start with a 'QUBITS n' line, got {first!r}")
-    circuit = Circuit(n_qubits=int(head[1]))
+    if head is None or int(head[1]) != N_QUBITS:
+        raise ValueError(
+            f"circuit text must start with a 'QUBITS {N_QUBITS}' line, got {first!r}")
+    gates = []
     for ln in lines[1:]:
         name, _, rest = ln.partition(" ")
         fields = rest.split(",")
@@ -123,7 +118,7 @@ def circuit_from_text(text: str) -> Circuit:
             angle = float(fields[n_q]) if takes_angle else None
             if angle is not None and not math.isfinite(angle):
                 raise ValueError("non-finite angle")
-            circuit.add(name, *(int(f) for f in fields[:n_q]), angle=angle)
+            gates.append(Gate(name, tuple(int(f) for f in fields[:n_q]), angle))
         except ValueError as exc:
             raise ValueError(f"gate line {ln!r}: {exc}") from None
-    return circuit
+    return gates

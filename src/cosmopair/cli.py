@@ -23,6 +23,7 @@ mismatch, a state that is not normalized).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .background import (
     multi_pair_probability,
     n_k_analytic,
 )
-from .circuits import circuit_to_text
+from .circuits import circuit_to_text, gate_count_and_depth
 from .encoding import build_full_circuit
 from .mitigation import (
     SingularConfusionError,
@@ -179,17 +180,14 @@ def _noise_inputs(args, zne: bool) -> tuple[NoiseModel, tuple[float, ...]]:
 
 def _load_model(path: str | None) -> NoiseModel:
     if path is None:
-        return NoiseModel.symmetric(4)
+        return NoiseModel.symmetric()
     file = Path(path)
     if not file.exists():
         raise UsageError(f"noise model file not found: {file}")
     try:
-        model = NoiseModel.from_json(file.read_text())
+        return NoiseModel.from_json(file.read_text())
     except ValueError as exc:
         raise UsageError(f"{file}: {exc}") from None
-    if model.n_qubits != 4:
-        raise UsageError(f"{file}: noise model covers {model.n_qubits} qubits, expected 4")
-    return model
 
 
 def _mode_params(x: float, args, n_steps: int) -> ModeParams:
@@ -465,19 +463,18 @@ def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
             "dump-schedule", _x_parameters(params, n_steps), steps=steps)
 
 
-def cmd_dump_circuit(args) -> Iterator[tuple[str, str]]:
+def cmd_dump_circuit(args) -> Iterator[tuple[str, Iterator[str]]]:
+    """Each file's header from one walk of the circuit, its gates streamed from a second."""
     x_grid = _file_grid(args)
     n_steps = args.n_steps
     for x in x_grid:
         params = _mode_params(x, args, n_steps or 1)
-        circuit = build_full_circuit(build_schedule(params) if n_steps else [])
-        parameters = {
-            **_x_parameters(params, n_steps),
-            "gate_count": circuit.gate_count,
-            "depth": circuit.depth(),
-        }
-        text = "\n".join(_metadata_lines("dump-circuit", parameters)) + "\n"
-        yield f"circuit_x{x:g}_n{n_steps}.txt", text + circuit_to_text(circuit)
+        schedule = build_schedule(params) if n_steps else []
+        gate_count, depth = gate_count_and_depth(build_full_circuit(schedule))
+        parameters = {**_x_parameters(params, n_steps), "gate_count": gate_count, "depth": depth}
+        header = "\n".join(_metadata_lines("dump-circuit", parameters)) + "\n"
+        yield f"circuit_x{x:g}_n{n_steps}.txt", itertools.chain(
+            [header], circuit_to_text(build_full_circuit(schedule)))
 
 
 def cmd_verify(_args) -> int:

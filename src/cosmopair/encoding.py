@@ -14,17 +14,19 @@ whose `rz_angles` is the one RZ-angle formula), and `slice_chunks` walks a
 schedule in runs of one shape for the circuit builder and both fast
 engines.  `slice_cuts` is the one place that says where those runs end;
 the noisy channel batches rows whose schedules have equal cuts.
+`build_full_circuit` streams a schedule's circuit gate by gate, so no
+step count makes it hold more than one chunk of RZ angles.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import N_QUBITS, Gate
 
 __all__ = [
     "PauliString",
@@ -55,16 +57,17 @@ _PAULI_MATS = {
 class PauliString:
     """Real coefficient times a tensor product of I/X/Y/Z letters.
 
-    Position in `letters` is the qubit index; qubit 0 is the leftmost tensor
-    factor (most significant bit of the state index).
+    One letter per register qubit: position in `letters` is the qubit index;
+    qubit 0 is the leftmost tensor factor (most significant bit of the state
+    index).
     """
 
     letters: str
     coeff: float
 
     def __post_init__(self):
-        if not self.letters or any(c not in _PAULI_MATS for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
+        if len(self.letters) != N_QUBITS or any(c not in _PAULI_MATS for c in self.letters):
+            raise ValueError(f"invalid Pauli letters {self.letters!r}: need {N_QUBITS} of IXYZ")
 
     @property
     def is_identity(self) -> bool:
@@ -101,17 +104,11 @@ def aq_pauli_sum() -> tuple[PauliString, ...]:
     )
 
 
-def pauli_to_matrix(p: PauliString | Sequence[PauliString], n_qubits: int) -> np.ndarray:
-    """Dense Kronecker expansion of one string or their sum, for small-register checks."""
-    if n_qubits > 12:
-        raise ValueError(f"dense expansion limited to 12 qubits, got {n_qubits}")
+def pauli_to_matrix(p: PauliString | Sequence[PauliString]) -> np.ndarray:
+    """Dense Kronecker expansion of one string or their sum on the register."""
     terms = (p,) if isinstance(p, PauliString) else p
-    out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    out = np.zeros((2**N_QUBITS, 2**N_QUBITS), dtype=complex)
     for term in terms:
-        if len(term.letters) != n_qubits:
-            raise ValueError(
-                f"term {term.letters!r} does not act on {n_qubits} qubits"
-            )
         m = np.array([[term.coeff]], dtype=complex)
         for letter in term.letters:
             m = np.kron(m, _PAULI_MATS[letter])
@@ -245,7 +242,7 @@ def slice_chunks(schedule):
         yield template, template.rz_angles(np.column_stack(schedule.angles(lo, hi)))
 
 
-def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
+def synthesize_step(theta_zh: float, theta_a: float) -> list[Gate]:
     """One symmetric split slice: Z half-block, pair block, Z half-block.
 
     Takes the slice's `CoeffSchedule.angles`.  The pair block is the exact
@@ -254,21 +251,19 @@ def synthesize_step(theta_zh: float, theta_a: float) -> Circuit:
     diagonal circuit.
     """
     template = step_template(theta_a != 0.0)
-    return Circuit(4, template.instantiate(template.rz_angles([[theta_zh, theta_a]])[0].tolist()))
+    return template.instantiate(template.rz_angles([[theta_zh, theta_a]])[0].tolist())
 
 
-def build_full_circuit(schedule) -> Circuit:
-    """Vacuum preparation followed by one template instance per slice.
+def build_full_circuit(schedule) -> Iterator[Gate]:
+    """The gates of the vacuum preparation, then of one template instance per slice.
 
-    Walks `slice_chunks` and takes each row of RZ angles as Python floats;
-    each gate is range-checked once, by the returned Circuit.  An empty
-    sequence gives the preparation-only circuit.
+    A generator: walks `slice_chunks` and takes each row of RZ angles as
+    Python floats.  An empty sequence gives the preparation alone.
     """
-    gates = list(VACUUM_PREP)
+    yield from VACUUM_PREP
     for template, angles in slice_chunks(schedule):
         for row in angles.tolist():
-            gates += template.instantiate(row)
-    return Circuit(4, gates)
+            yield from template.instantiate(row)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 Readout correction takes counts or an exact distribution, solves the
 confusion system restricted to the observed basis states (never building
-the full 2^n assignment matrix) and reports both the raw quasi-probabilities,
+the full 16x16 assignment matrix) and reports both the raw quasi-probabilities,
 which may be slightly negative, and a clipped-renormalized variant.
 
 Extrapolation samples the exact outcome distribution at each amplified
@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .circuits import N_QUBITS
 from .noise import NoiseModel
 from .statevector import derived_seed, observables_from_counts, sample_counts
 
@@ -53,7 +54,7 @@ class ReadoutMitigation:
 
 def _restricted_confusion(observed: np.ndarray, model: NoiseModel) -> np.ndarray:
     """C[obs][true] over the observed states: per-qubit entries multiplied in qubit order."""
-    bits = (observed[:, None] >> np.arange(model.n_qubits - 1, -1, -1)) & 1
+    bits = (observed[:, None] >> np.arange(N_QUBITS - 1, -1, -1)) & 1
     m = np.ones((len(observed), len(observed)))
     for q, c in enumerate(model.readout):
         m = m * c[bits[:, None, q], bits[None, :, q]]
@@ -69,8 +70,8 @@ def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigatio
     solver precision.
     """
     raw = np.asarray(weights)
-    if raw.shape != (2**model.n_qubits,):
-        raise ValueError(f"weights of shape {raw.shape} do not match {model.n_qubits} qubits")
+    if raw.shape != (2**N_QUBITS,):
+        raise ValueError(f"weights of shape {raw.shape} do not match {N_QUBITS} qubits")
     observed = np.flatnonzero(raw > 0)
     if not observed.size:
         raise ValueError("no observed bitstrings to mitigate")

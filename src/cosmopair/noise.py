@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ModeParams
+from .circuits import N_QUBITS
 from .encoding import VACUUM_PREP, StepTemplate, slice_chunks, slice_cuts
 from .schedule import build_schedule
 
@@ -76,23 +77,17 @@ class NoiseModel:
                 raise ValueError(f"readout matrix for qubit {q} has entries outside [0, 1]")
             if np.max(np.abs(c.sum(axis=0) - 1.0)) > 1e-12:
                 raise ValueError(f"readout matrix for qubit {q} is not column-stochastic")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.readout)
+        if len(mats) != N_QUBITS:
+            raise ValueError(f"noise model covers {len(mats)} qubits, the register has {N_QUBITS}")
 
     @classmethod
     def symmetric(
-        cls,
-        n_qubits: int = 4,
-        epsilon: float = 1.49e-2,
-        p2: float = 2.80e-3,
-        p1: float | None = None,
+        cls, *, epsilon: float = 1.49e-2, p2: float = 2.80e-3, p1: float | None = None
     ) -> "NoiseModel":
         """Uniform symmetric bit-flip readout with rate epsilon on every qubit."""
         c = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])
         return cls(
-            readout=tuple(c.copy() for _ in range(n_qubits)),
+            readout=tuple(c.copy() for _ in range(N_QUBITS)),
             p1=p2 / 10.0 if p1 is None else p1,
             p2=p2,
         )
@@ -138,18 +133,15 @@ class NoiseModel:
 def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Push outcome distributions through the tensor-product confusion.
 
-    Takes and returns a (..., 2^n) array of basis-indexed distributions (tiny
+    Takes and returns a (..., 16) array of basis-indexed distributions (tiny
     entries kept); each total is preserved.  Each qubit's 2x2 matrix is applied
     as separate real multiplies and adds, so no BLAS kernel or batch moves a bit.
     """
-    n = model.n_qubits
-    if n > 16:
-        raise ValueError("dense confusion product limited to 16 qubits")
     p = np.asarray(probs, dtype=float)
-    if p.shape[-1:] != (2**n,):
-        raise ValueError(f"distribution of shape {p.shape} does not match {n} qubits")
+    if p.shape[-1:] != (2**N_QUBITS,):
+        raise ValueError(f"distribution of shape {p.shape} does not match {N_QUBITS} qubits")
     for q, c in enumerate(model.readout):
-        t = p.reshape(-1, 2**q, 2, 2 ** (n - 1 - q))
+        t = p.reshape(-1, 2**q, 2, 2 ** (N_QUBITS - 1 - q))
         zero, one = t[:, :, 0], t[:, :, 1]
         p = np.stack([c[0, 0] * zero + c[0, 1] * one, c[1, 0] * zero + c[1, 1] * one], axis=2)
     return p.reshape(np.shape(probs))
@@ -166,9 +158,6 @@ def noisy_distributions(params: Sequence[ModeParams], models: Sequence[NoiseMode
     `slice_cuts` run as one batch of (window, model) rows, one group at a
     time.  A row's arithmetic is that of a batch of one, bit for bit.
     """
-    for model in models:
-        if model.n_qubits != 4:
-            raise ValueError(f"model covers {model.n_qubits} qubits, circuit has 4")
     groups = {}
     for i, p in enumerate(params):  # built and dropped: only a running group holds its schedules
         groups.setdefault(slice_cuts(build_schedule(p)), []).append(i)
@@ -272,7 +261,7 @@ def _schedule_steps(params: list[ModeParams], models: int):
 class _Run:
     """The map c -> sign * keep1**a * keep2**b * c[src] of Pauli coefficients.
 
-    Index i of c runs over the 4^n Paulis, one base-4 digit per qubit, qubit 0
+    Index i of c runs over the 256 Paulis, one base-4 digit per qubit, qubit 0
     first, each digit over (I, X, Y, Z).
     """
 
@@ -288,19 +277,19 @@ class _Run:
 
 
 @functools.cache
-def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
-    """One gate and its depolarizing on an n-qubit register; of an RZ, the depolarizing alone.
+def _gate_run(name: str, qubits: tuple[int, ...]) -> _Run:
+    """One gate and its depolarizing on the register; of an RZ, the depolarizing alone.
 
     U^dagger P U = sign * P_src from the stabilizer-tableau rules on each
     operand's letter as bits (x, z): I, X, Y, Z = 00, 10, 11, 01.  An RZ
     scales X_q and Y_q alike, so its depolarizing commutes with its rotation
     and opens the run after it.
     """
-    index = np.arange(4**n)
-    place = [4 ** (n - 1 - q) for q in qubits]
+    index = np.arange(4**N_QUBITS)
+    place = [4 ** (N_QUBITS - 1 - q) for q in qubits]
     digits = [index // p % 4 for p in place]
     x, z = [d % 3 != 0 for d in digits], [d >= 2 for d in digits]
-    flip = np.zeros(4**n, dtype=bool)
+    flip = np.zeros(index.shape, dtype=bool)
     if name == "X":
         flip = z[0]
     elif name == "H":
@@ -311,7 +300,7 @@ def _gate_run(name: str, qubits: tuple[int, ...], n: int) -> _Run:
         (xc, xt), (zc, zt) = x, z
         flip, x, z = xc & zt & ~(xt ^ zc), [xc, xt ^ xc], [zc ^ zt, zt]
     src = index + sum(((3 * zj ^ xj) - d) * p for p, d, xj, zj in zip(place, digits, x, z))
-    acts, idle = (sum(digits) != 0).astype(int), np.zeros(4**n, dtype=int)
+    acts, idle = (sum(digits) != 0).astype(int), np.zeros(index.shape, dtype=int)
     return _Run(src, 1 - 2 * flip.astype(int), *((idle, acts) if name == "CNOT" else (acts, idle)))
 
 
@@ -319,7 +308,7 @@ def _fold(gates, run=_Run(np.arange(256), np.ones(256, dtype=int),
                           *np.zeros((2, 256), dtype=int))) -> _Run:
     """`run`, the identity by default, then each of the 4-qubit `gates` with its depolarizing."""
     for gate in gates:
-        run = run.then(_gate_run(gate.name, gate.qubits, 4))
+        run = run.then(_gate_run(gate.name, gate.qubits))
     return run
 
 
@@ -327,7 +316,7 @@ def _fold(gates, run=_Run(np.arange(256), np.ones(256, dtype=int),
 def _template_fold(template: StepTemplate) -> tuple[_Run, ...]:
     """The fold of each fixed run of a slice template; each run after the
     first opens with the depolarizing of the RZ before it."""
-    rzs = (_gate_run("RZ", qubits, 4) for qubits, _, _ in template.rzs)
+    rzs = (_gate_run("RZ", qubits) for qubits, _, _ in template.rzs)
     return (_fold(template.runs[0]), *map(_fold, template.runs[1:], rzs))
 
 

@@ -49,7 +49,7 @@ def _check_normalization() -> CheckResult:
 
 
 def _check_number_embedding(zq_terms: tuple[PauliString, ...]) -> CheckResult:
-    dense = encoding.pauli_to_matrix(zq_terms, 4)
+    dense = encoding.pauli_to_matrix(zq_terms)
     idx = np.array(subspace.PHYS_INDICES)
     sub = dense[np.ix_(idx, idx)]
     ok = np.array_equal(sub.real, subspace.Z_PHYS) and not np.any(sub.imag)
@@ -61,7 +61,7 @@ def _check_number_embedding(zq_terms: tuple[PauliString, ...]) -> CheckResult:
 
 
 def _check_pair_embedding(aq_terms: tuple[PauliString, ...]) -> CheckResult:
-    dense = encoding.pauli_to_matrix(aq_terms, 4)
+    dense = encoding.pauli_to_matrix(aq_terms)
     idx = np.array(subspace.PHYS_INDICES)
     sub = dense[np.ix_(idx, idx)]
     ok = np.array_equal(sub.real, subspace.A_PHYS) and not np.any(sub.imag)
@@ -76,7 +76,7 @@ def _check_pair_embedding(aq_terms: tuple[PauliString, ...]) -> CheckResult:
 
 
 def _check_pair_commutation(aq_terms: tuple[PauliString, ...]) -> CheckResult:
-    mats = [encoding.pauli_to_matrix(t, 4) for t in aq_terms]
+    mats = [encoding.pauli_to_matrix(t) for t in aq_terms]
     worst = max(
         float(np.max(np.abs(a @ b - b @ a)))
         for i, a in enumerate(mats)

@@ -1,12 +1,11 @@
-"""Small-register statevector simulator with seeded shot sampling.
+"""Statevector simulator of the four-qubit register, with seeded shot sampling.
 
 Amplitude layout: qubit j is bit j counted from the left of the bitstring,
 i.e. the most significant bit of the flat index, so printed bitstrings read
 exactly like ket labels.  A state is a plain complex amplitude array of
-length 2**n; registers up to 20 qubits are supported (the `Circuit` checks
-the register and every gate's qubits), and the dense unitary builder is
-restricted to 12.  `run_circuit` replays any circuit gate by gate, and
-`circuit_unitary` runs the same gate loop over every basis state at once.
+length 2**N_QUBITS = 16.  `run_circuit` replays any iterable of gates one by
+one, and `circuit_unitary` runs the same gate loop over every basis state
+at once.
 
 Each gate kind has one in-place kernel on views of the target qubit's two
 halves, taken from the state as a (batch, 2, ..., 2) array: X swaps the
@@ -37,7 +36,7 @@ enough for BLAS to start a second thread, which doubles the CPU time for no
 gain in wall time.  Every term is kept: under the rounded 1/sqrt(2) of H,
 the k = +-2, +-4, +-6 matrices hold entries of about 1e-31, not zeros.
 
-An outcome distribution is a float array of length 2**n indexed by basis
+An outcome distribution is a float array of length 16 indexed by basis
 state, in the amplitude layout above; counts are an int array in the same
 layout.  Only `counts_to_csv` writes a basis state as a bitstring.
 
@@ -51,11 +50,12 @@ itself: its sum is the shot count.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import N_QUBITS, Gate
 from .encoding import VACUUM_PREP, StepTemplate, slice_chunks
 from .subspace import PHYS_INDICES
 
@@ -76,16 +76,17 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_DIM = 2**N_QUBITS
 
 
-def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate):
-    """Apply `gate` in place to a state or a (batch, 2**n) array of states.
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate):
+    """Apply `gate` in place to a state or a (batch, 16) array of states.
 
     Works on views of the target qubit's 0- and 1-halves, within the
     control's 1-half for a CNOT; see the module docstring.
     """
-    view = amps.reshape((-1,) + (2,) * n)  # leading batch axis, maybe of one
-    index: list = [slice(None)] * (n + 1)
+    view = amps.reshape((-1,) + (2,) * N_QUBITS)  # leading batch axis, maybe of one
+    index: list = [slice(None)] * (N_QUBITS + 1)
     if gate.name == "CNOT":
         index[1 + gate.qubits[0]] = 1
     index[1 + gate.qubits[-1]] = 0
@@ -103,25 +104,23 @@ def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate):
         a1 *= 1j if gate.name == "S" else -1j
 
 
-def _run(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """`amps`, one state or a batch of them, after every gate of `circuit` in order."""
-    for gate in circuit.gates:
-        _apply_gate_inplace(amps, circuit.n_qubits, gate)
+def _run(amps: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+    """`amps`, one state or a batch of them, after each of `gates` in order."""
+    for gate in gates:
+        _apply_gate_inplace(amps, gate)
     return amps
 
 
-def run_circuit(circuit: Circuit) -> np.ndarray:
-    """Amplitudes after every gate in order, starting from |0...0>."""
-    amps = np.zeros(2**circuit.n_qubits, dtype=complex)
+def run_circuit(gates: Iterable[Gate]) -> np.ndarray:
+    """Amplitudes after each of `gates` in order, starting from |0000>."""
+    amps = np.zeros(_DIM, dtype=complex)
     amps[0] = 1.0
-    return _run(amps, circuit)
+    return _run(amps, gates)
 
 
 # ---------------------------------------------------------------------------
 # Segment engine for schedule circuits
 # ---------------------------------------------------------------------------
-
-_DIM = 16  # four-qubit register
 
 
 @functools.lru_cache(maxsize=2)
@@ -135,9 +134,9 @@ def _slice_segments(template: StepTemplate) -> tuple[tuple[np.ndarray, ...], ...
     radiation shape becomes one diagonal.
     """
     index = np.arange(_DIM)[:, None]
-    steps = [(circuit_unitary(Circuit(4, list(run))), [r], 1.0 * (index & (8 >> q) == 0))
+    steps = [(circuit_unitary(run), [r], 1.0 * (index & (8 >> q) == 0))
              for r, (run, ((q,), _, _)) in enumerate(zip(template.runs, template.rzs))]
-    steps.append((circuit_unitary(Circuit(4, list(template.runs[-1]))), [], np.zeros((_DIM, 0))))
+    steps.append((circuit_unitary(template.runs[-1]), [], np.zeros((_DIM, 0))))
     for k in range(len(steps) - 1, 0, -1):
         (head, rzs, neg), (perm, next_rzs, next_neg) = steps[k - 1], steps[k]
         if _permutes(perm):
@@ -218,24 +217,21 @@ def run_schedule(schedule) -> np.ndarray:
     Agrees with gate-by-gate `run_circuit` to rounding; an empty sequence
     gives the prepared vacuum.
     """
-    amps = run_circuit(Circuit(4, list(VACUUM_PREP)))
+    amps = run_circuit(VACUUM_PREP)
     for template, angles in slice_chunks(schedule):
         for block in _slice_unitaries(template, angles):
             amps = block @ amps
     return amps
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit, limited to 12 qubits.
+def circuit_unitary(gates: Iterable[Gate]) -> np.ndarray:
+    """Dense 16x16 unitary of a circuit.
 
     Runs every basis state through the gates as one batch of rows.  It
     builds the fixed runs that `run_schedule` compiles, and checks circuits
     against their target unitaries.
     """
-    n = circuit.n_qubits
-    if n > 12:
-        raise ValueError(f"dense unitary limited to 12 qubits, got {n}")
-    return _run(np.eye(2**n, dtype=complex), circuit).T.copy()
+    return _run(np.eye(_DIM, dtype=complex), gates).T.copy()
 
 
 class NotNormalizedError(ValueError):
@@ -342,7 +338,6 @@ def observables_from_counts(counts: np.ndarray) -> Observables:
 
 def counts_to_csv(counts: np.ndarray) -> str:
     """`bitstring,count` lines of the observed states, in basis order."""
-    n = len(counts).bit_length() - 1
     lines = ["bitstring,count"]
-    lines.extend(f"{i:0{n}b},{c}" for i, c in enumerate(counts.tolist()) if c)
+    lines.extend(f"{i:0{N_QUBITS}b},{c}" for i, c in enumerate(counts.tolist()) if c)
     return "\n".join(lines) + "\n"

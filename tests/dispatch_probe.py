@@ -39,7 +39,7 @@ def distributions_digest() -> str:
     """sha256 of one `noisy_distributions` grid over a few (x, N) windows and
     factors, its rows in x-major, factor-minor order."""
     params = [ModeParams(x=x, n_steps=n) for x, n in ((1.3, 1), (2.2, 3))]
-    models = [NoiseModel.symmetric(4).scaled(f) for f in (1.0, 2.0)]
+    models = [NoiseModel.symmetric().scaled(f) for f in (1.0, 2.0)]
     return hashlib.sha256(noisy_distributions(params, models).tobytes()).hexdigest()
 
 

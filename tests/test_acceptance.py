@@ -179,15 +179,15 @@ def test_criterion_05_ode_oracle():
 def test_criterion_06_encoding_faithfulness():
     t0 = time.perf_counter()
     idx = np.array(PHYS_INDICES)
-    zq = pauli_to_matrix(zq_pauli_sum(), 4)[np.ix_(idx, idx)]
-    aq = pauli_to_matrix(aq_pauli_sum(), 4)[np.ix_(idx, idx)]
+    zq = pauli_to_matrix(zq_pauli_sum())[np.ix_(idx, idx)]
+    aq = pauli_to_matrix(aq_pauli_sum())[np.ix_(idx, idx)]
     exact = (
         np.array_equal(zq.real, Z_PHYS)
         and np.array_equal(aq.real, A_PHYS)
         and not np.any(zq.imag)
         and not np.any(aq.imag)
     )
-    mats = [pauli_to_matrix(t, 4) for t in aq_pauli_sum()]
+    mats = [pauli_to_matrix(t) for t in aq_pauli_sum()]
     commute = max(
         float(np.max(np.abs(a @ b - b @ a)))
         for i, a in enumerate(mats)
@@ -257,7 +257,7 @@ def test_criterion_08_shot_statistics():
 def test_criterion_09_mitigation_properties():
     t0 = time.perf_counter()
     # (a) Readout round trip on an exact distribution.
-    model = NoiseModel.symmetric(4)
+    model = NoiseModel.symmetric()
     true = {"0101": 0.96, "1010": 0.025, "1001": 0.01, "0110": 0.005}
     fixed = mitigate_readout(apply_readout_noise(dist(true), model), model)
     round_trip = max(abs(fixed.quasi[int(s, 2)] - v) for s, v in true.items())
@@ -272,7 +272,7 @@ def test_criterion_09_mitigation_properties():
     # saturation curvature of the injection process biases the intercept.
     params = ModeParams(x=1.3, n_steps=1)
     ideal = probabilities(run_circuit(build_full_circuit(build_schedule(params))))[0b1010]
-    stochastic_model = NoiseModel.symmetric(4, epsilon=1.49e-2, p2=1e-3)
+    stochastic_model = NoiseModel.symmetric(epsilon=1.49e-2, p2=1e-3)
     factors = (1.0, 1.5, 2.0)
     (levels,) = noisy_distributions([params], [stochastic_model.scaled(f) for f in factors])
     zne = zne_estimate(factors, levels, 100000, SEED)["p_pair"]

@@ -309,7 +309,7 @@ class TestTrajectory:
 class TestNoiseStudy:
     def test_zero_noise_model_matches_ideal(self, tmp_path):
         model_file = tmp_path / "model.json"
-        model_file.write_text(NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0).to_json())
+        model_file.write_text(NoiseModel.symmetric(epsilon=0.0, p2=0.0, p1=0.0).to_json())
         assert main(["noise-study", "--x", "1.3", "--shots", "4096", "--seed", "0",
                      "--model-file", str(model_file), "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "noise_study.json").read_text())
@@ -366,7 +366,7 @@ class TestNoiseStudy:
         # A 0.5 flip makes every readout column equal, so the restricted
         # confusion matrix is singular: a numerical failure, not bad usage.
         model_file = tmp_path / "model.json"
-        model_file.write_text(NoiseModel.symmetric(4, epsilon=0.5).to_json())
+        model_file.write_text(NoiseModel.symmetric(epsilon=0.5).to_json())
         out = tmp_path / "out"
         assert main(argv + ["--model-file", str(model_file), "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
@@ -460,9 +460,9 @@ class TestDumps:
                      "--out-dir", str(tmp_path)]) == 0
         text = (tmp_path / "circuit_x2_n1.txt").read_text()
         circuit = circuit_from_text(text)
-        assert circuit.gate_count == 174
-        assert [g.name for g in circuit.gates[:2]] == ["X", "X"]
-        assert [g.qubits for g in circuit.gates[:2]] == [(1,), (3,)]
+        assert len(circuit) == 174
+        assert [g.name for g in circuit[:2]] == ["X", "X"]
+        assert [g.qubits for g in circuit[:2]] == [(1,), (3,)]
 
     def test_circuit_dump_golden_bytes(self, tmp_path):
         # sha256 of the files as synthesized before slice templates existed.
@@ -481,7 +481,21 @@ class TestDumps:
         assert main(["dump-circuit", "--x", "2.0", "--n-steps", "0",
                      "--out-dir", str(tmp_path)]) == 0
         circuit = circuit_from_text((tmp_path / "circuit_x2_n0.txt").read_text())
-        assert circuit.gate_count == 2
+        assert len(circuit) == 2
+
+    def test_circuit_dump_memory_does_not_grow_with_steps(self, tmp_path):
+        # The header comes from one walk of the gates and the body is
+        # streamed from a second: no list of gates or text is held.  The
+        # first run fills the slice-template caches.
+        peaks = {}
+        for n_steps in (50, 50, 500):
+            argv = ["dump-circuit", "--x", "2.0", "--n-steps", str(n_steps),
+                    "--out-dir", str(tmp_path / str(n_steps))]
+            tracemalloc.start()
+            assert main(argv) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert abs(peaks[500] - peaks[50]) < 1024 * 1024
 
 
 class TestChecksBeforeAnyRun:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bitstrings import labelled
 from cosmopair.background import ModeParams
-from cosmopair.circuits import Circuit
+from cosmopair.circuits import gate_count_and_depth
 import cosmopair.encoding as encoding
 from cosmopair.encoding import (
     PauliString,
@@ -54,7 +54,7 @@ class TestPauliTables:
             assert t.letters.count("Y") % 2 == 0
 
     def test_pair_terms_mutually_commute(self):
-        mats = [pauli_to_matrix(t, 4) for t in aq_pauli_sum()]
+        mats = [pauli_to_matrix(t) for t in aq_pauli_sum()]
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
                 assert np.max(np.abs(a @ b - b @ a)) < 1e-14
@@ -62,22 +62,22 @@ class TestPauliTables:
 
 class TestDenseExpansion:
     def test_leftmost_factor_convention(self):
-        # Z on qubit 0 of a 2-qubit register acts on the leading index bit.
-        m = pauli_to_matrix(PauliString("ZI", 1.0), 2)
-        assert np.array_equal(np.diag(m).real, [1, 1, -1, -1])
+        # Z on qubit 0 acts on the leading index bit.
+        m = pauli_to_matrix(PauliString("ZIII", 1.0))
+        assert np.array_equal(np.diag(m).real, [1] * 8 + [-1] * 8)
 
     def test_hermiticity(self):
         for p in (zq_pauli_sum(), aq_pauli_sum()):
-            m = pauli_to_matrix(p, 4)
+            m = pauli_to_matrix(p)
             assert np.max(np.abs(m - m.conj().T)) < 1e-14
 
     def test_number_operator_restriction(self):
-        sub = restrict(pauli_to_matrix(zq_pauli_sum(), 4))
+        sub = restrict(pauli_to_matrix(zq_pauli_sum()))
         assert np.array_equal(sub.real, Z_PHYS)
         assert not np.any(sub.imag)
 
     def test_pair_operator_restriction_and_offsubspace(self):
-        dense = pauli_to_matrix(aq_pauli_sum(), 4)
+        dense = pauli_to_matrix(aq_pauli_sum())
         sub = restrict(dense)
         assert np.array_equal(sub.real, A_PHYS)
         assert sub[0, 3] == 1.0  # vacuum <-> pair element
@@ -87,8 +87,10 @@ class TestDenseExpansion:
         assert not np.any(off)
 
     def test_rejects_large_register(self):
-        with pytest.raises(ValueError):
-            pauli_to_matrix(PauliString("Z" * 13, 1.0), 13)
+        # A string is one letter per register qubit, so no larger one exists.
+        for letters in ("Z" * 13, "ZZZ", "", "ZZZW"):
+            with pytest.raises(ValueError, match="need 4 of IXYZ"):
+                PauliString(letters, 1.0)
 
 
 class TestRotationSynthesis:
@@ -97,32 +99,31 @@ class TestRotationSynthesis:
             synthesize_pauli_rotation(PauliString("IIII", 1.0), 0.1)
 
     def test_zero_angle_is_identity(self):
-        c = Circuit(4, synthesize_pauli_rotation(PauliString("XYZI", 1.0), 0.0))
+        c = synthesize_pauli_rotation(PauliString("XYZI", 1.0), 0.0)
         assert phase_aligned_distance(circuit_unitary(c), np.eye(16)) < 1e-12
 
     def test_zz_half_turn(self):
-        c = Circuit(2, synthesize_pauli_rotation(PauliString("ZZ", 1.0), np.pi / 2))
-        target = -1j * pauli_to_matrix(PauliString("ZZ", 1.0), 2)
+        c = synthesize_pauli_rotation(PauliString("ZZII", 1.0), np.pi / 2)
+        target = -1j * pauli_to_matrix(PauliString("ZZII", 1.0))
         assert phase_aligned_distance(circuit_unitary(c), target) < 1e-12
 
     def test_four_qubit_x_string(self):
         p = PauliString("XXXX", 1.0)
-        c = Circuit(4, synthesize_pauli_rotation(p, 0.1))
-        expected = np.cos(0.1) * np.eye(16) - 1j * np.sin(0.1) * pauli_to_matrix(p, 4)
+        c = synthesize_pauli_rotation(p, 0.1)
+        expected = np.cos(0.1) * np.eye(16) - 1j * np.sin(0.1) * pauli_to_matrix(p)
         assert np.max(np.abs(circuit_unitary(c) - expected)) < 1e-12
 
     @settings(deadline=None, max_examples=40)
     @given(
-        letters=st.text(alphabet="IXYZ", min_size=2, max_size=4),
+        letters=st.text(alphabet="IXYZ", min_size=4, max_size=4),
         angle=st.floats(min_value=-3.0, max_value=3.0),
     )
     def test_random_strings_match_dense_form(self, letters, angle):
         if set(letters) == {"I"}:
             return
-        n = len(letters)
         p = PauliString(letters, 1.0)
-        c = Circuit(n, synthesize_pauli_rotation(p, angle))
-        expected = np.cos(angle) * np.eye(2**n) - 1j * np.sin(angle) * pauli_to_matrix(p, n)
+        c = synthesize_pauli_rotation(p, angle)
+        expected = np.cos(angle) * np.eye(16) - 1j * np.sin(angle) * pauli_to_matrix(p)
         assert np.max(np.abs(circuit_unitary(c) - expected)) < 1e-12
 
 
@@ -131,7 +132,7 @@ class TestStepSynthesis:
         sched = build_schedule(ModeParams(x=2.0, y_i=-2.5, y_f=-0.5, n_steps=4))
         assert sched.ca[-1] == 0.0
         circuit = synthesize_step(*(a[-1].item() for a in sched.angles()))
-        assert all(g.name in ("RZ", "CNOT") for g in circuit.gates)
+        assert all(g.name in ("RZ", "CNOT") for g in circuit)
         u = circuit_unitary(circuit)
         off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) < 1e-12
@@ -146,8 +147,8 @@ class TestStepSynthesis:
 
     def test_pair_block_preserves_physical_subspace(self):
         for theta in (0.01, 0.1, 1.0):
-            c = Circuit(4, [g for term in aq_pauli_sum()
-                            for g in synthesize_pauli_rotation(term, theta * term.coeff)])
+            c = [g for term in aq_pauli_sum()
+                 for g in synthesize_pauli_rotation(term, theta * term.coeff)]
             u = circuit_unitary(c)
             outside = np.setdiff1d(np.arange(16), IDX)
             leak = np.max(np.abs(u[np.ix_(outside, IDX)]))
@@ -156,27 +157,26 @@ class TestStepSynthesis:
 
 class TestFullCircuit:
     def test_empty_schedule_prepares_vacuum(self):
-        circuit = build_full_circuit([])
-        assert [g.name for g in circuit.gates] == ["X", "X"]
+        circuit = list(build_full_circuit([]))
+        assert [g.name for g in circuit] == ["X", "X"]
         probs = probabilities(run_circuit(circuit))
         assert labelled(probs) == {"0101": 1.0}
 
     def test_two_step_structure(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=2))
-        circuit = build_full_circuit(sched)
+        circuit = list(build_full_circuit(sched))
         first, second = zip(*(a.tolist() for a in sched.angles()))
-        one_step = synthesize_step(*first).gate_count
+        one_step = len(synthesize_step(*first))
         # Preparation plus two equal-shape split-step blocks.
-        assert circuit.gate_count == 2 + one_step + synthesize_step(*second).gate_count
-        assert one_step == synthesize_step(*second).gate_count
+        assert circuit == [*circuit[:2], *synthesize_step(*first), *synthesize_step(*second)]
+        assert len(circuit) == 2 + one_step + len(synthesize_step(*second))
+        assert one_step == len(synthesize_step(*second))
 
     def test_single_step_gate_count_regression(self):
         # Frozen from the synthesis rules: 2 preparation X gates, two Z
         # half-blocks of 10 gates, and 8 four-qubit rotations of 15..23 gates.
         sched = build_schedule(ModeParams(x=2.0, n_steps=1))
-        circuit = build_full_circuit(sched)
-        assert circuit.gate_count == 174
-        assert circuit.depth() == 92
+        assert gate_count_and_depth(build_full_circuit(sched)) == (174, 92)
 
     @pytest.mark.parametrize("x,n_steps", [(1.3, 1), (2.0, 10), (2.0, 100)])
     def test_full_circuit_matches_matrix_engine(self, x, n_steps):

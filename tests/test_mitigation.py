@@ -46,7 +46,7 @@ class TestRestrictedConfusion:
     """The vectorized matrix is the entry-by-entry loop, bit for bit."""
 
     @pytest.mark.parametrize(
-        "model", [NoiseModel.symmetric(4), _ASYMMETRIC], ids=["default", "asymmetric"]
+        "model", [NoiseModel.symmetric(), _ASYMMETRIC], ids=["default", "asymmetric"]
     )
     def test_four_qubit_models(self, model):
         rng = np.random.default_rng(0)
@@ -58,17 +58,18 @@ class TestRestrictedConfusion:
             assert np.array_equal(got, reference_confusion(observed, model))
 
     def test_one_qubit_model(self):
+        # Readout noise on qubit 0 alone; the subsets differ in that qubit.
         c = np.array([[0.99, 0.02], [0.01, 0.98]])
-        model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
-        for subset in ([0], [1], [0, 1]):
+        model = NoiseModel(readout=(c, np.eye(2), np.eye(2), np.eye(2)), p1=0.0, p2=0.0)
+        for subset in ([0], [8], [0, 8]):
             got = _restricted_confusion(np.array(subset, dtype=np.int64), model)
-            assert np.array_equal(got, reference_confusion([str(i) for i in subset], model))
+            assert np.array_equal(got, reference_confusion([f"{i:04b}" for i in subset], model))
 
 
 class TestReadoutMitigation:
     def test_identity_model_returns_frequencies(self):
         counts = dist({"0101": 75, "1010": 25}, int)
-        fixed = mitigate_readout(counts, NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0))
+        fixed = mitigate_readout(counts, NoiseModel.symmetric(epsilon=0.0, p2=0.0, p1=0.0))
         assert fixed.quasi == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert fixed.clipped == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert not fixed.ill_conditioned
@@ -84,17 +85,17 @@ class TestReadoutMitigation:
     @pytest.mark.parametrize("shape", [(8,), (32,), (4, 4)])
     def test_rejects_weights_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="do not match 4 qubits"):
-            mitigate_readout(np.ones(shape), NoiseModel.symmetric(4))
+            mitigate_readout(np.ones(shape), NoiseModel.symmetric())
 
     def test_single_qubit_exact_recovery(self):
         c = np.array([[0.99, 0.02], [0.01, 0.98]])
-        model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
-        fixed = mitigate_readout(dist({"0": 0.99, "1": 0.01}), model)
+        model = NoiseModel(readout=(c, np.eye(2), np.eye(2), np.eye(2)), p1=0.0, p2=0.0)
+        fixed = mitigate_readout(dist({"0000": 0.99, "1000": 0.01}), model)
         assert fixed.quasi[0] == pytest.approx(1.0, abs=1e-12)
-        assert fixed.quasi[1] == pytest.approx(0.0, abs=1e-12)
+        assert fixed.quasi[0b1000] == pytest.approx(0.0, abs=1e-12)
 
     def test_four_qubit_round_trip(self):
-        model = NoiseModel.symmetric(4)
+        model = NoiseModel.symmetric()
         true = {"0101": 0.92, "1010": 0.05, "1001": 0.02, "0110": 0.01}
         noisy = apply_readout_noise(dist(true), model)
         fixed = mitigate_readout(noisy, model)
@@ -106,14 +107,14 @@ class TestReadoutMitigation:
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=16, max_size=16))
     def test_round_trip_random_distributions(self, weights):
         true = np.array(weights) / sum(weights)
-        model = NoiseModel.symmetric(4)
+        model = NoiseModel.symmetric()
         fixed = mitigate_readout(apply_readout_noise(true, model), model)
         assert fixed.quasi == pytest.approx(true, abs=1e-10)
 
     def test_leakage_restored_on_exact_distribution(self):
         # Readout noise leaks an in-subspace state; correcting the exact noisy
         # distribution removes the leakage again.
-        model = NoiseModel.symmetric(4, epsilon=0.02, p2=0.0, p1=0.0)
+        model = NoiseModel.symmetric(epsilon=0.02, p2=0.0, p1=0.0)
         true = dist({"0101": 0.997, "1010": 0.003})
         noisy = apply_readout_noise(true, model)
         physical = [0b0101, 0b1001, 0b0110, 0b1010]
@@ -125,19 +126,19 @@ class TestReadoutMitigation:
 
     def test_clipped_variant_is_renormalized(self):
         counts = dist({"0101": 63, "1010": 1}, int)
-        fixed = mitigate_readout(counts, NoiseModel.symmetric(4))
+        fixed = mitigate_readout(counts, NoiseModel.symmetric())
         assert fixed.clipped.sum() == pytest.approx(1.0)
         assert fixed.clipped.min() >= 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            mitigate_readout(np.zeros(16), NoiseModel.symmetric(4))
+            mitigate_readout(np.zeros(16), NoiseModel.symmetric())
 
     def test_singular_model_raises(self):
         c = np.array([[0.5, 0.5], [0.5, 0.5]])
-        model = NoiseModel(readout=(c,), p1=0.0, p2=0.0)
+        model = NoiseModel(readout=(c, np.eye(2), np.eye(2), np.eye(2)), p1=0.0, p2=0.0)
         with pytest.raises(SingularConfusionError):
-            mitigate_readout(dist({"0": 0.5, "1": 0.5}), model)
+            mitigate_readout(dist({"0000": 0.5, "1000": 0.5}), model)
 
 
 class TestLinearExtrapolation:
@@ -182,7 +183,7 @@ def run_zne(params, model, factors, shots, seed):
 class TestZNE:
 
     def test_factor_validation(self, params):
-        probs = noisy_distributions([params], [NoiseModel.symmetric(4)])[0, 0]
+        probs = noisy_distributions([params], [NoiseModel.symmetric()])[0, 0]
         with pytest.raises(ValueError):
             zne_estimate((1.0,), [probs], 64, 0)
         with pytest.raises(ValueError):
@@ -194,12 +195,12 @@ class TestZNE:
                 zne_estimate((1.0, bad), [probs] * 2, 64, 0)
 
     def test_one_distribution_per_factor(self, params):
-        probs = noisy_distributions([params], [NoiseModel.symmetric(4)])[0, 0]
+        probs = noisy_distributions([params], [NoiseModel.symmetric()])[0, 0]
         with pytest.raises(ValueError, match="1 distributions for 2 noise factors"):
             zne_estimate((1.0, 2.0), [probs], 64, 0)
 
     def test_zero_noise_model_reproduces_ideal(self, params):
-        model = NoiseModel.symmetric(4, epsilon=0.0, p2=0.0, p1=0.0)
+        model = NoiseModel.symmetric(epsilon=0.0, p2=0.0, p1=0.0)
         result = run_zne(params, model, (1.0, 1.5, 2.0), 20000, 4)["p_pair"]
         ideal = 0.0026326481467
         sigma = np.sqrt(ideal * (1 - ideal) / 20000)
@@ -208,20 +209,20 @@ class TestZNE:
         assert abs(result.extrapolated - ideal) < 4 * sigma
 
     def test_deterministic(self, params):
-        model = NoiseModel.symmetric(4)
+        model = NoiseModel.symmetric()
         a = run_zne(params, model, (1.0, 1.5, 2.0), 512, 9)
         b = run_zne(params, model, (1.0, 1.5, 2.0), 512, 9)
         assert a == b
 
     def test_values_increase_with_amplification(self, params):
         # Gate noise inflates the pair estimate, so amplified runs sit higher.
-        model = NoiseModel.symmetric(4)
+        model = NoiseModel.symmetric()
         result = run_zne(params, model, (1.0, 2.0), 20000, 2)["p_pair"]
         assert result.values[1] > result.values[0]
         assert result.extrapolated < result.values[0]
 
     def test_both_observables_come_from_the_same_runs(self, params):
-        model = NoiseModel.symmetric(4)
+        model = NoiseModel.symmetric()
         result = run_zne(params, model, (1.0, 2.0), 256, 7)
         for i, factor in enumerate((1.0, 2.0)):
             probs = noisy_distributions([params], [model.scaled(factor)])[0, 0]
@@ -234,6 +235,6 @@ class TestZNE:
                 assert result[name].stderrs[i] == max(np.sqrt(v * (1 - v) / 256), 1 / 256)
 
     def test_leakage_extrapolates_toward_zero(self, params):
-        model = NoiseModel.symmetric(4, epsilon=0.0, p2=2.8e-3)
+        model = NoiseModel.symmetric(epsilon=0.0, p2=2.8e-3)
         result = run_zne(params, model, (1.0, 1.5, 2.0), 20000, 3)["leakage"]
         assert result.extrapolated < result.values[0]

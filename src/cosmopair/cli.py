@@ -63,7 +63,7 @@ from .statevector import (
     run_schedule,
     sample_counts,
 )
-from .subspace import evolve, particle_number
+from .subspace import PHYS_INDICES, evolve, particle_number
 
 SCHEMA_VERSION = 1
 
@@ -243,9 +243,9 @@ def _noisy_row(levels, shots, seed, **_):
 
 
 def _mitigated_row(levels, shots, seed, model, **_):
-    counts = sample_counts(levels[1.0], shots, seed)
-    obs = observables_from_probabilities(mitigate_readout(counts, model).clipped)
-    return obs.p_pair, observables_from_counts(counts).stderr_pair, obs.leakage
+    fixed = mitigate_readout(sample_counts(levels[1.0], shots, seed), model)
+    obs = observables_from_probabilities(fixed.clipped)
+    return obs.p_pair, float(fixed.quasi_stderr[PHYS_INDICES[3]]), obs.leakage
 
 
 def _zne_row(levels, shots, seed, factors, **_):

@@ -3,7 +3,8 @@
 Readout correction takes counts or an exact distribution, solves the
 confusion system restricted to the observed basis states (never building
 the full 16x16 assignment matrix) and reports both the raw quasi-probabilities,
-which may be slightly negative, and a clipped-renormalized variant.
+which may be slightly negative, and a clipped-renormalized variant, with
+the delta-method standard error of each quasi-probability.
 
 Extrapolation samples the exact outcome distribution at each amplified
 gate-noise level, supplied by the caller, estimates p_pair and leakage from
@@ -44,10 +45,16 @@ class SingularConfusionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReadoutMitigation:
-    """Corrected distribution, raw quasi-probability and clipped, zero off the observed states."""
+    """Corrected distribution, raw quasi-probability and clipped, zero off the observed states.
+
+    `quasi_stderr[k]` is sqrt((sum_i (M^-1)_ki^2 f_i - q_k^2) / shots), the
+    delta-method standard error of q = M^-1 f: M the restricted confusion,
+    f the observed frequencies, and the weights' total the shot count.
+    """
 
     quasi: np.ndarray
     clipped: np.ndarray
+    quasi_stderr: np.ndarray
     condition_number: float
     ill_conditioned: bool
 
@@ -75,7 +82,8 @@ def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigatio
     observed = np.flatnonzero(raw > 0)
     if not observed.size:
         raise ValueError("no observed bitstrings to mitigate")
-    freq = raw[observed] / float(raw[observed].sum())
+    shots = float(raw[observed].sum())
+    freq = raw[observed] / shots
 
     m = _restricted_confusion(observed, model)
     cond = float(np.linalg.cond(m))
@@ -91,11 +99,14 @@ def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigatio
     clipped_total = clipped.sum()
     if clipped_total > 0:
         clipped = clipped / clipped_total
-    full = np.zeros((2, len(raw)))
-    full[:, observed] = quasi, clipped
+    # Elementwise, not a matrix product, so no BLAS kernel moves a bit.
+    variance = ((np.linalg.inv(m) ** 2 * freq).sum(axis=1) - quasi**2) / shots
+    full = np.zeros((3, len(raw)))
+    full[:, observed] = quasi, clipped, np.sqrt(np.maximum(variance, 0.0))
     return ReadoutMitigation(
         quasi=full[0],
         clipped=full[1],
+        quasi_stderr=full[2],
         condition_number=cond,
         ill_conditioned=cond > ILL_CONDITION_THRESHOLD,
     )

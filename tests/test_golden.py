@@ -24,7 +24,12 @@ evaluating each template as a compiled polynomial in its RZ phases instead
 of multiplying out its runs slice by slice: the `statevector` `n_k` and
 the ideal `p_pair` moved by at most 1.8e-15, their `leakage` by at most
 2.2e-14; every counts file, every other row and every other digest stayed
-byte-identical.  `dump-circuit` has its own golden test in test_cli.py.
+byte-identical.  The three digests that hold `mitigated` rows (`sweep`,
+`radiation-sweep`, `chunk-sweep`) were re-taken when those rows began
+reporting the delta-method stderr of the readout-inverted p_pair instead
+of the raw counts' binomial stderr: only the `stderr` field of the
+`mitigated` rows moved.  `dump-circuit` has its own golden test in
+test_cli.py.
 
 The windows above hold de Sitter slices only.  The `radiation-*` entries
 start the grid at y_i = -10 with 10 slices, so at x = 2.0 (and at x = 1.3)
@@ -52,8 +57,8 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "2", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "c702f131fcb1535491d0459554769afd7e9f22564c3ef1e5d960a39ac2220f04",
-            "sweep.json": "49601a7e97bb60228c6bd5ccaac40f10114b935f35cf990cbf2eea5c6ffee10c",
+            "sweep.csv": "b8f5b6303c451c350e9b6e227316800b7cc4b279ff5e76864d32bd45f8e7f5b6",
+            "sweep.json": "445850c74f8d02ca4c664b9ba41a6b9f00deff400bccdc633257293720d227d4",
         },
     ),
     "sweep-noiseless": (
@@ -104,8 +109,8 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "10", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "3e593a57d0fae5aa0970a799351cb16efddb922cbabedcf684d498b1607c5e42",
-            "sweep.json": "e02aed37143f17cfe24e89e26a531d9f7d253d55fb58a1c349c6f186a00a8aaf",
+            "sweep.csv": "61c3ddadf2a6f5d83a94d71286f2304637eed5eb69cc436a15fcbeacd0823ab4",
+            "sweep.json": "4deab950990fc9eff0bcb80ba42bf4b6b0320689e5a4ac21724be215454b5787",
         },
     ),
     "chunk-sweep": (
@@ -113,8 +118,8 @@ GOLDEN = {
          "--methods", "analytic,matrix,statevector,shots,noisy,mitigated,zne",
          "--n-steps", "257", "--shots", "300", "--seed", "7"],
         {
-            "sweep.csv": "a2a7560c1b2d9089633f148a3c72e8f3955ce9d45d443bb5b66ddc4d22e4d7f0",
-            "sweep.json": "a40f68450a818c86c4b066d6d4461006f95314bc5819caf25d9dd01a31fc18b0",
+            "sweep.csv": "2b7447c8b9a30c2e76399db379ce5c8bf956892ac51d7f0be46f522d67c6b851",
+            "sweep.json": "2a3a2ddaf17d91711f0c21ae37edb54306a72ad764dd8c6b61709d8b7f1943e3",
         },
     ),
     "chunk-dump-circuit": (

@@ -74,6 +74,12 @@ class TestReadoutMitigation:
         assert fixed.clipped == pytest.approx(dist({"0101": 0.75, "1010": 0.25}))
         assert not fixed.ill_conditioned
 
+    def test_stderr_under_identity_readout_is_binomial(self):
+        counts = dist({"0101": 75, "1010": 25}, int)
+        fixed = mitigate_readout(counts, NoiseModel.symmetric(epsilon=0.0, p2=0.0, p1=0.0))
+        binomial = np.sqrt(0.75 * 0.25 / 100)
+        assert fixed.quasi_stderr == pytest.approx(dist({"0101": binomial, "1010": binomial}))
+
     def test_zero_off_the_observed_states(self):
         counts = dist({"0101": 60, "1010": 3, "0000": 1}, int)
         fixed = mitigate_readout(counts, _ASYMMETRIC)

@@ -15,9 +15,10 @@ Subcommands and their outputs (all plot-ready CSV/JSON, no rendering):
 Every file starts with a metadata header (tool version, parameters, seed)
 sufficient to regenerate it bit-exactly.  Each command but `verify` yields
 its files, and `main` writes them as one set: all of them or none.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure (singular readout correction, failed ODE integration, oracle
-mismatch, a state that is not normalized).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a grid too
+large to allocate among them), 3 numerical failure (singular readout
+correction, failed ODE integration, oracle mismatch, a state that is not
+normalized).
 """
 
 from __future__ import annotations
@@ -558,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
             NotNormalizedError) as exc:  # before ValueError, which NotNormalizedError is
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

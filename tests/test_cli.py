@@ -235,6 +235,16 @@ class TestSweep:
 
 
 class TestTrajectory:
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 10**15 slices: about 7 PiB, above the x86-64 user address space, so
+        # the allocation fails at once under any overcommit policy.
+        out = tmp_path / "out"
+        assert main(["trajectory", "--x", "2", "--n-steps", str(10**15),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_columns_and_plateau_column(self, tmp_path):
         assert main(["trajectory", "--x", "2.0", "--n-steps", "40",
                      "--out-dir", str(tmp_path)]) == 0

@@ -1,11 +1,10 @@
 """The register's gate records, and circuit text serialization.
 
-The register is N_QUBITS = 4 qubits: one momentum pair in its
-single-excitation encoding.  `Gate` checks every qubit against it, so no
-other part of the package carries a qubit count.  A circuit is any iterable
-of gates, which may be a generator: `gate_count_and_depth` measures one in
-a single pass and `circuit_to_text` writes one in chunks, so a circuit of
-any length is written without being held.
+The register is N_QUBITS = 4 qubits, one momentum pair; `Gate` checks
+every qubit against it, so nothing else carries a qubit count.  A circuit
+is any iterable of gates, a generator included: `gate_count_and_depth`
+measures one in a single pass and `circuit_to_text` writes one in chunks,
+so no circuit is held whole.
 
 Gate set: X, H, S, Sdg, RZ(theta), CNOT.  Qubit 0 is the leftmost
 position of a measurement bitstring (most significant bit of the state
@@ -67,7 +66,7 @@ def gate_count_and_depth(gates: Iterable[Gate]) -> tuple[int, int]:
     frontier = [0] * N_QUBITS
     count = 0
     for count, g in enumerate(gates, 1):
-        layer = 1 + max(frontier[q] for q in g.qubits)
+        layer = 1 + max(map(frontier.__getitem__, g.qubits))
         for q in g.qubits:
             frontier[q] = layer
     return count, max(frontier)

@@ -99,7 +99,8 @@ def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigatio
     clipped_total = clipped.sum()
     if clipped_total > 0:
         clipped = clipped / clipped_total
-    # Elementwise, not a matrix product, so no BLAS kernel moves a bit.
+    # Elementwise, not a matrix product, so no BLAS kernel moves a bit; at
+    # huge shot counts the difference can round below zero.
     variance = ((np.linalg.inv(m) ** 2 * freq).sum(axis=1) - quasi**2) / shots
     full = np.zeros((3, len(raw)))
     full[:, observed] = quasi, clipped, np.sqrt(np.maximum(variance, 0.0))

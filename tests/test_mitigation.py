@@ -80,6 +80,14 @@ class TestReadoutMitigation:
         binomial = np.sqrt(0.75 * 0.25 / 100)
         assert fixed.quasi_stderr == pytest.approx(dist({"0101": binomial, "1010": binomial}))
 
+    def test_stderr_stays_finite_at_huge_shot_counts(self):
+        # At 2**57 shots the variance sum_i (M^-1)_ki^2 f_i - q_k^2 is a
+        # difference of near-equal terms that rounds below zero here.
+        counts = np.zeros(16, dtype=np.int64)
+        counts[[4, 10, 11]] = 3, 2**57, 2
+        stderr = mitigate_readout(counts, NoiseModel.symmetric()).quasi_stderr
+        assert np.all(np.isfinite(stderr)) and np.all(stderr >= 0.0)
+
     def test_zero_off_the_observed_states(self):
         counts = dist({"0101": 60, "1010": 3, "0000": 1}, int)
         fixed = mitigate_readout(counts, _ASYMMETRIC)

@@ -223,7 +223,7 @@ def _analytic_row(x, **_):
 
 
 def _matrix_row(params, **_):
-    final = evolve(build_schedule(params))[0]
+    final, _ = evolve(build_schedule(params), populations=False)
     return particle_number(final)[2], None, 0.0
 
 
@@ -446,7 +446,7 @@ def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
     for x in x_grid:
         params = _mode_params(x, args, n_steps)
         schedule = build_schedule(params)
-        columns = (schedule.y_mid, schedule.cz, schedule.ca, schedule.radiation)
+        columns = schedule.columns()
         steps = [
             {
                 "index": n,

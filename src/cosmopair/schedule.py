@@ -7,10 +7,13 @@ the radiation era.  A slice whose midpoint has crossed y_e = -x counts as
 radiation even if the slice itself straddles the transition; the ambiguity
 of that single slice shrinks as the grid is refined.
 
-The schedule is stored as float64 columns (one entry per slice), so its
-memory is a few dozen bytes per slice.  `CoeffSchedule.angles` is the one
-split-step angle formula: the matrix engine, the statevector runner and the
-circuit synthesizer all read their rotation angles there, so the angles are
+A schedule holds no per-slice array: `CoeffSchedule.columns` evaluates
+the columns of any range of slices on demand, entry by entry with the same
+formula, so a range gives the bytes of the full columns.  An engine that
+walks the slices in chunks therefore needs memory for one chunk, whatever
+the step count.  `CoeffSchedule.angles` is the one split-step angle
+formula: the matrix engine, the statevector runner and the circuit
+synthesizer all read their rotation angles there, so the angles are
 byte-identical by construction.
 """
 
@@ -27,20 +30,43 @@ __all__ = ["CoeffSchedule", "build_schedule"]
 
 @dataclass(frozen=True, eq=False)
 class CoeffSchedule:
-    """Immutable slice coefficients for one evolution window.
+    """Slice coefficients of one evolution window, evaluated on demand.
 
-    Columns hold one read-only float64 (or bool) entry per slice.
+    `y_mid`, `cz`, `ca` and `radiation` are the full columns, each
+    evaluated afresh on access as a read-only float64 (or bool) array.
     """
 
     params: ModeParams
     dy: float
-    y_mid: np.ndarray
-    cz: np.ndarray
-    ca: np.ndarray
-    radiation: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.y_mid)
+        return self.params.n_steps
+
+    def columns(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """(y_mid, cz, ca, radiation) of slices start .. stop-1.
+
+        Every entry equals the scalar formula y_i + (n + 0.5) * dy,
+        ca = -1.0 / y_mid**2, cz = 1.0 + ca evaluated on Python floats:
+        `np.float_power` is the libm `pow` behind `y**2`, which `y * y` is
+        not.  Radiation slices, whose midpoint has reached -x, have ca = 0
+        and cz = 1.
+        """
+        slices = range(len(self))[start:stop]
+        y_mid = self.params.y_i + (np.arange(slices.start, slices.stop) + 0.5) * self.dy
+        radiation = y_mid >= -self.params.x
+        de_sitter = ~radiation
+        ca = np.zeros_like(y_mid)
+        ca[de_sitter] = -1.0 / np.float_power(y_mid[de_sitter], 2.0)
+        cz = np.ones_like(y_mid)
+        cz[de_sitter] = 1.0 + ca[de_sitter]
+        for column in (y_mid, cz, ca, radiation):
+            column.flags.writeable = False
+        return y_mid, cz, ca, radiation
+
+    y_mid = property(lambda self: self.columns()[0])
+    cz = property(lambda self: self.columns()[1])
+    ca = property(lambda self: self.columns()[2])
+    radiation = property(lambda self: self.columns()[3])
 
     def boundaries(self) -> np.ndarray:
         """Slice-boundary times y_0 .. y_N (length n_steps + 1)."""
@@ -54,29 +80,12 @@ class CoeffSchedule:
         returned as two float64 arrays; each entry equals the same formula
         evaluated on Python floats.
         """
-        return self.cz[start:stop] * self.dy / 2.0, self.ca[start:stop] * self.dy
+        _, cz, ca, _ = self.columns(start, stop)
+        return cz * self.dy / 2.0, ca * self.dy
 
 
 def build_schedule(params: ModeParams) -> CoeffSchedule:
-    """Evaluate midpoint coefficients on the uniform grid of `params`.
-
-    Every column entry equals the scalar formula y_i + (n + 0.5) * dy,
-    ca = -1.0 / y_mid**2, cz = 1.0 + ca evaluated on Python floats:
-    `np.float_power` is the libm `pow` behind `y**2`, which `y * y` is not.
-    """
+    """The uniform grid of `params`: n_steps slices of width (y_f - y_i) / n_steps."""
     if params.n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {params.n_steps}")
-    dy = (params.y_f - params.y_i) / params.n_steps
-    y_mid = params.y_i + (np.arange(params.n_steps) + 0.5) * dy
-    radiation = y_mid >= -params.x
-    de_sitter = ~radiation
-    ca = np.zeros_like(y_mid)
-    ca[de_sitter] = -1.0 / np.float_power(y_mid[de_sitter], 2.0)
-    cz = np.ones_like(y_mid)
-    cz[de_sitter] = 1.0 + ca[de_sitter]
-    for column in (y_mid, cz, ca, radiation):
-        column.flags.writeable = False
-    return CoeffSchedule(
-        params=params, dy=dy, y_mid=y_mid, cz=cz, ca=ca, radiation=radiation
-    )
-
+    return CoeffSchedule(params=params, dy=(params.y_f - params.y_i) / params.n_steps)

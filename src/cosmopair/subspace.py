@@ -12,8 +12,10 @@ and advances the state slice by slice in Python complex arithmetic: the
 2x2 (vacuum, pair) block plus a phase on each single-quantum component.
 The operations are those of `strang_step_unitary(theta_zh, theta_a) @ psi`
 on the slice's `CoeffSchedule.angles`, so both give the same bits.  Memory
-is the (n_steps + 1, 4) population array plus one chunk of per-slice
-values.
+is one chunk of per-slice values, plus the (n_steps + 1, 4) population
+array when the caller asks for it.  The `matrix` sweep row and `verify`
+read only the final state and ask for none, so their memory does not grow
+with the step count.
 
 This engine is the high-resolution reference for the circuit implementation
 and also produces the time-resolved pair-occupation trajectory: populations
@@ -92,13 +94,14 @@ def strang_step_unitary(theta_zh: float, theta_a: float) -> np.ndarray:
 
 
 def evolve(
-    schedule: CoeffSchedule, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the slice propagators in order and record all populations.
+    schedule: CoeffSchedule, initial: np.ndarray | None = None, *, populations: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply the slice propagators in order; record the populations if asked.
 
-    Returns the final 4-component state and the (n_steps + 1, 4) populations
-    (p_vac, p_plus, p_minus, p_pair) at the slice boundaries
-    `schedule.boundaries()`, row 0 being the initial state.
+    Returns the final 4-component state and, with `populations`, the
+    (n_steps + 1, 4) populations (p_vac, p_plus, p_minus, p_pair) at the
+    slice boundaries `schedule.boundaries()`, row 0 being the initial state;
+    None without.  The final state is the same either way, bit for bit.
     """
     psi = vacuum_state() if initial is None else np.asarray(initial, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -106,8 +109,9 @@ def evolve(
         raise ValueError(f"initial state is not normalized (norm = {norm})")
 
     n_steps = len(schedule)
-    pops = np.empty((n_steps + 1, 4))
-    pops[0] = np.abs(psi) ** 2
+    pops = np.empty((n_steps + 1, 4)) if populations else None
+    if populations:
+        pops[0] = np.abs(psi) ** 2
     p0, p1, p2, p3 = psi.tolist()
     for start in range(0, n_steps, EVOLVE_CHUNK):
         entries = _step_entries(*schedule.angles(start, start + EVOLVE_CHUNK))
@@ -116,9 +120,11 @@ def evolve(
             # u @ psi without the products by u's zero entries
             p0, p3 = u00 * p0 + u03 * p3, u30 * p0 + u33 * p3
             p1, p2 = u11 * p1, u22 * p2
-            states += (p0, p1, p2, p3)
-        block = np.array(states).reshape(-1, 4)
-        pops[start + 1 : start + 1 + len(block)] = np.abs(block) ** 2
+            if populations:
+                states += (p0, p1, p2, p3)
+        if populations:
+            block = np.array(states).reshape(-1, 4)
+            pops[start + 1 : start + 1 + len(block)] = np.abs(block) ** 2
     return np.array([p0, p1, p2, p3]), pops
 
 

@@ -523,6 +523,22 @@ class TestDumps:
         assert abs(peaks[500] - peaks[50]) < 1024 * 1024
 
 
+class TestMatrixRowMemory:
+    def test_matrix_sweep_memory_does_not_grow_with_steps(self, tmp_path):
+        # The row reads the final state only: no populations are recorded and
+        # the schedule is evaluated one chunk at a time.  Holding the 1e5
+        # populations alone would add 3.2 MB.
+        peaks = {}
+        for n_steps in (10_000, 10_000, 100_000):
+            argv = ["sweep", "--x", "2.0", "--methods", "matrix", "--n-steps", str(n_steps),
+                    "--out-dir", str(tmp_path / str(n_steps))]
+            tracemalloc.start()
+            assert main(argv) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert abs(peaks[100_000] - peaks[10_000]) < 1024 * 1024
+
+
 class TestChecksBeforeAnyRun:
     """`sweep` and `noise-study` reject bad input before any engine starts."""
 

@@ -46,8 +46,10 @@ from cosmopair.statevector import (
     observables_from_counts,
     probabilities,
     run_circuit,
+    run_schedule,
     sample_counts,
 )
+from cosmopair.subspace import PHYS_INDICES, evolve
 
 
 def circuit_of(params):
@@ -584,6 +586,36 @@ class TestDenseReference:
             (rows,) = noisy_distributions([params], CORNERS)
         for row, ref in zip(rows, dense_reference(circuit_of(params), CORNERS)):
             assert np.max(np.abs(row - ref)) < 1e-13
+
+
+class TestNoiselessChannelOracle:
+    """The noiseless channel as the reference for both engines.
+
+    With identity readout and zero rates the channel gives the exact outcome
+    distribution of the schedule circuit from Pauli-coefficient gathers,
+    signs and cos/sin rotations: no 1/sqrt(2) of H, no complex product and no
+    BLAS call, so it shares none of the engines' rounding.
+    """
+
+    @pytest.mark.parametrize("n_steps, xs", [(1000, (1.3, 2.0, 2.2827)), (5000, (2.0,))])
+    def test_engines_match_the_channel(self, n_steps, xs):
+        params = [ModeParams(x=x, n_steps=n_steps) for x in xs]
+        exact = NoiseModel(readout=(np.eye(2),) * 4, p1=0.0, p2=0.0)
+        channel = noisy_distributions(params, [exact])[:, 0]
+        phys = list(PHYS_INDICES)
+        for p, probs in zip(params, channel):
+            sched = build_schedule(p)
+            matrix = np.abs(evolve(sched, populations=False)[0]) ** 2
+            # 6e-15 to 8e-15 at N = 1000, 5.2e-14 at N = 5000.
+            assert np.max(np.abs(probs[phys] - matrix)) < 1e-13
+            assert 1.0 - np.sum(probs[phys]) < 1e-15  # no leakage at all
+            # run_schedule's H drift: its p_pair is off by 1.0e-13 to
+            # 7.7e-13 (8.4e-13 at N = 5000) and its norm by about 1e-11 per
+            # 1000 slices, all on the vacuum.
+            statevector = np.abs(run_schedule(sched)) ** 2
+            per_1000 = n_steps / 1000
+            assert abs(statevector[PHYS_INDICES[3]] - probs[PHYS_INDICES[3]]) < 2e-12 * per_1000
+            assert np.max(np.abs(statevector - probs)) < 1.2e-11 * per_1000
 
 
 class TestTableau:

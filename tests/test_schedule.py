@@ -80,6 +80,17 @@ class TestColumnarSchedule:
         ):
             _assert_matches_reference(params)
 
+    def test_column_ranges_equal_the_full_columns(self):
+        # Engines evaluate the schedule one chunk at a time; each range must
+        # give the bytes of the same slices of the full columns.
+        sched = build_schedule(ModeParams(x=2.0, n_steps=100_000))
+        full = sched.columns()
+        cuts = [0, 1, 4096, 4097, 97_500, 97_501, 99_999, 100_000]
+        for start, stop in zip(cuts, cuts[1:]):
+            for part, column in zip(sched.columns(start, stop), full):
+                assert part.tobytes() == column[start:stop].tobytes()
+        assert [len(c) for c in sched.columns(99_990, 200_000)] == [10] * 4
+
     def test_columns_are_read_only(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=3))
         for column in (sched.y_mid, sched.cz, sched.ca, sched.radiation):
@@ -141,15 +152,17 @@ def test_rejects_zero_steps():
         ModeParams(x=2.0, n_steps=0)
 
 
-def _one_slice(y_mid, dy, cz, ca):
-    y_mid, cz, ca = (np.array([v]) for v in (y_mid, cz, ca))
-    return CoeffSchedule(None, dy, y_mid, cz, ca, radiation=ca == 0.0)
+def _one_slice(y_i, dy):
+    # One slice of width dy from y_i, whatever the window says: dy = 0 too.
+    return CoeffSchedule(ModeParams(x=2.0, y_i=y_i, n_steps=1), dy)
 
 
 def test_strang_angles_trivial_cases():
-    rad = _one_slice(y_mid=1.0, dy=0.1, cz=1.0, ca=0.0)
+    rad = _one_slice(y_i=-2.01, dy=0.1)  # midpoint -1.96: radiation, cz = 1, ca = 0
+    assert rad.radiation.tolist() == [True]
     assert [a.tolist() for a in rad.angles()] == [[0.05], [0.0]]
-    degenerate = _one_slice(y_mid=-10.0, dy=0.0, cz=0.99, ca=-0.01)
+    degenerate = _one_slice(y_i=-10.0, dy=0.0)  # cz = 0.99, ca = -0.01
+    assert degenerate.cz.tolist() == [0.99] and degenerate.ca.tolist() == [-0.01]
     assert [a.tolist() for a in degenerate.angles()] == [[0.0], [0.0]]
 
 

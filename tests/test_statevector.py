@@ -1,5 +1,6 @@
 """Gate kernels, probability extraction, seeded sampling, and observables."""
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -368,6 +369,18 @@ SCHEDULE_WINDOWS = {
 }
 
 
+@contextlib.contextmanager
+def _full_polynomial():
+    """Compile slice maps with every term kept, as before void terms were dropped."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(statevector, "_VOID_TERM", 0.0)
+        statevector._slice_map.cache_clear()
+        try:
+            yield
+        finally:
+            statevector._slice_map.cache_clear()
+
+
 def _max_amplitude_diff(sched) -> float:
     fused = run_schedule(sched)
     gatewise = run_circuit(build_full_circuit(sched))
@@ -464,17 +477,48 @@ class TestRunSchedule:
     def test_slice_maps(self):
         # The pair shape: its eight pair RZs at +-theta_a/4 give nine powers
         # of exp(0.5j * angle) of the first, exp(1j * k * theta_a / 8) for
-        # k = -8, -6, ..., 8; the Z half-blocks stay edge diagonals, the
-        # opening one carried through the empty, so permuting, run before it.
+        # k = -8, -6, ..., 8, of which k = -8, 0, 8 are kept and the six void
+        # ones dropped; the Z half-blocks stay edge diagonals, the opening one
+        # carried through the empty, so permuting, run before it.
         out, inn, refs, powers, coeffs = statevector._slice_map(step_template(True))
         assert out[0].tolist() == list(range(14, 20)) and inn[0].tolist() == list(range(6))
-        assert refs.tolist() == [6] and powers.ravel().tolist() == list(range(-8, 9, 2))
-        assert coeffs.shape == (9, 256)
+        assert refs.tolist() == [6] and powers.ravel().tolist() == [-8, 0, 8]
+        assert coeffs.shape == (3, 256)
         # The radiation shape: one diagonal around the identity.
         out, inn, refs, powers, coeffs = statevector._slice_map(step_template(False))
         assert out[0].tolist() == list(range(12)) and inn[0].size == 0
         assert refs.size == 0 and powers.shape == (1, 0)
         assert np.array_equal(coeffs.reshape(16, 16), np.eye(16))
+
+    @pytest.mark.parametrize("x", [1.3, 2.0, 2.3])
+    @pytest.mark.parametrize("y_i, n_steps", [
+        (-80.0, 1), (-80.0, 57), (-80.0, 257), (-80.0, 1000),
+        (-10.0, 10), (-10.0, 57), (-10.0, 1000), (-2.5, 257), (-2.5, 1000),
+    ])
+    def test_dropped_terms_move_no_reported_bit(self, x, y_i, n_steps):
+        # The golden windows: from -80, the 10-slice radiation window from
+        # -10 and the 257-slice chunk window from -2.5.  Dropping the void
+        # terms moves amplitudes by about 1e-27, below every probability that
+        # sampling reads (1e-15) and below p_pair and leakage.
+        sched = build_schedule(ModeParams(x=x, y_i=y_i, n_steps=n_steps))
+        with _full_polynomial():
+            full = run_schedule(sched)
+        amps = run_schedule(sched)
+        assert np.max(np.abs(amps - full)) < 1e-24
+        p_full, p = np.abs(full) ** 2, np.abs(amps) ** 2
+        read = p_full >= 1e-15
+        assert np.array_equal(p >= 1e-15, read)
+        assert p[read].tobytes() == p_full[read].tobytes()
+        obs, obs_full = observables_from_probabilities(p), observables_from_probabilities(p_full)
+        assert (obs.p_pair, obs.leakage) == (obs_full.p_pair, obs_full.leakage)
+
+    def test_full_polynomial_keeps_all_nine_terms(self):
+        with _full_polynomial():
+            _, _, _, powers, coeffs = statevector._slice_map(step_template(True))
+        assert powers.ravel().tolist() == list(range(-8, 9, 2)) and coeffs.shape == (9, 256)
+        void = np.abs(coeffs[[1, 2, 3, 5, 6, 7]]).max()
+        assert 0.0 < void < 1e-30  # rounding residue, 1e-28 below the 0.5 of k = +-8
+        assert np.abs(coeffs[[0, 8]]).max() == pytest.approx(0.5)
 
     def test_empty_schedule_is_prepared_vacuum(self):
         amps = run_schedule([])

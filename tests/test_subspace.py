@@ -85,6 +85,18 @@ class TestChunkedEngine:
         assert first_rad % 7 != 0
         _assert_evolve_matches_reference(sched)
 
+    @pytest.mark.parametrize("initial", [None, "mixed"])
+    def test_final_state_path_is_bit_identical(self, initial):
+        # Without populations the same loop runs: the same final bits, from
+        # the vacuum and from a state with every component nonzero.
+        if initial == "mixed":
+            initial = np.array([0.6, 0.3 - 0.4j, -0.2 + 0.1j, 0.5j])
+            initial /= np.linalg.norm(initial)
+        sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
+        final, pops = evolve(sched, initial=initial, populations=False)
+        assert pops is None
+        assert final.tobytes() == evolve(sched, initial=initial)[0].tobytes()
+
     @given(
         cz=st.floats(min_value=-2.0, max_value=2.0),
         ca=st.floats(min_value=-2.0, max_value=2.0),
@@ -112,6 +124,20 @@ class TestChunkedEngine:
         # Per extra slice: the 4 population floats.
         arrays = (20_000 - 1000) * 4 * 8
         assert large <= small + arrays + 64 * 1024
+
+    def test_final_state_memory_does_not_grow(self, monkeypatch):
+        monkeypatch.setattr(subspace, "EVOLVE_CHUNK", 256)
+
+        def peak(n_steps):
+            sched = build_schedule(ModeParams(x=2.0, n_steps=n_steps))
+            tracemalloc.start()
+            try:
+                evolve(sched, populations=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= peak(1000) + 64 * 1024
 
 
 class TestOperators:

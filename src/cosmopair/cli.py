@@ -200,15 +200,13 @@ def _x_parameters(params: ModeParams, n_steps: int) -> dict:
     return {"x": params.x, "n_steps": n_steps, "y_i": params.y_i, "y_f": params.y_f}
 
 
-def _noisy_levels(xs: list[float], args, n_steps: int, model: NoiseModel,
-                  factors: Iterable[float]) -> dict:
-    """{x: {f: distribution}}: the exact distribution of x's schedule circuit
-    under `model.scaled(f)` for every x and each distinct f in `factors`, all
-    of them in one channel call."""
+def _noisy_levels(schedules: list, model: NoiseModel, factors: Iterable[float]) -> list[dict]:
+    """[{f: distribution}]: the exact distribution of each schedule's circuit
+    under `model.scaled(f)` for each distinct f in `factors`, all of them in
+    one channel call."""
     factors = tuple(dict.fromkeys(factors))
-    models = [model.scaled(f) for f in factors]  # one per level, shared by every x
-    grid = noisy_distributions([_mode_params(x, args, n_steps) for x in xs], models)
-    return {x: dict(zip(factors, row)) for x, row in zip(xs, grid)}
+    models = [model.scaled(f) for f in factors]  # one per level, shared by every schedule
+    return [dict(zip(factors, row)) for row in noisy_distributions(schedules, models)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +220,18 @@ def _analytic_row(x, **_):
     return n_k_analytic(x), None, None
 
 
-def _matrix_row(params, **_):
-    final, _ = evolve(build_schedule(params), populations=False)
+def _matrix_row(schedule, **_):
+    final, _ = evolve(schedule, populations=False)
     return particle_number(final)[2], None, 0.0
 
 
-def _statevector_row(params, **_):
-    obs = observables_from_probabilities(probabilities(run_schedule(build_schedule(params))))
+def _statevector_row(schedule, **_):
+    obs = observables_from_probabilities(probabilities(run_schedule(schedule)))
     return obs.p_pair, None, obs.leakage
 
 
-def _shots_row(params, shots, seed, **_):
-    probs = probabilities(run_schedule(build_schedule(params)))
+def _shots_row(schedule, shots, seed, **_):
+    probs = probabilities(run_schedule(schedule))
     obs = observables_from_counts(sample_counts(probs, shots, seed))
     return obs.p_pair, obs.stderr_pair, obs.leakage
 
@@ -281,7 +279,7 @@ def _sweep_grid(args, methods: list[str]) -> list[float]:
     for a, b in zip(xs, xs[1:]):
         if a == b:
             raise UsageError(f"x = {a!r} appears more than once")
-    step_counts = {_n_steps(args, m) for m in methods} - {None} or {1}
+    step_counts = {args.n_steps, *(_n_steps(args, m) for m in methods)} - {None} or {1}
     for x in xs:
         n_k_analytic(x)  # an x whose closed form overflows fails here
         for n_steps in step_counts:
@@ -296,12 +294,16 @@ def cmd_sweep(args) -> Iterator[tuple[str, str]]:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
+        if methods.count(m) > 1:
+            raise UsageError(f"method {m!r} appears more than once")
     x_grid = _sweep_grid(args, methods)
     model, factors = _noise_inputs(args, zne="zne" in methods)
     needed = ((1.0,) if {"noisy", "mitigated"} & set(methods) else ()) + (
         factors if "zne" in methods else ())
 
-    levels = _noisy_levels(x_grid, args, _n_steps(args, "noisy"), model, needed) if needed else {}
+    noisy = [build_schedule(_mode_params(x, args, _n_steps(args, "noisy")))
+             for x in x_grid if needed]
+    levels = dict(zip(x_grid, _noisy_levels(noisy, model, needed))) if needed else {}
     rows = []
     for xi, x in enumerate(x_grid):
         for m in methods:
@@ -309,8 +311,8 @@ def cmd_sweep(args) -> Iterator[tuple[str, str]]:
             n_steps = _n_steps(args, m)
             shots = default_shots if default_shots is None or args.shots is None else args.shots
             seed = derived_seed(args.seed, xi, METHODS.index(m))
-            params = None if n_steps is None else _mode_params(x, args, n_steps)
-            estimate = row(x=x, params=params, shots=shots, seed=seed, model=model,
+            schedule = None if n_steps is None else build_schedule(_mode_params(x, args, n_steps))
+            estimate = row(x=x, schedule=schedule, shots=shots, seed=seed, model=model,
                            factors=factors, levels=levels.get(x))
             rows.append(dict(zip(SWEEP_COLUMNS, (
                 x, n_steps or 0, m, shots, None if shots is None else seed, *estimate,
@@ -378,19 +380,19 @@ def cmd_noise_study(args) -> Iterator[tuple[str, str]]:
     model, factors = _noise_inputs(args, zne=True)
 
     n_k = [n_k_analytic(x) for x in x_grid]  # an x whose closed form overflows fails before any run
-    levels = _noisy_levels(x_grid, args, n_steps, model, (1.0, *factors))
+    schedules = [build_schedule(_mode_params(x, args, n_steps)) for x in x_grid]
+    levels = _noisy_levels(schedules, model, (1.0, *factors))
     results = []
-    for xi, (x, n_k_an) in enumerate(zip(x_grid, n_k)):
-        schedule = build_schedule(_mode_params(x, args, n_steps))
+    for xi, (x, n_k_an, schedule, level) in enumerate(zip(x_grid, n_k, schedules, levels)):
         ideal = observables_from_probabilities(probabilities(run_schedule(schedule)))
 
         seed = derived_seed(args.seed, xi)
-        counts = sample_counts(levels[x][1.0], shots, seed)
+        counts = sample_counts(level[1.0], shots, seed)
         raw = observables_from_counts(counts)
         fixed = mitigate_readout(counts, model)
         mitigated = observables_from_probabilities(fixed.clipped)
         quasi = observables_from_probabilities(fixed.quasi)
-        zne = zne_estimate(factors, [levels[x][f] for f in factors], shots, seed)
+        zne = zne_estimate(factors, [level[f] for f in factors], shots, seed)
 
         counts_meta = {"x": x, "n_steps": n_steps, "shots": shots, "seed": seed}
         results.append({

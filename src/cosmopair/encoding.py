@@ -218,15 +218,14 @@ def step_template(with_pair: bool) -> StepTemplate:
 
 
 def slice_cuts(schedule) -> tuple[int, int]:
-    """(slices, index of the first radiation slice, or slices if there is none).
+    """(slices, `CoeffSchedule.switch`: the first radiation slice, or slices if there is none).
 
-    Slice midpoints increase, so every schedule is de Sitter slices and then
-    radiation slices.  `slice_chunks` cuts a schedule at the switch and at
-    every multiple of SCHEDULE_CHUNK, and nowhere else: schedules with equal
-    cuts are chunked alike, which is how the noisy channel batches their rows.
+    `slice_chunks` cuts a schedule at the switch and at every multiple of
+    SCHEDULE_CHUNK, and nowhere else: schedules with equal cuts are chunked
+    alike, which is how the noisy channel batches their rows.
     """
-    n = len(schedule)  # an empty sequence, as for the preparation alone, has no `radiation`
-    return n, int(np.searchsorted(schedule.radiation, True)) if n else 0
+    n = len(schedule)  # an empty sequence, as for the preparation alone, has no `switch`
+    return n, schedule.switch if n else 0
 
 
 def slice_chunks(schedule):

@@ -13,9 +13,9 @@ target that hardware gate folding only approximates.
 
 Injecting a uniformly random non-identity Pauli with probability p is
 exactly the depolarizing channel on the gate's operands.  `noisy_distributions`
-takes a list of schedule windows and a list of noise models and returns the
-exact outcome distribution, readout included, of every (window, model) pair
-of that grid, whatever the shot count.  It holds each pair's rho
+takes a list of schedules and a list of noise models and returns the
+exact outcome distribution, readout included, of every (schedule, model)
+pair of that grid, whatever the shot count.  It holds each pair's rho
 as its real Pauli coefficients c_P = Tr(P rho) (the Pauli-transfer
 representation).  X, H, S, SDG and CNOT permute these coefficients with
 signs, read off the stabilizer-tableau rules on each letter's (x, z) bits
@@ -46,10 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import ModeParams
 from .circuits import N_QUBITS
 from .encoding import VACUUM_PREP, StepTemplate, slice_chunks, slice_cuts
-from .schedule import build_schedule
 
 __all__ = ["NoiseModel", "apply_readout_noise", "noisy_distributions"]
 
@@ -147,23 +145,21 @@ def apply_readout_noise(probs: np.ndarray, model: NoiseModel) -> np.ndarray:
     return p.reshape(np.shape(probs))
 
 
-def noisy_distributions(params: Sequence[ModeParams], models: Sequence[NoiseModel]) -> np.ndarray:
-    """Exact outcome distribution of each window's schedule circuit under each model.
+def noisy_distributions(schedules: Sequence, models: Sequence[NoiseModel]) -> np.ndarray:
+    """Exact outcome distribution of each schedule's circuit under each model.
 
-    Entry [i, j] of the (len(params), len(models), 16) float64 array is that
-    of `build_full_circuit(build_schedule(params[i]))` under `models[j]`.  The
-    circuit is never built: a window's schedule is built for its group key,
-    dropped, and built once more, for all models, when its group runs; its
-    slices apply their templates' folds.  Windows whose schedules have equal
-    `slice_cuts` run as one batch of (window, model) rows, one group at a
-    time.  A row's arithmetic is that of a batch of one, bit for bit.
+    Entry [i, j] of the (len(schedules), len(models), 16) float64 array is
+    that of `build_full_circuit(schedules[i])` under `models[j]`.  The circuit
+    is never built: its slices apply their templates' folds.  Schedules with
+    equal `slice_cuts` run as one batch of (schedule, model) rows, one group
+    at a time.  A row's arithmetic is that of a batch of one, bit for bit.
     """
     groups = {}
-    for i, p in enumerate(params):  # built and dropped: only a running group holds its schedules
-        groups.setdefault(slice_cuts(build_schedule(p)), []).append(i)
-    out = np.empty((len(params), len(models), 16))
+    for i, schedule in enumerate(schedules):
+        groups.setdefault(slice_cuts(schedule), []).append(i)
+    out = np.empty((len(schedules), len(models), 16))
     for rows in groups.values():
-        steps = _schedule_steps([params[i] for i in rows], len(models))
+        steps = _schedule_steps([schedules[i] for i in rows], len(models))
         out[rows] = _diagonals(steps, list(models) * len(rows)).reshape(len(rows), len(models), 16)
     for j, model in enumerate(models):
         out[:, j] = apply_readout_noise(out[:, j], model)
@@ -229,16 +225,15 @@ def _scaler(models: list[NoiseModel]):
     return scale
 
 
-def _schedule_steps(params: list[ModeParams], models: int):
-    """The steps of the schedule circuits of windows whose schedules are cut alike,
-    for `models` rows per window, window-major.
+def _schedule_steps(schedules: list, models: int):
+    """The steps of the circuits of schedules that are cut alike, for `models`
+    rows per schedule, schedule-major.
 
-    Each window walks its own schedule through `slice_chunks`, so a running
-    group holds one schedule per window.  A slice's first run joins it to the
-    slice before, or to the vacuum preparation.
+    Each schedule is walked through `slice_chunks`.  A slice's first run joins
+    it to the slice before, or to the vacuum preparation.
     """
     prev = None
-    for chunks in zip(*(slice_chunks(build_schedule(p)) for p in params), strict=True):
+    for chunks in zip(*map(slice_chunks, schedules), strict=True):
         template = chunks[0][0]
         runs = _template_fold(template)
         angles = np.repeat(np.stack([a for _, a in chunks], axis=-1), models, axis=-1)

@@ -11,14 +11,16 @@ A schedule holds no per-slice array: `CoeffSchedule.columns` evaluates
 the columns of any range of slices on demand, entry by entry with the same
 formula, so a range gives the bytes of the full columns.  An engine that
 walks the slices in chunks therefore needs memory for one chunk, whatever
-the step count.  `CoeffSchedule.angles` is the one split-step angle
-formula: the matrix engine, the statevector runner and the circuit
-synthesizer all read their rotation angles there, so the angles are
-byte-identical by construction.
+the step count.  Midpoints never decrease, so a schedule is de Sitter
+slices, then radiation slices from `CoeffSchedule.switch` on.
+`CoeffSchedule.angles` is the one split-step angle formula: the matrix
+engine, the statevector runner and the circuit synthesizer all read their
+rotation angles there, so the angles are byte-identical by construction.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,7 @@ __all__ = ["CoeffSchedule", "build_schedule"]
 
 @dataclass(frozen=True, eq=False)
 class CoeffSchedule:
-    """Slice coefficients of one evolution window, evaluated on demand.
-
-    `y_mid`, `cz`, `ca` and `radiation` are the full columns, each
-    evaluated afresh on access as a read-only float64 (or bool) array.
-    """
+    """Slice coefficients of one evolution window, evaluated on demand."""
 
     params: ModeParams
     dy: float
@@ -63,10 +61,12 @@ class CoeffSchedule:
             column.flags.writeable = False
         return y_mid, cz, ca, radiation
 
-    y_mid = property(lambda self: self.columns()[0])
-    cz = property(lambda self: self.columns()[1])
-    ca = property(lambda self: self.columns()[2])
-    radiation = property(lambda self: self.columns()[3])
+    @property
+    def switch(self) -> int:
+        """The first radiation slice, or len(self) if there is none: a bisection
+        on the scalar midpoint formula of `columns`, so no column is evaluated."""
+        y_i, dy, x = self.params.y_i, self.dy, self.params.x
+        return bisect.bisect_left(range(len(self)), True, key=lambda k: y_i + (k + 0.5) * dy >= -x)
 
     def boundaries(self) -> np.ndarray:
         """Slice-boundary times y_0 .. y_N (length n_steps + 1)."""
@@ -86,6 +86,4 @@ class CoeffSchedule:
 
 def build_schedule(params: ModeParams) -> CoeffSchedule:
     """The uniform grid of `params`: n_steps slices of width (y_f - y_i) / n_steps."""
-    if params.n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {params.n_steps}")
     return CoeffSchedule(params=params, dy=(params.y_f - params.y_i) / params.n_steps)

@@ -9,6 +9,7 @@ import hashlib
 
 from cosmopair.background import ModeParams
 from cosmopair.noise import NoiseModel, noisy_distributions
+from cosmopair.schedule import build_schedule
 
 
 def _cpu_features() -> dict:
@@ -38,9 +39,9 @@ def openblas_core_types() -> list[str]:
 def distributions_digest() -> str:
     """sha256 of one `noisy_distributions` grid over a few (x, N) windows and
     factors, its rows in x-major, factor-minor order."""
-    params = [ModeParams(x=x, n_steps=n) for x, n in ((1.3, 1), (2.2, 3))]
+    schedules = [build_schedule(ModeParams(x=x, n_steps=n)) for x, n in ((1.3, 1), (2.2, 3))]
     models = [NoiseModel.symmetric().scaled(f) for f in (1.0, 2.0)]
-    return hashlib.sha256(noisy_distributions(params, models).tobytes()).hexdigest()
+    return hashlib.sha256(noisy_distributions(schedules, models).tobytes()).hexdigest()
 
 
 if __name__ == "__main__":

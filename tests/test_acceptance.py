@@ -103,7 +103,7 @@ def test_criterion_02_single_step_values(statevector_runs, matrix_runs):
     details = []
     for x, expected in zip(REFERENCE_X, REFERENCE_N_K_SINGLE_STEP):
         sched = build_schedule(ModeParams(x=x, n_steps=1))
-        theta_a = float(sched.ca[0]) * sched.dy  # the split-step theta_a
+        theta_a = float(sched.columns()[2][0]) * sched.dy  # the split-step theta_a
         closed_form = np.sin(theta_a) ** 2
         from_matrix = particle_number(matrix_runs[(x, 1)])[2]
         from_circuit = statevector_runs[(x, 1)][0b1010]
@@ -274,7 +274,8 @@ def test_criterion_09_mitigation_properties():
     ideal = probabilities(run_circuit(build_full_circuit(build_schedule(params))))[0b1010]
     stochastic_model = NoiseModel.symmetric(epsilon=1.49e-2, p2=1e-3)
     factors = (1.0, 1.5, 2.0)
-    (levels,) = noisy_distributions([params], [stochastic_model.scaled(f) for f in factors])
+    models = [stochastic_model.scaled(f) for f in factors]
+    (levels,) = noisy_distributions([build_schedule(params)], models)
     zne = zne_estimate(factors, levels, 100000, SEED)["p_pair"]
     pull = abs(zne.extrapolated - ideal) / zne.extrapolated_stderr
     elapsed = time.perf_counter() - t0

@@ -101,9 +101,16 @@ class TestSweep:
             # Below x = 1e-150, -1/y^2 overflows at a de Sitter midpoint.
             (["dump-schedule", "--x=1e-160", "--y-i=-4e-160", "--y-f=0"], "too small"),
             (["dump-circuit", "--x=1e-160", "--y-i=-4e-160", "--y-f=0"], "too small"),
+            # Two rows from one seed and one draw, shown as two samples.
+            (["sweep", "--x=2", "--methods", "analytic,analytic,shots,shots", "--n-steps=3"],
+             "method 'analytic' appears more than once"),
+            # --n-steps is checked even when no requested method takes steps.
+            (["sweep", "--x=2", "--methods", "analytic", "--n-steps=-5"],
+             "n_steps must be >= 1, got -5"),
         ],
         ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window",
-             "dump_schedule_tiny_window", "dump_circuit_tiny_window"],
+             "dump_schedule_tiny_window", "dump_circuit_tiny_window", "sweep_repeated_method",
+             "sweep_negative_steps"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -228,7 +235,7 @@ class TestSweep:
         import cosmopair.cli as cli
 
         model = NoiseModel.symmetric()
-        (levels,) = noisy_distributions([ModeParams(x=x, n_steps=1)], [model])
+        (levels,) = noisy_distributions([build_schedule(ModeParams(x=x, n_steps=1))], [model])
         rows = np.array([cli._mitigated_row(levels={1.0: levels[0]}, shots=4096, seed=seed,
                                             model=model)[:2] for seed in range(2000)])
         assert rows[:, 1].mean() == pytest.approx(rows[:, 0].std(), rel=0.02)
@@ -578,6 +585,34 @@ class TestChecksBeforeAnyRun:
         assert not out.exists()
 
 
+class TestOneSchedulePerWindow:
+    """`noise-study` builds each x's schedule once, for the channel and its
+    ideal row, and no engine evaluates a whole column to cut it."""
+
+    def test_noise_study(self, tmp_path, capsys, monkeypatch):
+        import cosmopair.cli as cli
+        from cosmopair.schedule import CoeffSchedule
+
+        built, evaluated = [], []
+        columns = CoeffSchedule.columns
+
+        def counted_build(params):
+            built.append(params.x)
+            return build_schedule(params)
+
+        def counted_columns(self, *args):
+            evaluated.append(self.params.x)
+            return columns(self, *args)
+
+        monkeypatch.setattr(cli, "build_schedule", counted_build)
+        monkeypatch.setattr(CoeffSchedule, "columns", counted_columns)
+        assert main(["noise-study", "--out-dir", str(tmp_path)]) == 0
+        xs = (1.3, 1.5, 1.8, 2.0, 2.2)
+        assert built == list(xs)
+        # One chunk for the channel and one for the ideal row.
+        assert {x: evaluated.count(x) for x in evaluated} == dict.fromkeys(xs, 2)
+
+
 class TestNoiseLevelsComputedOnce:
     """A command computes every noise level of every x its rows need in one channel pass."""
 
@@ -592,11 +627,11 @@ class TestNoiseLevelsComputedOnce:
         calls = _Passes()
         channel = noise.noisy_distributions
 
-        def counted(params, models):
+        def counted(schedules, models):
             calls.append([(model.p1, model.p2) for model in models])
-            calls.rows.append([(p.x, model.p2) for p in params for model in models])
+            calls.rows.append([(s.params.x, model.p2) for s in schedules for model in models])
             calls.models.append(list(models))
-            return channel(params, models)
+            return channel(schedules, models)
 
         monkeypatch.setattr(cli, "noisy_distributions", counted)
         monkeypatch.setattr(noise, "noisy_distributions", counted)

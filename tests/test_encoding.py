@@ -1,6 +1,7 @@
 """Operator embedding, rotation synthesis, and circuit/matrix equivalence."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestRotationSynthesis:
 class TestStepSynthesis:
     def test_radiation_step_is_diagonal(self):
         sched = build_schedule(ModeParams(x=2.0, y_i=-2.5, y_f=-0.5, n_steps=4))
-        assert sched.ca[-1] == 0.0
+        assert sched.columns()[2][-1] == 0.0
         circuit = synthesize_step(*(a[-1].item() for a in sched.angles()))
         assert all(g.name in ("RZ", "CNOT") for g in circuit)
         u = circuit_unitary(circuit)
@@ -212,13 +213,24 @@ class TestSliceChunks:
         chunks = list(slice_chunks(sched))
         assert np.cumsum([0] + [len(angles) for _, angles in chunks]).tolist() == bounds
         for (template, angles), start, stop in zip(chunks, bounds, bounds[1:]):
-            radiation = sched.radiation[start:stop].tolist()
+            radiation = sched.columns(start, stop)[3].tolist()
             assert radiation == [radiation[0]] * len(radiation)
             assert template is step_template(not radiation[0])
             for thetas, row in zip(zip(*(a.tolist() for a in sched.angles(start, stop))),
                                    angles.tolist()):
                 # The Python-float formula of a slice's RZ angles, bit for bit.
                 assert row == [2.0 * (thetas[s] * c) for _, s, c in template.rzs]
+
+    def test_cuts_evaluate_no_column(self):
+        # The switch of a million slices from a bisection: no 8 MB column.
+        sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=10**6))
+        tracemalloc.start()
+        try:
+            assert slice_cuts(sched) == (10**6, 800_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_empty_sequence_yields_nothing(self):
         assert list(slice_chunks([])) == []

@@ -15,6 +15,7 @@ from cosmopair.mitigation import (
     zne_estimate,
 )
 from cosmopair.noise import NoiseModel, apply_readout_noise, noisy_distributions
+from cosmopair.schedule import build_schedule
 from cosmopair.statevector import (
     derived_seed,
     observables_from_counts,
@@ -190,14 +191,15 @@ def params():
 
 def run_zne(params, model, factors, shots, seed):
     """`zne_estimate` over the exact distribution of `params`' circuit at each factor."""
-    (levels,) = noisy_distributions([params], [model.scaled(f) for f in factors])
+    models = [model.scaled(f) for f in factors]
+    (levels,) = noisy_distributions([build_schedule(params)], models)
     return zne_estimate(factors, levels, shots, seed)
 
 
 class TestZNE:
 
     def test_factor_validation(self, params):
-        probs = noisy_distributions([params], [NoiseModel.symmetric()])[0, 0]
+        probs = noisy_distributions([build_schedule(params)], [NoiseModel.symmetric()])[0, 0]
         with pytest.raises(ValueError):
             zne_estimate((1.0,), [probs], 64, 0)
         with pytest.raises(ValueError):
@@ -209,7 +211,7 @@ class TestZNE:
                 zne_estimate((1.0, bad), [probs] * 2, 64, 0)
 
     def test_one_distribution_per_factor(self, params):
-        probs = noisy_distributions([params], [NoiseModel.symmetric()])[0, 0]
+        probs = noisy_distributions([build_schedule(params)], [NoiseModel.symmetric()])[0, 0]
         with pytest.raises(ValueError, match="1 distributions for 2 noise factors"):
             zne_estimate((1.0, 2.0), [probs], 64, 0)
 
@@ -239,7 +241,7 @@ class TestZNE:
         model = NoiseModel.symmetric()
         result = run_zne(params, model, (1.0, 2.0), 256, 7)
         for i, factor in enumerate((1.0, 2.0)):
-            probs = noisy_distributions([params], [model.scaled(factor)])[0, 0]
+            probs = noisy_distributions([build_schedule(params)], [model.scaled(factor)])[0, 0]
             counts = sample_counts(probs, 256, derived_seed(7, i))
             obs = observables_from_counts(counts)
             assert result["p_pair"].values[i] == obs.p_pair

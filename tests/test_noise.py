@@ -63,7 +63,7 @@ def single_step_circuit(x=1.3, n_steps=1):
 
 def channel(params, model):
     """The channel's distribution of one window under one model: a 1 x 1 grid."""
-    return noisy_distributions([params], [model])[0, 0]
+    return noisy_distributions([build_schedule(params)], [model])[0, 0]
 
 
 def hand_built_two_qubit():
@@ -461,8 +461,9 @@ class TestNoisyDistribution:
     def test_empty_grids(self):
         models = [NoiseModel.symmetric(), NoiseModel.symmetric().scaled(2.0)]
         params = [ModeParams(x=1.3), ModeParams(x=2.2, n_steps=3)]
+        schedules = list(map(build_schedule, params))
         for grid, shape in ((noisy_distributions([], models), (0, 2, 16)),
-                            (noisy_distributions(params, []), (2, 0, 16)),
+                            (noisy_distributions(schedules, []), (2, 0, 16)),
                             (noisy_distributions([], []), (0, 0, 16))):
             assert grid.shape == shape and grid.dtype == np.float64
 
@@ -483,7 +484,7 @@ class TestBatchIsExact:
             NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
             NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
         ]
-        (batch,) = noisy_distributions([params], models)
+        (batch,) = noisy_distributions([build_schedule(params)], models)
         assert batch.shape == (len(models), 16)
         for model, row in zip(models, batch):
             assert np.array_equal(row, channel(params, model))
@@ -492,7 +493,7 @@ class TestBatchIsExact:
 
     def test_rows_at_every_x_equal_one_row_passes(self):
         params, models = mixed_batch()
-        grid = noisy_distributions(params, models)
+        grid = noisy_distributions(list(map(build_schedule, params)), models)
         assert grid.shape == (len(params), len(models), 16)
         for i, j in np.ndindex(grid.shape[:2]):
             assert np.array_equal(grid[i, j], channel(params[i], models[j]))
@@ -504,7 +505,8 @@ class TestBatchIsExact:
         c2 = np.array([[0.9, 0.25], [0.1, 0.75]])
         models.append(NoiseModel(readout=(c2, _C1, c2, _C0), p1=1e-3, p2=1e-2))
         bare = [NoiseModel(readout=(np.eye(2),) * 4, p1=m.p1, p2=m.p2) for m in models]
-        grid, rows = noisy_distributions(params, models), noisy_distributions(params, bare)
+        schedules = list(map(build_schedule, params))
+        grid, rows = noisy_distributions(schedules, models), noisy_distributions(schedules, bare)
         for i, j in np.ndindex(grid.shape[:2]):
             assert np.array_equal(grid[i, j], apply_readout_noise(rows[i, j], models[j]))
 
@@ -519,7 +521,7 @@ class TestBatchIsExact:
         # radiation windows end in two radiation slices, so their folds join
         # slices of both shapes.
         models = mixed_batch()[1]
-        (rows,) = noisy_distributions([params], models)
+        (rows,) = noisy_distributions([build_schedule(params)], models)
         for row, ref in zip(rows, dense_reference(circuit_of(params), models)):
             assert np.max(np.abs(row - ref)) < 1e-13
 
@@ -528,18 +530,19 @@ class TestBatchIsExact:
         # Radiation from slice 96 (51), so the runs cross the chunk bounds.
         params = [ModeParams(x=x, y_i=-2.5, n_steps=257) for x in (1.3, 2.0)]
         models = [NoiseModel.symmetric(), NoiseModel.symmetric().scaled(2.0)]
-        default = noisy_distributions(params, models)
+        schedules = list(map(build_schedule, params))
+        default = noisy_distributions(schedules, models)
         monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", chunk)
-        assert np.array_equal(noisy_distributions(params, models), default)
+        assert np.array_equal(noisy_distributions(schedules, models), default)
 
     def test_rejects_a_mismatched_model_in_the_batch(self, monkeypatch):
-        def no_schedule(params):
-            raise AssertionError("a schedule was built before the models were checked")
+        def no_walk(schedule):
+            raise AssertionError("a schedule was walked before the models were checked")
 
-        monkeypatch.setattr(noise, "build_schedule", no_schedule)
+        monkeypatch.setattr(noise, "slice_chunks", no_walk)
         with pytest.raises(ValueError, match="model covers 2 qubits"):
             models = [NoiseModel.symmetric(), NoiseModel(readout=(_C0, _C1), p1=0.0, p2=0.0)]
-            noisy_distributions([ModeParams(x=1.3), ModeParams(x=2.2)], models)
+            noisy_distributions([build_schedule(ModeParams(x=x)) for x in (1.3, 2.2)], models)
 
 
 class TestDenseReference:
@@ -557,7 +560,7 @@ class TestDenseReference:
             NoiseModel(readout=(c0, c1, c1, c0), p1=3e-4, p2=3e-3),
             NoiseModel(readout=(c1, c0, c0, c1), p1=3e-4, p2=3e-3),
         ]
-        (exact,) = noisy_distributions([params], models)
+        (exact,) = noisy_distributions([build_schedule(params)], models)
         reference = dense_reference(circuit_of(params), models)
         assert len(exact) == len(reference) == len(models)
         for row, ref in zip(exact, reference):
@@ -565,7 +568,7 @@ class TestDenseReference:
 
     def test_one_batch_of_rows_at_every_x(self):
         params, models = mixed_batch()
-        grid = noisy_distributions(params, models)
+        grid = noisy_distributions(list(map(build_schedule, params)), models)
         for p, rows in zip(params, grid):
             for row, ref in zip(rows, dense_reference(circuit_of(p), models)):
                 assert np.max(np.abs(row - ref)) < 1e-13
@@ -583,7 +586,7 @@ class TestDenseReference:
         # it; a chunk of 4 slices cuts the runs within the window.
         params = ModeParams(x=x, y_i=-x - before * (40.0 - x), y_f=-x + after, n_steps=n_steps)
         with mock.patch.object(encoding, "SCHEDULE_CHUNK", chunk):
-            (rows,) = noisy_distributions([params], CORNERS)
+            (rows,) = noisy_distributions([build_schedule(params)], CORNERS)
         for row, ref in zip(rows, dense_reference(circuit_of(params), CORNERS)):
             assert np.max(np.abs(row - ref)) < 1e-13
 
@@ -601,7 +604,7 @@ class TestNoiselessChannelOracle:
     def test_engines_match_the_channel(self, n_steps, xs):
         params = [ModeParams(x=x, n_steps=n_steps) for x in xs]
         exact = NoiseModel(readout=(np.eye(2),) * 4, p1=0.0, p2=0.0)
-        channel = noisy_distributions(params, [exact])[:, 0]
+        channel = noisy_distributions(list(map(build_schedule, params)), [exact])[:, 0]
         phys = list(PHYS_INDICES)
         for p, probs in zip(params, channel):
             sched = build_schedule(p)

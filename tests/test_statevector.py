@@ -394,7 +394,7 @@ class TestRunSchedule:
     @pytest.mark.parametrize("n_steps", [1, 7, 1000])
     def test_matches_gate_by_gate(self, window, n_steps):
         sched = SCHEDULE_WINDOWS[window](n_steps)
-        radiation = set(sched.radiation.tolist())
+        radiation = set(sched.columns()[3].tolist())
         if window == "de_sitter":
             assert radiation == {False}
         if window == "radiation":
@@ -405,7 +405,7 @@ class TestRunSchedule:
         # The N=1000 case above spans several chunks, and its de Sitter to
         # radiation switch falls strictly inside one of them.
         sched = SCHEDULE_WINDOWS["default"](1000)
-        first = int(np.argmax(sched.radiation))
+        first = int(np.argmax(sched.columns()[3]))
         assert len(sched) > encoding.SCHEDULE_CHUNK
         assert first % encoding.SCHEDULE_CHUNK != 0
 
@@ -413,7 +413,7 @@ class TestRunSchedule:
         # Chunks of 4 over 7 slices, the radiation slice inside the second.
         monkeypatch.setattr(encoding, "SCHEDULE_CHUNK", 4)
         sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=7))
-        assert sched.radiation[-2:].tolist() == [False, True]
+        assert sched.columns()[3][-2:].tolist() == [False, True]
         assert _max_amplitude_diff(sched) < 1e-12
 
     @settings(deadline=None, max_examples=40)

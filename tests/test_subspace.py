@@ -43,7 +43,8 @@ def _reference_step_unitary(theta_zh, theta_a):
 
 def _reference_evolve(schedule, psi):
     pops = [np.abs(psi) ** 2]
-    for cz, ca in zip(schedule.cz.tolist(), schedule.ca.tolist()):
+    _, cz_column, ca_column, _ = schedule.columns()
+    for cz, ca in zip(cz_column.tolist(), ca_column.tolist()):
         psi = _reference_step_unitary(*make_step(cz, ca, schedule.dy)) @ psi
         pops.append(np.abs(psi) ** 2)
     return psi, np.array(pops)
@@ -81,7 +82,7 @@ class TestChunkedEngine:
         # Sitter to radiation switch falls inside one.
         monkeypatch.setattr(subspace, "EVOLVE_CHUNK", 7)
         sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=50))
-        first_rad = int(np.argmax(sched.radiation))
+        first_rad = int(np.argmax(sched.columns()[3]))
         assert first_rad % 7 != 0
         _assert_evolve_matches_reference(sched)
 
@@ -195,14 +196,16 @@ class TestEvolve:
     def test_zero_angle_step_is_identity_on_populations(self):
         sched = build_schedule(ModeParams(x=2.0, y_i=-80.0, y_f=0.0, n_steps=80))
         # Radiation-era slice alone leaves the vacuum invariant.
-        step = make_step(float(sched.cz[-1]), float(sched.ca[-1]), sched.dy)
+        _, cz, ca, _ = sched.columns()
+        step = make_step(float(cz[-1]), float(ca[-1]), sched.dy)
         final = strang_step_unitary(*step) @ vacuum_state()
         assert abs(final[0]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_single_step_closed_form(self):
         sched = build_schedule(ModeParams(x=1.3, n_steps=1))
         final, pops = evolve(sched)
-        _, theta_a = make_step(float(sched.cz[0]), float(sched.ca[0]), sched.dy)
+        _, cz, ca, _ = sched.columns()
+        _, theta_a = make_step(float(cz[0]), float(ca[0]), sched.dy)
         assert abs(final[3]) ** 2 == pytest.approx(np.sin(theta_a) ** 2, abs=1e-15)
         # sin^2(-80.7 / 39.65^2), frozen from the closed form checked above.
         assert abs(final[3]) ** 2 == pytest.approx(0.0026326481467, abs=1e-12)

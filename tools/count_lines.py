@@ -6,10 +6,18 @@ comment lines and docstring lines are not code lines; a line that holds
 code and a trailing comment is.
 
     python tools/count_lines.py src/cosmopair/*.py
+    python tools/count_lines.py --base REV src/cosmopair/*.py
+
+With `--base`, each file is also counted as it is at git revision REV (read
+through `git show REV:path`), and the difference is printed beside it.  A
+path that does not exist, at REV or today, counts 0.
 """
 
+import argparse
 import ast
 import io
+import os
+import subprocess
 import sys
 import tokenize
 
@@ -31,17 +39,48 @@ def counts(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code - docstrings)
 
 
-def main(paths: list[str]) -> None:
-    total = [0, 0]
-    print(f"{'lines':>6} {'code':>6}  file")
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            lines, code = counts(f.read())
-        total[0] += lines
-        total[1] += code
-        print(f"{lines:6d} {code:6d}  {path}")
-    print(f"{total[0]:6d} {total[1]:6d}  total")
+def _git(path: str, *args: str) -> subprocess.CompletedProcess:
+    """`git args` run in the directory of `path`."""
+    where = os.path.dirname(os.path.abspath(path))
+    return subprocess.run(["git", "-C", where, *args], capture_output=True, text=True)
+
+
+def _source(path: str, rev: str | None) -> str:
+    """The text of `path` today, or at git revision `rev`; "" where it does not exist."""
+    if rev is None:
+        try:
+            with open(path, encoding="utf-8") as f:
+                return f.read()
+        except FileNotFoundError:
+            return ""
+    shown = _git(path, "show", f"{rev}:./{os.path.basename(path)}")
+    return shown.stdout if shown.returncode == 0 else ""
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Count lines and code lines.")
+    parser.add_argument("--base", metavar="REV", help="also count each file at git revision REV")
+    parser.add_argument("paths", nargs="+")
+    args = parser.parse_args(argv)
+    if args.base is not None and _git(args.paths[0], "rev-parse", "--verify", "--quiet",
+                                      f"{args.base}^{{commit}}").returncode:
+        print(f"error: {args.base!r} is not a git revision", file=sys.stderr)
+        return 2
+    revs = [None] if args.base is None else [args.base, None]
+    rows = [([n for rev in revs for n in counts(_source(path, rev))], path)
+            for path in args.paths]
+    rows.append(([sum(column) for column in zip(*(numbers for numbers, _ in rows))], "total"))
+    if args.base is None:
+        print(f"{'lines':>6} {'code':>6}  file")
+    else:
+        print(f"{'base':>6} {'code':>6} {'lines':>6} {'code':>6} {'diff':>6} {'code':>6}  file")
+        for numbers, _ in rows:
+            numbers += [numbers[2] - numbers[0], numbers[3] - numbers[1]]
+    for numbers, path in rows:
+        cells = [f"{n:6d}" for n in numbers[:4]] + [f"{n:+6d}" for n in numbers[4:]]
+        print(" ".join(cells) + f"  {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

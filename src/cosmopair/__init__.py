@@ -8,6 +8,13 @@ and readout noise with the matching mitigation methods.  The closed-form
 sudden-matching pair number 1/(4 x^4) is the benchmark throughout.
 """
 
+import os
+
+# Every BLAS call here is at most 16x16, so OpenBLAS's worker pool, which it
+# starts (and spins) as numpy or scipy loads it, only costs CPU; set before
+# any submodule imports numpy.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .background import (
     BogoliubovPair,
     ModeParams,

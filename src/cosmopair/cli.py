@@ -137,14 +137,15 @@ def _fmt(value) -> str:
 
 
 def _parse_x_grid(args) -> list[float]:
-    if args.x is not None:
-        xs = [float(v) for v in args.x.split(",") if v]
-    else:
+    if "x_points" in args:  # sweep's range options, checked also when --x overrides them
         for option, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
             if not (np.isfinite(value) and value > 0):
                 raise UsageError(f"{option} must be finite and positive, got {value}")
         if args.x_points < 1:
             raise UsageError(f"--x-points must be >= 1, got {args.x_points}")
+    if args.x is not None:
+        xs = [float(v) for v in args.x.split(",") if v]
+    else:
         xs = [float(v) for v in np.geomspace(args.x_min, args.x_max, args.x_points)]
     if not xs or not all(np.isfinite(x) and x > 0 for x in xs):
         raise UsageError(f"x grid must be nonempty, finite and positive, got {xs}")
@@ -446,9 +447,9 @@ def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
     x_grid = _file_grid(args)
     n_steps = args.n_steps
     for x in x_grid:
-        params = _mode_params(x, args, n_steps)
+        params = _mode_params(x, args, n_steps or 1)
         schedule = build_schedule(params)
-        columns = schedule.columns()
+        columns = schedule.columns() if n_steps else ()  # --n-steps 0: no slices
         steps = [
             {
                 "index": n,

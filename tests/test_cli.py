@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cosmopair.cli
 from cosmopair.background import ModeParams, n_k_analytic
 from cosmopair.circuits import circuit_from_text
 from cosmopair.cli import main
@@ -107,10 +113,18 @@ class TestSweep:
             # --n-steps is checked even when no requested method takes steps.
             (["sweep", "--x=2", "--methods", "analytic", "--n-steps=-5"],
              "n_steps must be >= 1, got -5"),
+            # The range options are checked even when --x overrides them.
+            (["sweep", "--x=2", "--methods", "analytic", "--x-points=0"],
+             "--x-points must be >= 1, got 0"),
+            (["sweep", "--x=2", "--methods", "analytic", "--x-min=-1"],
+             "--x-min must be finite and positive, got -1.0"),
+            (["sweep", "--x=2", "--methods", "analytic", "--x-max=nan"],
+             "--x-max must be finite and positive, got nan"),
         ],
         ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window",
              "dump_schedule_tiny_window", "dump_circuit_tiny_window", "sweep_repeated_method",
-             "sweep_negative_steps"],
+             "sweep_negative_steps", "sweep_x_points_with_x", "sweep_x_min_with_x",
+             "sweep_x_max_with_x"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -487,6 +501,14 @@ class TestDumps:
         assert step["branch"] == "de_sitter"
         assert step["ca"] == pytest.approx(-1 / 39.65**2)
 
+    def test_schedule_dump_zero_steps(self, tmp_path):
+        # As dump-circuit and trajectory: the window of --n-steps 1, no slices.
+        assert main(["dump-schedule", "--x", "2.0", "--n-steps", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "schedule_x2_n0.json").read_text())
+        assert doc["steps"] == []
+        assert doc["parameters"] == {"x": 2.0, "n_steps": 0, "y_i": -80.0, "y_f": 0.0}
+
     def test_circuit_dump_round_trips(self, tmp_path):
         assert main(["dump-circuit", "--x", "2.0", "--n-steps", "1",
                      "--out-dir", str(tmp_path)]) == 0
@@ -737,6 +759,35 @@ class TestPerXFiles:
         assert exc.value.code == 2
         assert option.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestBlasThreads:
+    def test_import_pins_openblas_to_one_thread(self):
+        # Every BLAS product is at most 16x16, so an OpenBLAS worker pool
+        # (numpy's, and scipy's that verify loads) would only spin.  Fresh
+        # processes, since this one may have loaded numpy before cosmopair.
+        if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs /proc/self/task and at least two CPUs")
+        code = textwrap.dedent("""
+            import contextlib, io, os, sys
+            import cosmopair.cli
+            threads = [len(os.listdir("/proc/self/task"))]
+            if sys.argv[1] == "verify":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cosmopair.cli.main(["verify"]) == 0
+                threads.append(len(os.listdir("/proc/self/task")))
+            print(os.environ["OPENBLAS_NUM_THREADS"], *threads)
+        """)
+        src = str(Path(cosmopair.cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+        def run(env, stage):
+            return subprocess.run([sys.executable, "-c", code, stage], env=env,
+                                  capture_output=True, text=True, check=True).stdout.split()
+
+        assert run(env, "verify") == ["1", "1", "1"]
+        assert run({**env, "OPENBLAS_NUM_THREADS": "2"}, "import")[0] == "2"
 
 
 class TestVerify:

@@ -545,11 +545,18 @@ class TestRunSchedule:
         # the slices as one tall (m*16, 16) product, lets OpenBLAS start a
         # second thread: CPU about 2x wall instead of 1x.
         src = str(Path(statevector.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        # Importing cosmopair sets OPENBLAS_NUM_THREADS=1 in this process's
+        # environment unless it was set, and the child would inherit it: one
+        # thread would hide the second thread this test exists to catch.  The
+        # child gets two, what OpenBLAS starts by default on two CPUs.
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "2",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
         # OpenBLAS's worker threads spin for a while after the library loads,
         # so the timed region starts after a warm-up run and once this process
-        # uses no CPU while it sleeps.  No BLAS thread setting is made: it
-        # would hide the second thread this test exists to catch.
+        # uses no CPU while it sleeps.
         code = textwrap.dedent("""
             import time
             from cosmopair.background import ModeParams

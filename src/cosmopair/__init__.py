@@ -15,52 +15,4 @@ import os
 # any submodule imports numpy.  A value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .background import (
-    BogoliubovPair,
-    ModeParams,
-    bogoliubov_analytic,
-    bogoliubov_ode_oracle,
-    multi_pair_probability,
-    n_k_analytic,
-    omega_squared,
-    scale_factor,
-)
-from .circuits import N_QUBITS, Gate, circuit_from_text, circuit_to_text, gate_count_and_depth
-from .encoding import (
-    PauliString,
-    aq_pauli_sum,
-    build_full_circuit,
-    pauli_to_matrix,
-    synthesize_pauli_rotation,
-    synthesize_step,
-    zq_pauli_sum,
-)
-from .mitigation import (
-    ReadoutMitigation,
-    ZNEResult,
-    linear_extrapolate,
-    mitigate_readout,
-    zne_estimate,
-)
-from .noise import NoiseModel, apply_readout_noise, noisy_distributions
-from .schedule import CoeffSchedule, build_schedule
-from .statevector import (
-    Observables,
-    observables_from_counts,
-    probabilities,
-    run_circuit,
-    run_schedule,
-    sample_counts,
-)
-from .subspace import (
-    A_PHYS,
-    PHYS_INDICES,
-    PHYS_LABELS,
-    Z_PHYS,
-    evolve,
-    particle_number,
-    strang_step_unitary,
-    vacuum_state,
-)
-
 __version__ = "0.1.0"

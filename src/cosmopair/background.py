@@ -24,8 +24,6 @@ __all__ = [
     "BogoliubovPair",
     "OdeIntegrationError",
     "OracleMismatchError",
-    "scale_factor",
-    "omega_squared",
     "bogoliubov_analytic",
     "n_k_analytic",
     "multi_pair_probability",
@@ -80,10 +78,6 @@ class ModeParams:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
-    @property
-    def y_e(self) -> float:
-        return -self.x
-
 
 @dataclass(frozen=True)
 class BogoliubovPair:
@@ -100,35 +94,6 @@ class BogoliubovPair:
     def normalization_defect(self) -> float:
         """|alpha|^2 - |beta|^2 - 1; zero for a canonical transformation."""
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
-
-
-def scale_factor(y: float, x: float) -> float:
-    """Piecewise scale factor: -1/y before the transition, linear after.
-
-    Both branches give a(-x) = 1/x and matching first derivatives; only the
-    second derivative jumps.  Valid for y < 0 in the de Sitter branch (always
-    true there since y <= -x < 0).
-    """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if y <= -x:
-        # y <= -x < 0, so the 1/y pole is never reached.
-        return -1.0 / y
-    return (2.0 + y / x) / x
-
-
-def omega_squared(y: float, x: float) -> float:
-    """Dimensionless effective frequency squared of the mode equation.
-
-    1 - 2/y^2 in the de Sitter era, exactly 1 in the radiation era.  At the
-    matching point y = -x the radiation value is returned, consistent with
-    the midpoint branch rule used by the step schedule.
-    """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if y < -x:
-        return 1.0 - 2.0 / y**2
-    return 1.0
 
 
 def bogoliubov_analytic(x: float) -> BogoliubovPair:

@@ -1,10 +1,10 @@
 """Readout-error correction and zero-noise extrapolation.
 
-Readout correction takes counts or an exact distribution, solves the
-confusion system restricted to the observed basis states (never building
-the full 16x16 assignment matrix) and reports both the raw quasi-probabilities,
-which may be slightly negative, and a clipped-renormalized variant, with
-the delta-method standard error of each quasi-probability.
+Readout correction takes counts or an exact distribution, builds the 16x16
+assignment matrix by passing each basis state through the readout channel,
+solves it restricted to the observed basis states and reports both the raw
+quasi-probabilities, which may be slightly negative, and a clipped-renormalized
+variant, with the delta-method standard error of each quasi-probability.
 
 Extrapolation samples the exact outcome distribution at each amplified
 gate-noise level, supplied by the caller, estimates p_pair and leakage from
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuits import N_QUBITS
-from .noise import NoiseModel
+from .noise import NoiseModel, apply_readout_noise
 from .statevector import derived_seed, observables_from_counts, sample_counts
 
 __all__ = [
@@ -60,12 +60,8 @@ class ReadoutMitigation:
 
 
 def _restricted_confusion(observed: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """C[obs][true] over the observed states: per-qubit entries multiplied in qubit order."""
-    bits = (observed[:, None] >> np.arange(N_QUBITS - 1, -1, -1)) & 1
-    m = np.ones((len(observed), len(observed)))
-    for q, c in enumerate(model.readout):
-        m = m * c[bits[:, None, q], bits[None, :, q]]
-    return m
+    """C[obs][true] over the observed states: the readout channel of each basis state."""
+    return apply_readout_noise(np.eye(2**N_QUBITS), model)[np.ix_(observed, observed)].T
 
 
 def mitigate_readout(weights: np.ndarray, model: NoiseModel) -> ReadoutMitigation:

@@ -18,8 +18,6 @@ from cosmopair.background import (
     bogoliubov_ode_oracle,
     multi_pair_probability,
     n_k_analytic,
-    omega_squared,
-    scale_factor,
 )
 
 
@@ -28,7 +26,6 @@ class TestModeParams:
         p = ModeParams(x=2.0)
         assert p.y_i == -80.0
         assert p.y_f == 0.0
-        assert p.y_e == -2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -46,48 +43,6 @@ class TestModeParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModeParams(**kwargs)
-
-
-class TestScaleFactor:
-    def test_matching_point_both_branches(self):
-        # a(-x) = 1/x from either side of the matching point.
-        assert scale_factor(-2.0, 2.0) == 0.5
-        assert scale_factor(-2.0 + 1e-15, 2.0) == pytest.approx(0.5)
-
-    def test_de_sitter_value(self):
-        assert scale_factor(-4.0, 2.0) == 0.25
-
-    def test_radiation_value(self):
-        # (1/2)*(2 + (-1)/2), cross-checked below by derivative continuity.
-        assert scale_factor(-1.0, 2.0) == pytest.approx(0.75)
-
-    def test_continuity_and_first_derivative(self):
-        x, eps = 2.0, 1e-6
-        left, right = scale_factor(-x - eps, x), scale_factor(-x + eps, x)
-        assert abs(left - right) / right < 1e-4
-        d_left = (scale_factor(-x, x) - scale_factor(-x - eps, x)) / eps
-        d_right = (scale_factor(-x + eps, x) - scale_factor(-x, x)) / eps
-        assert abs(d_left - d_right) / abs(d_right) < 1e-4
-
-    def test_positive_everywhere_in_domain(self):
-        # The de Sitter branch never reaches its pole (y <= -x < 0) and the
-        # linear branch never reaches its zero (y > -x > -2x).
-        for y in np.linspace(-80.0, 10.0, 181):
-            assert scale_factor(float(y), 2.0) > 0.0
-
-
-class TestOmegaSquared:
-    def test_deep_de_sitter(self):
-        assert omega_squared(-80.0, 2.0) == pytest.approx(1.0 - 2.0 / 6400.0)
-
-    def test_radiation(self):
-        assert omega_squared(-1.0, 2.0) == 1.0
-
-    def test_zero_crossing(self):
-        assert omega_squared(-np.sqrt(2.0), 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_matching_point_takes_radiation_value(self):
-        assert omega_squared(-2.0, 2.0) == 1.0
 
 
 class TestBogoliubovAnalytic:

@@ -210,6 +210,25 @@ class TestSweep:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_negative_exponent_window_needs_the_equals_form(self, tmp_path):
+        # argparse reads a spaced "-1e3" as an option name, not as --y-i's value.
+        assert main(["sweep", "--x", "2", "--methods", "analytic", "--y-i=-1e3",
+                     "--out-dir", str(tmp_path / "joined")]) == 0
+        header = (tmp_path / "joined" / "sweep.csv").read_text().splitlines()[2]
+        assert header.startswith("# parameters: ") and '"y_i": -1000.0' in header
+        src = str(Path(cosmopair.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        spaced = subprocess.run(
+            [sys.executable, "-m", "cosmopair", "sweep", "--x", "2", "--methods", "analytic",
+             "--y-i", "-1e3", "--out-dir", str(tmp_path / "spaced")],
+            env=env, capture_output=True, text=True,
+        )
+        assert spaced.returncode == 2
+        assert "argument --y-i: expected one argument" in spaced.stderr
+        assert "Traceback" not in spaced.stderr
+        assert not (tmp_path / "spaced").exists()
+
     def test_stray_tmp_directory_does_not_break_sweep(self, tmp_path):
         (tmp_path / "sweep.csv.tmp").mkdir()
         assert main(["sweep", "--x", "2.0", "--methods", "analytic",

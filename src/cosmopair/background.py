@@ -7,8 +7,8 @@ derivative are continuous at y_e while a''/a jumps, so the in/out mode mixing
 has a closed form and serves as the benchmark for the time-stepped engines.
 
 The independent cross-check is `bogoliubov_ode_oracle`, which integrates the
-mode equation v'' + (1 - 2/y^2) v = 0 through the transition and extracts the
-mixing coefficients by matching onto plane waves in the radiation era.
+mode equation v'' + (1 - 2/y^2) v = 0 up to the transition and extracts the
+mixing coefficients there by matching onto the radiation-era plane waves.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ModeParams",
     "BogoliubovPair",
     "OdeIntegrationError",
-    "OracleMismatchError",
     "bogoliubov_analytic",
     "n_k_analytic",
     "multi_pair_probability",
@@ -35,13 +32,13 @@ class OdeIntegrationError(RuntimeError):
     """Adaptive step control could not meet the requested tolerance."""
 
 
-class OracleMismatchError(RuntimeError):
-    """Extracted mixing coefficients drift between radiation-era probes."""
-
-
 #: Largest |y| of an evolution window, and 1 / MAX_ABS_Y the smallest x: the
 #: de Sitter coefficient -1/y^2 of every slice stays a finite, nonzero float.
 MAX_ABS_Y = 1e150
+
+#: In-mode start and DOP853 tolerance (rtol = atol) of `bogoliubov_ode_oracle`.
+ORACLE_Y_I = -80.0
+ORACLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -151,70 +148,29 @@ def _match_plane_waves(y: float, v: complex, dv: complex) -> tuple[complex, comp
     return alpha, beta
 
 
-def bogoliubov_ode_oracle(
-    x: float, y_i: float = -80.0, tol: float = 1e-10
-) -> BogoliubovPair:
+def bogoliubov_ode_oracle(x: float) -> BogoliubovPair:
     """Numerical cross-check of `bogoliubov_analytic` via the mode equation.
 
-    Integrates v'' + (1 - 2/y^2) v = 0 from deep de Sitter (positive-frequency
-    initial data at y_i) up to the matching point, continues with v'' + v = 0,
-    and reads off (alpha, beta) by matching onto plane waves at two
-    radiation-era probes.  The integration is split at exactly y = -x so the
-    kink in the coefficient never sits inside an integrator step.
+    Integrates v'' + (1 - 2/y^2) v = 0 from positive-frequency initial data
+    deep in de Sitter, at ORACLE_Y_I, up to the transition y_e = -x, and reads
+    off (alpha, beta) there by matching v and v' onto the radiation-era plane
+    waves e^{-iy} and e^{iy}, which solve v'' + v = 0 exactly.  Stopping at
+    y_e keeps the kink in the coefficient out of every integrator step.
 
-    Raises OdeIntegrationError if step control fails and OracleMismatchError
-    if the two probes disagree on |beta|^2 by more than 10*tol relative.
+    Raises OdeIntegrationError if step control fails.
     """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if y_i > -10.0 * x:
-        raise ValueError(f"y_i = {y_i} is not deep de Sitter (need y_i <= {-10.0 * x})")
-    if not 1e-12 <= tol <= 1e-6:
-        raise ValueError(f"tol must be in [1e-12, 1e-6], got {tol}")
+    if not 0 < x <= -ORACLE_Y_I / 10.0:
+        raise ValueError(f"x must be in (0, {-ORACLE_Y_I / 10.0:g}] so that the in-mode "
+                         f"starts deep in de Sitter, at y_i = {ORACLE_Y_I} <= -10 x; got {x}")
     # Imported here: scipy.integrate is most of the package's import time,
     # and nothing else needs it.
     from scipy.integrate import solve_ivp
 
-    y_e = -x
-    probes = (y_e + 0.5, y_e + 1.5)
-
-    def rhs_de_sitter(y, s):
+    def rhs(y, s):
         return [s[1], -(1.0 - 2.0 / y**2) * s[0]]
 
-    def rhs_radiation(y, s):
-        return [s[1], -s[0]]
-
-    v0, dv0 = _in_mode(y_i)
-    sol1 = solve_ivp(
-        rhs_de_sitter,
-        (y_i, y_e),
-        np.array([v0, dv0], dtype=complex),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol1.success:
-        raise OdeIntegrationError(f"de Sitter segment failed: {sol1.message}")
-
-    sol2 = solve_ivp(
-        rhs_radiation,
-        (y_e, probes[-1]),
-        sol1.y[:, -1],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=probes,
-    )
-    if not sol2.success:
-        raise OdeIntegrationError(f"radiation segment failed: {sol2.message}")
-
-    pairs = [
-        _match_plane_waves(y, sol2.y[0, i], sol2.y[1, i]) for i, y in enumerate(probes)
-    ]
-    n1, n2 = (abs(b) ** 2 for _, b in pairs)
-    if abs(n1 - n2) > 10.0 * tol * max(n1, n2):
-        raise OracleMismatchError(
-            f"|beta|^2 drifts between probes: {n1!r} vs {n2!r} at y = {probes}"
-        )
-    alpha, beta = pairs[0]
-    return BogoliubovPair(alpha=alpha, beta=beta)
+    sol = solve_ivp(rhs, (ORACLE_Y_I, -x), _in_mode(ORACLE_Y_I), method="DOP853",
+                    rtol=ORACLE_TOL, atol=ORACLE_TOL)
+    if not sol.success:
+        raise OdeIntegrationError(f"mode-equation integration failed: {sol.message}")
+    return BogoliubovPair(*_match_plane_waves(-x, *sol.y[:, -1]))

@@ -17,8 +17,7 @@ sufficient to regenerate it bit-exactly.  Each command but `verify` yields
 its files, and `main` writes them as one set: all of them or none.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a grid too
 large to allocate among them), 3 numerical failure (singular readout
-correction, failed ODE integration, oracle mismatch, a state that is not
-normalized).
+correction, failed ODE integration, a state that is not normalized).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from . import __version__
 from .background import (
     ModeParams,
     OdeIntegrationError,
-    OracleMismatchError,
     multi_pair_probability,
     n_k_analytic,
 )
@@ -274,17 +272,15 @@ def _n_steps(args, method: str) -> int | None:
     return default if default is None or args.n_steps is None else args.n_steps
 
 
-def _sweep_grid(args, methods: list[str]) -> list[float]:
+def _sweep_grid(args) -> list[float]:
     """Sorted x grid of `sweep`; no x repeated, every window checked before any run."""
     xs = sorted(_parse_x_grid(args))
     for a, b in zip(xs, xs[1:]):
         if a == b:
             raise UsageError(f"x = {a!r} appears more than once")
-    step_counts = {args.n_steps, *(_n_steps(args, m) for m in methods)} - {None} or {1}
     for x in xs:
         n_k_analytic(x)  # an x whose closed form overflows fails here
-        for n_steps in step_counts:
-            _mode_params(x, args, n_steps)
+        _mode_params(x, args, 1 if args.n_steps is None else args.n_steps)
     return xs
 
 
@@ -297,7 +293,7 @@ def cmd_sweep(args) -> Iterator[tuple[str, str]]:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
         if methods.count(m) > 1:
             raise UsageError(f"method {m!r} appears more than once")
-    x_grid = _sweep_grid(args, methods)
+    x_grid = _sweep_grid(args)
     model, factors = _noise_inputs(args, zne="zne" in methods)
     needed = ((1.0,) if {"noisy", "mitigated"} & set(methods) else ()) + (
         factors if "zne" in methods else ())
@@ -558,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(args)
         _write_set(Path(args.out_dir), args.func(args))
         return 0
-    except (SingularConfusionError, OdeIntegrationError, OracleMismatchError,
+    except (SingularConfusionError, OdeIntegrationError,
             NotNormalizedError) as exc:  # before ValueError, which NotNormalizedError is
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -88,7 +88,7 @@ def _check_pair_commutation(aq_terms: tuple[PauliString, ...]) -> CheckResult:
 
 
 def _check_mode_oracle() -> CheckResult:
-    pair = background.bogoliubov_ode_oracle(2.0, -80.0, 1e-10)
+    pair = background.bogoliubov_ode_oracle(2.0)
     rel = abs(pair.n_k - background.n_k_analytic(2.0)) / background.n_k_analytic(2.0)
     return CheckResult(
         "mode_equation_oracle", rel < 1e-6, f"|beta|^2 relative error {rel:.3e}"

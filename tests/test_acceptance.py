@@ -165,7 +165,7 @@ def test_criterion_05_ode_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for x in (1.0, 1.5, 2.0, 3.0, 5.0):
-        pair = bogoliubov_ode_oracle(x, -80.0, 1e-10)
+        pair = bogoliubov_ode_oracle(x)
         worst = max(worst, abs(pair.n_k - n_k_analytic(x)) / n_k_analytic(x))
     elapsed = time.perf_counter() - t0
     report(

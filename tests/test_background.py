@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import cosmopair
 from cosmopair.background import (
     BogoliubovPair,
     ModeParams,
+    OdeIntegrationError,
     bogoliubov_analytic,
     bogoliubov_ode_oracle,
     multi_pair_probability,
@@ -115,32 +117,42 @@ class TestMultiPairProbability:
 class TestOdeOracle:
     @pytest.mark.parametrize("x,expected", [(2.0, 1.0 / 64.0), (5.0, 4.0e-4)])
     def test_against_closed_form(self, x, expected):
-        pair = bogoliubov_ode_oracle(x, -80.0, 1e-10)
+        pair = bogoliubov_ode_oracle(x)
         assert pair.n_k == pytest.approx(expected, abs=1e-9)
 
     def test_alpha_magnitude(self):
-        pair = bogoliubov_ode_oracle(1.0, -80.0, 1e-10)
+        pair = bogoliubov_ode_oracle(1.0)
         assert abs(pair.alpha) ** 2 == pytest.approx(1.25, abs=1e-8)
 
     @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 3.0, 5.0])
     def test_relative_error_budget(self, x):
-        pair = bogoliubov_ode_oracle(x, -80.0, 1e-10)
+        pair = bogoliubov_ode_oracle(x)
         rel = abs(pair.n_k - n_k_analytic(x)) / n_k_analytic(x)
         assert rel < 1e-6
 
-    def test_full_pair_close_to_analytic(self):
-        got = bogoliubov_ode_oracle(2.0, -80.0, 1e-10)
-        want = bogoliubov_analytic(2.0)
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_full_pair_close_to_analytic(self, x):
+        got = bogoliubov_ode_oracle(x)
+        want = bogoliubov_analytic(x)
         assert got.alpha == pytest.approx(want.alpha, abs=1e-7)
         assert got.beta == pytest.approx(want.beta, abs=1e-7)
+        assert abs(got.normalization_defect) < 1e-9
 
     def test_rejects_shallow_start(self):
-        with pytest.raises(ValueError):
-            bogoliubov_ode_oracle(2.0, -15.0, 1e-10)
+        # The in-mode starts at y_i = -80, which must lie at or below -10 x.
+        bogoliubov_ode_oracle(8.0)
+        with pytest.raises(ValueError, match="deep in de Sitter"):
+            bogoliubov_ode_oracle(8.5)
 
-    def test_rejects_out_of_range_tol(self):
-        with pytest.raises(ValueError):
-            bogoliubov_ode_oracle(2.0, -80.0, 1e-3)
+    def test_failed_integration_raises(self, monkeypatch):
+        import scipy.integrate
+
+        def failed(*args, **kwargs):
+            return SimpleNamespace(success=False, message="step size too small")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+        with pytest.raises(OdeIntegrationError, match="step size too small"):
+            bogoliubov_ode_oracle(2.0)
 
 
 def test_bogoliubov_pair_is_plain_container():

@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -827,3 +828,14 @@ class TestVerify:
         assert "number_operator_embedding" in failed
         report = format_report(results)
         assert "number_operator_embedding" in report and "FAIL" in report
+
+    def test_failed_ode_integration_exits_3(self, monkeypatch, capsys):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: SimpleNamespace(
+            success=False, message="step size too small"))
+        assert main(["verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: mode-equation integration failed: "
+                                "step size too small\n")
+        assert "Traceback" not in captured.out + captured.err

@@ -43,6 +43,10 @@ batches.  Over y_i = -2.5 with 257 slices the first radiation slice is 96
 how its slices are batched, so a batch cut anywhere else may move the last
 digits of the `statevector` rows; the
 de-Sitter-only and ten-slice windows above cannot see that.
+
+The `zero-steps-*` entries pin `--n-steps 0`, the vacuum preparation
+alone, of the three commands that accept it: a one-row trajectory, an
+empty `steps` list and the two X gates of the preparation.
 """
 
 import hashlib
@@ -136,6 +140,27 @@ GOLDEN = {
             "counts_x1.3.csv": "53746989ac52eb5e099a75967929d2a94d2e30d353cd7d9a8ab2333c87c6d613",
             "counts_x2.csv": "d93de849e91b7cb75f2394deb639295c9180688e41306b2bbae80dd62d9969b6",
             "noise_study.json": "a56303f006853b6a680fc9d575655571963d114e7c084fc0ccd8aa8b5c8479f9",
+        },
+    ),
+    "zero-steps-trajectory": (
+        ["trajectory", "--x", "2.0,3.3", "--n-steps", "0"],
+        {
+            "trajectory_x2.csv": "1dfefa0fd6d1ae7149069760e7afe02f03367af820d57a2805ae9e06c603eb9e",
+            "trajectory_x3.3.csv": "c2f3b67af3ce8e4dac1de16b7b176e298f4837d028f8759275e550a0494eba51",
+        },
+    ),
+    "zero-steps-dump-schedule": (
+        ["dump-schedule", "--x", "2.0,3.3", "--n-steps", "0"],
+        {
+            "schedule_x2_n0.json": "84bb3792b16ed14cc42ab1d9c68ca899a96f9f84e4876a138b2280c8d61463cd",
+            "schedule_x3.3_n0.json": "000a7800af3eb04bc6d66be9cefc601f5826a5297a89652debcb99cb228dd57c",
+        },
+    ),
+    "zero-steps-dump-circuit": (
+        ["dump-circuit", "--x", "2.0,3.3", "--n-steps", "0"],
+        {
+            "circuit_x2_n0.txt": "d0c5287f8f99e2edec464c34ef71649b2796b834914283812615230665569003",
+            "circuit_x3.3_n0.txt": "ad4adea4f8c7eb067e8d92469d87e239a61180dd9f8e5c62a99e74d68dacff9a",
         },
     ),
 }

@@ -48,6 +48,7 @@ class ModeParams:
     x is |k*eta_e|; the transition sits at y_e = -x, which must lie strictly
     inside the evolution window (y_i, y_f).  Defaults start deep in the
     de Sitter era and stop two conformal-time units after the transition.
+    n_steps = 0 is the window of the vacuum preparation alone.
     """
 
     x: float
@@ -72,8 +73,8 @@ class ModeParams:
                 f"transition y_e = {-self.x} must lie inside (y_i, y_f) = "
                 f"({self.y_i}, {self.y_f})"
             )
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
 
 
 @dataclass(frozen=True)

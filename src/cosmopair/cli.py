@@ -15,6 +15,9 @@ Subcommands and their outputs (all plot-ready CSV/JSON, no rendering):
 Every file starts with a metadata header (tool version, parameters, seed)
 sufficient to regenerate it bit-exactly.  Each command but `verify` yields
 its files, and `main` writes them as one set: all of them or none.
+`trajectory`, `dump-schedule` and `dump-circuit` take `--n-steps 0`, a
+schedule of no slices: the vacuum preparation alone.  `sweep` and
+`noise-study` need at least one slice.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a grid too
 large to allocate among them), 3 numerical failure (singular readout
 correction, failed ODE integration, a state that is not normalized).
@@ -62,7 +65,7 @@ from .statevector import (
     run_schedule,
     sample_counts,
 )
-from .subspace import PHYS_INDICES, evolve, particle_number
+from .subspace import PHYS_INDICES, evolve
 
 SCHEMA_VERSION = 1
 
@@ -156,14 +159,17 @@ def _file_grid(args) -> list[float]:
     for a, b in zip(xs, xs[1:]):  # :g rounds monotonically, so ties are adjacent
         if f"{a:g}" == f"{b:g}":
             raise UsageError(f"x = {a!r} and x = {b!r} share the file label x{a:g}")
-    for x in xs:  # every window, at --n-steps 0 (no slices) as at 1
-        _mode_params(x, args, args.n_steps or 1)
+    for x in xs:  # the window alone: --n-steps is checked by the command
+        _mode_params(x, args, 0)
     return xs
 
 
 def _noise_inputs(args, zne: bool) -> tuple[NoiseModel, tuple[float, ...]]:
-    """Check --seed and --shots, then load the model and check --factors;
-    with `zne`, the model's rates at the largest factor too."""
+    """Check --n-steps (at least one slice, if given), --seed and --shots,
+    then load the model and check --factors; with `zne`, the model's rates
+    at the largest factor too."""
+    if args.n_steps is not None and args.n_steps < 1:
+        raise UsageError(f"n_steps must be >= 1, got {args.n_steps}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.shots is not None:
@@ -194,9 +200,9 @@ def _mode_params(x: float, args, n_steps: int) -> ModeParams:
     return ModeParams(x=x, y_i=args.y_i, y_f=args.y_f, n_steps=n_steps)
 
 
-def _x_parameters(params: ModeParams, n_steps: int) -> dict:
-    """Metadata parameters of a per-x output file: `params`' window, `n_steps` slices."""
-    return {"x": params.x, "n_steps": n_steps, "y_i": params.y_i, "y_f": params.y_f}
+def _x_parameters(params: ModeParams) -> dict:
+    """Metadata parameters of a per-x output file: `params`' window and slices."""
+    return {"x": params.x, "n_steps": params.n_steps, "y_i": params.y_i, "y_f": params.y_f}
 
 
 def _noisy_levels(schedules: list, model: NoiseModel, factors: Iterable[float]) -> list[dict]:
@@ -221,7 +227,7 @@ def _analytic_row(x, **_):
 
 def _matrix_row(schedule, **_):
     final, _ = evolve(schedule, populations=False)
-    return particle_number(final)[2], None, 0.0
+    return float((np.abs(final) ** 2)[3]), None, 0.0
 
 
 def _statevector_row(schedule, **_):
@@ -280,7 +286,7 @@ def _sweep_grid(args) -> list[float]:
             raise UsageError(f"x = {a!r} appears more than once")
     for x in xs:
         n_k_analytic(x)  # an x whose closed form overflows fails here
-        _mode_params(x, args, 1 if args.n_steps is None else args.n_steps)
+        _mode_params(x, args, 0)  # the window alone: `_noise_inputs` checks --n-steps
     return xs
 
 
@@ -352,18 +358,13 @@ def _trajectory_csv(
 
 
 def cmd_trajectory(args) -> Iterator[tuple[str, Iterator[str]]]:
-    x_grid = _file_grid(args)
-    n_steps = args.n_steps
-    for x in x_grid:
+    for x in _file_grid(args):
         n_k_an = n_k_analytic(x)
-        params = _mode_params(x, args, n_steps or 1)
-        if n_steps == 0:
-            y, pops = np.array([params.y_i]), np.array([[1.0, 0.0, 0.0, 0.0]])
-        else:
-            schedule = build_schedule(params)
-            _, pops = evolve(schedule)
-            y = schedule.boundaries()  # after evolve, whose chunk temporaries are then freed
-        header = _metadata_lines("trajectory", _x_parameters(params, n_steps))
+        params = _mode_params(x, args, args.n_steps)
+        schedule = build_schedule(params)
+        _, pops = evolve(schedule)
+        y = schedule.boundaries()  # after evolve, whose chunk temporaries are then freed
+        header = _metadata_lines("trajectory", _x_parameters(params))
         yield f"trajectory_x{x:g}.csv", _trajectory_csv(header, y, pops, n_k_an)
 
 
@@ -440,12 +441,9 @@ def cmd_noise_study(args) -> Iterator[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
-    x_grid = _file_grid(args)
-    n_steps = args.n_steps
-    for x in x_grid:
-        params = _mode_params(x, args, n_steps or 1)
+    for x in _file_grid(args):
+        params = _mode_params(x, args, args.n_steps)
         schedule = build_schedule(params)
-        columns = schedule.columns() if n_steps else ()  # --n-steps 0: no slices
         steps = [
             {
                 "index": n,
@@ -456,24 +454,22 @@ def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
                 "branch": "radiation" if radiation else "de_sitter",
             }
             for n, (y_mid, cz, ca, radiation) in enumerate(
-                zip(*(c.tolist() for c in columns))
+                zip(*(c.tolist() for c in schedule.columns()))
             )
         ]
-        yield f"schedule_x{x:g}_n{n_steps}.json", _json_envelope(
-            "dump-schedule", _x_parameters(params, n_steps), steps=steps)
+        yield f"schedule_x{x:g}_n{params.n_steps}.json", _json_envelope(
+            "dump-schedule", _x_parameters(params), steps=steps)
 
 
 def cmd_dump_circuit(args) -> Iterator[tuple[str, Iterator[str]]]:
     """Each file's header from one walk of the circuit, its gates streamed from a second."""
-    x_grid = _file_grid(args)
-    n_steps = args.n_steps
-    for x in x_grid:
-        params = _mode_params(x, args, n_steps or 1)
-        schedule = build_schedule(params) if n_steps else []
+    for x in _file_grid(args):
+        params = _mode_params(x, args, args.n_steps)
+        schedule = build_schedule(params)
         gate_count, depth = gate_count_and_depth(build_full_circuit(schedule))
-        parameters = {**_x_parameters(params, n_steps), "gate_count": gate_count, "depth": depth}
+        parameters = {**_x_parameters(params), "gate_count": gate_count, "depth": depth}
         header = "\n".join(_metadata_lines("dump-circuit", parameters)) + "\n"
-        yield f"circuit_x{x:g}_n{n_steps}.txt", itertools.chain(
+        yield f"circuit_x{x:g}_n{params.n_steps}.txt", itertools.chain(
             [header], circuit_to_text(build_full_circuit(schedule)))
 
 

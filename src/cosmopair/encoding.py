@@ -224,8 +224,7 @@ def slice_cuts(schedule) -> tuple[int, int]:
     SCHEDULE_CHUNK, and nowhere else: schedules with equal cuts are chunked
     alike, which is how the noisy channel batches their rows.
     """
-    n = len(schedule)  # an empty sequence, as for the preparation alone, has no `switch`
-    return n, schedule.switch if n else 0
+    return len(schedule), schedule.switch
 
 
 def slice_chunks(schedule):
@@ -257,7 +256,7 @@ def build_full_circuit(schedule) -> Iterator[Gate]:
     """The gates of the vacuum preparation, then of one template instance per slice.
 
     A generator: walks `slice_chunks` and takes each row of RZ angles as
-    Python floats.  An empty sequence gives the preparation alone.
+    Python floats.  A schedule of no slices gives the preparation alone.
     """
     yield from VACUUM_PREP
     for template, angles in slice_chunks(schedule):

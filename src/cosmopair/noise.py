@@ -243,7 +243,7 @@ def _schedule_steps(schedules: list, models: int):
             for j, (run, ((q,), _, _)) in enumerate(zip(slice_runs, template.rzs)):
                 yield run, q, cos[i, j], sin[i, j]
             prev = template
-    yield _template_fold(prev)[-1], None, None, None
+    yield _fold(VACUUM_PREP) if prev is None else _template_fold(prev)[-1], None, None, None
 
 
 # ---------------------------------------------------------------------------

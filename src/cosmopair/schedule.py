@@ -85,5 +85,8 @@ class CoeffSchedule:
 
 
 def build_schedule(params: ModeParams) -> CoeffSchedule:
-    """The uniform grid of `params`: n_steps slices of width (y_f - y_i) / n_steps."""
-    return CoeffSchedule(params=params, dy=(params.y_f - params.y_i) / params.n_steps)
+    """The uniform grid of `params`: n_steps slices of width (y_f - y_i) / n_steps.
+
+    A window of no slices (the preparation alone) takes the width of one.
+    """
+    return CoeffSchedule(params=params, dy=(params.y_f - params.y_i) / max(params.n_steps, 1))

@@ -226,8 +226,8 @@ def run_schedule(schedule) -> np.ndarray:
 
     Builds the slice unitaries of each `slice_chunks` run from its RZ angles
     and its template's compiled map, and chains them on the prepared vacuum.
-    Agrees with gate-by-gate `run_circuit` to rounding; an empty sequence
-    gives the prepared vacuum.
+    Agrees with gate-by-gate `run_circuit` to rounding; a schedule of no
+    slices gives the prepared vacuum.
     """
     amps = run_circuit(VACUUM_PREP)
     for template, angles in slice_chunks(schedule):

@@ -7,11 +7,12 @@ pair.  Because the pair generator squares to a projector on that block, its
 exponential has an exact cos/sin form and each split step is assembled from
 closed-form factors rather than a generic matrix exponential.
 
-`evolve` computes those closed-form entries for a chunk of slices at once
-and advances the state slice by slice in Python complex arithmetic: the
-2x2 (vacuum, pair) block plus a phase on each single-quantum component.
-The operations are those of `strang_step_unitary(theta_zh, theta_a) @ psi`
-on the slice's `CoeffSchedule.angles`, so both give the same bits.  Memory
+`evolve` starts from the encoded vacuum, computes those closed-form entries
+for a chunk of slices at once and advances the state slice by slice in
+Python complex arithmetic.  From the vacuum the single-quantum amplitudes
+are exactly 0, so it carries only the (vacuum, pair) block.  The
+operations are those of `strang_step_unitary(theta_zh, theta_a) @ psi` on
+the slice's `CoeffSchedule.angles`, so both give the same bits.  Memory
 is one chunk of per-slice values, plus the (n_steps + 1, 4) population
 array when the caller asks for it.  The `matrix` sweep row and `verify`
 read only the final state and ask for none, so their memory does not grow
@@ -34,10 +35,8 @@ __all__ = [
     "Z_PHYS",
     "A_PHYS",
     "EVOLVE_CHUNK",
-    "vacuum_state",
     "strang_step_unitary",
     "evolve",
-    "particle_number",
 ]
 
 #: Physical four-qubit basis labels, qubit 0 leftmost.
@@ -55,13 +54,6 @@ A_PHYS[0, 3] = A_PHYS[3, 0] = 1.0
 
 #: Slices whose propagator entries `evolve` computes in one numpy pass.
 EVOLVE_CHUNK = 4096
-
-
-def vacuum_state() -> np.ndarray:
-    """Encoded vacuum |0101> as a physical-subspace amplitude vector."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    return psi
 
 
 def _step_entries(theta_zh: np.ndarray, theta_a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -94,43 +86,29 @@ def strang_step_unitary(theta_zh: float, theta_a: float) -> np.ndarray:
 
 
 def evolve(
-    schedule: CoeffSchedule, initial: np.ndarray | None = None, *, populations: bool = True
+    schedule: CoeffSchedule, *, populations: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply the slice propagators in order; record the populations if asked.
+    """Apply the slice propagators to the encoded vacuum; record the populations if asked.
 
     Returns the final 4-component state and, with `populations`, the
     (n_steps + 1, 4) populations (p_vac, p_plus, p_minus, p_pair) at the
-    slice boundaries `schedule.boundaries()`, row 0 being the initial state;
-    None without.  The final state is the same either way, bit for bit.
+    slice boundaries `schedule.boundaries()`, row 0 being the vacuum; None
+    without.  The final state is the same either way, bit for bit.
     """
-    psi = vacuum_state() if initial is None else np.asarray(initial, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"initial state is not normalized (norm = {norm})")
-
     n_steps = len(schedule)
-    pops = np.empty((n_steps + 1, 4)) if populations else None
+    pops = np.zeros((n_steps + 1, 4)) if populations else None
     if populations:
-        pops[0] = np.abs(psi) ** 2
-    p0, p1, p2, p3 = psi.tolist()
+        pops[0, 0] = 1.0
+    p0, p3 = 1.0 + 0j, 0j
     for start in range(0, n_steps, EVOLVE_CHUNK):
-        entries = _step_entries(*schedule.angles(start, start + EVOLVE_CHUNK))
+        entries = _step_entries(*schedule.angles(start, start + EVOLVE_CHUNK))[:4]
         states = []
-        for u00, u03, u30, u33, u11, u22 in zip(*(e.tolist() for e in entries)):
-            # u @ psi without the products by u's zero entries
+        for u00, u03, u30, u33 in zip(*(e.tolist() for e in entries)):
+            # the (vacuum, pair) block of u @ psi, without its zero entries
             p0, p3 = u00 * p0 + u03 * p3, u30 * p0 + u33 * p3
-            p1, p2 = u11 * p1, u22 * p2
             if populations:
-                states += (p0, p1, p2, p3)
+                states += (p0, p3)
         if populations:
-            block = np.array(states).reshape(-1, 4)
-            pops[start + 1 : start + 1 + len(block)] = np.abs(block) ** 2
-    return np.array([p0, p1, p2, p3]), pops
-
-
-def particle_number(state: np.ndarray) -> tuple[float, float, float]:
-    """Mode occupations (n_plus, n_minus, p_pair) from physical populations."""
-    p = np.abs(np.asarray(state)) ** 2
-    n_plus = float(p[1] + p[3])
-    n_minus = float(p[2] + p[3])
-    return n_plus, n_minus, float(p[3])
+            block = np.array(states).reshape(-1, 2)
+            pops[start + 1 : start + 1 + len(block), ::3] = np.abs(block) ** 2
+    return np.array([p0, 0j, 0j, p3]), pops

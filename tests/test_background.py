@@ -36,7 +36,7 @@ class TestModeParams:
             {"x": 0.0},
             {"x": 2.0, "y_i": -1.0},  # transition outside window
             {"x": 2.0, "y_f": -3.0},
-            {"x": 2.0, "n_steps": 0},
+            {"x": 2.0, "n_steps": -1},  # 0 is the preparation alone
             {"x": 2.0, "y_i": -1e155},  # -1/y^2 of a slice would overflow
             {"x": 2.0, "y_i": float("-inf")},
             {"x": 2.0, "y_i": float("nan")},

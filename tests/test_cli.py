@@ -114,6 +114,13 @@ class TestSweep:
             # --n-steps is checked even when no requested method takes steps.
             (["sweep", "--x=2", "--methods", "analytic", "--n-steps=-5"],
              "n_steps must be >= 1, got -5"),
+            # noise-study shares sweep's check; the commands that take
+            # --n-steps 0, the preparation alone, refuse only a negative count.
+            (["noise-study", "--x=2", "--n-steps=0"], "n_steps must be >= 1, got 0"),
+            (["noise-study", "--x=2", "--n-steps=-1"], "n_steps must be >= 1, got -1"),
+            (["trajectory", "--x=2", "--n-steps=-1"], "n_steps must be >= 0, got -1"),
+            (["dump-schedule", "--x=2", "--n-steps=-1"], "n_steps must be >= 0, got -1"),
+            (["dump-circuit", "--x=2", "--n-steps=-1"], "n_steps must be >= 0, got -1"),
             # The range options are checked even when --x overrides them.
             (["sweep", "--x=2", "--methods", "analytic", "--x-points=0"],
              "--x-points must be >= 1, got 0"),
@@ -124,7 +131,9 @@ class TestSweep:
         ],
         ids=["trajectory_tiny_x", "sweep_tiny_x", "dump_circuit_huge_window",
              "dump_schedule_tiny_window", "dump_circuit_tiny_window", "sweep_repeated_method",
-             "sweep_negative_steps", "sweep_x_points_with_x", "sweep_x_min_with_x",
+             "sweep_negative_steps", "noise_study_zero_steps", "noise_study_negative_steps",
+             "trajectory_negative_steps", "dump_schedule_negative_steps",
+             "dump_circuit_negative_steps", "sweep_x_points_with_x", "sweep_x_min_with_x",
              "sweep_x_max_with_x"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv, message):

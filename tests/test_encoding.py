@@ -158,7 +158,7 @@ class TestStepSynthesis:
 
 class TestFullCircuit:
     def test_empty_schedule_prepares_vacuum(self):
-        circuit = list(build_full_circuit([]))
+        circuit = list(build_full_circuit(build_schedule(ModeParams(x=2.0, n_steps=0))))
         assert [g.name for g in circuit] == ["X", "X"]
         probs = probabilities(run_circuit(circuit))
         assert labelled(probs) == {"0101": 1.0}
@@ -233,7 +233,9 @@ class TestSliceChunks:
         assert peak < 1024 * 1024
 
     def test_empty_sequence_yields_nothing(self):
-        assert list(slice_chunks([])) == []
+        sched = build_schedule(ModeParams(x=2.0, n_steps=0))
+        assert slice_cuts(sched) == (0, 0)
+        assert list(slice_chunks(sched)) == []
 
     def test_equal_cuts_exactly_when_chunked_alike(self):
         # `slice_cuts` is the key that the noisy channel groups rows by.

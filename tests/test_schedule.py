@@ -198,9 +198,11 @@ def test_branch_decided_by_midpoint_sign():
     assert radiation[0]
 
 
-def test_rejects_zero_steps():
-    with pytest.raises(ValueError):
-        ModeParams(x=2.0, n_steps=0)
+def test_zero_slice_schedule():
+    # The vacuum preparation alone: no slice, one boundary at y_i.
+    sched = build_schedule(ModeParams(x=2.0, n_steps=0))
+    assert (len(sched), sched.switch, sched.boundaries().tolist()) == (0, 0, [-80.0])
+    assert [c.shape for c in sched.columns()] == [(0,)] * 4
 
 
 def _one_slice(y_i, dy):

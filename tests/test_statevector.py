@@ -521,8 +521,9 @@ class TestRunSchedule:
         assert np.abs(coeffs[[0, 8]]).max() == pytest.approx(0.5)
 
     def test_empty_schedule_is_prepared_vacuum(self):
-        amps = run_schedule([])
-        assert np.array_equal(amps, run_circuit(build_full_circuit([])))
+        sched = build_schedule(ModeParams(x=2.0, n_steps=0))
+        amps = run_schedule(sched)
+        assert np.array_equal(amps, run_circuit(build_full_circuit(sched)))
         assert amps[0b0101] == 1.0
 
     def test_memory_does_not_grow_with_steps(self):

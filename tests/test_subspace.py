@@ -15,10 +15,11 @@ from cosmopair.subspace import (
     A_PHYS,
     Z_PHYS,
     evolve,
-    particle_number,
     strang_step_unitary,
-    vacuum_state,
 )
+
+#: The encoded vacuum |0101>, where `evolve` starts.
+VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
 def make_step(cz, ca, dy):
@@ -50,10 +51,9 @@ def _reference_evolve(schedule, psi):
     return psi, np.array(pops)
 
 
-def _assert_evolve_matches_reference(schedule, initial=None):
-    psi0 = vacuum_state() if initial is None else initial
-    ref_final, ref_pops = _reference_evolve(schedule, psi0)
-    final, pops = evolve(schedule, initial=initial)
+def _assert_evolve_matches_reference(schedule):
+    ref_final, ref_pops = _reference_evolve(schedule, VACUUM)
+    final, pops = evolve(schedule)
     assert np.array_equal(final, ref_final)
     assert np.array_equal(pops, ref_pops)
 
@@ -67,15 +67,11 @@ class TestChunkedEngine:
         assert len(sched) > 4 * subspace.EVOLVE_CHUNK
         _assert_evolve_matches_reference(sched)
 
-    def test_non_vacuum_initial_state(self):
-        # Every component nonzero, so the phases on the single-quantum
-        # states and both pair-block columns are exercised.
-        psi = np.array([0.6, 0.3 - 0.4j, -0.2 + 0.1j, 0.5j])
-        psi /= np.linalg.norm(psi)
-        sched = build_schedule(ModeParams(x=1.5, n_steps=5000))
-        _assert_evolve_matches_reference(sched, initial=psi)
-        _, pops = evolve(sched, initial=psi)
-        assert np.min(pops[:, 1:3]) > 0.0
+    def test_single_quantum_populations_are_exactly_zero(self):
+        # From the vacuum the pair generator never reaches |1001> or |0110>.
+        sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
+        _, pops = evolve(sched)
+        assert not np.any(pops[:, 1:3])
 
     def test_chunk_edges(self, monkeypatch):
         # Chunks of 7 over 50 slices: the last chunk is short, and the de
@@ -86,17 +82,12 @@ class TestChunkedEngine:
         assert first_rad % 7 != 0
         _assert_evolve_matches_reference(sched)
 
-    @pytest.mark.parametrize("initial", [None, "mixed"])
-    def test_final_state_path_is_bit_identical(self, initial):
-        # Without populations the same loop runs: the same final bits, from
-        # the vacuum and from a state with every component nonzero.
-        if initial == "mixed":
-            initial = np.array([0.6, 0.3 - 0.4j, -0.2 + 0.1j, 0.5j])
-            initial /= np.linalg.norm(initial)
+    def test_final_state_path_is_bit_identical(self):
+        # Without populations the same loop runs: the same final bits.
         sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
-        final, pops = evolve(sched, initial=initial, populations=False)
+        final, pops = evolve(sched, populations=False)
         assert pops is None
-        assert final.tobytes() == evolve(sched, initial=initial)[0].tobytes()
+        assert final.tobytes() == evolve(sched)[0].tobytes()
 
     @given(
         cz=st.floats(min_value=-2.0, max_value=2.0),
@@ -188,7 +179,7 @@ class TestStepUnitary:
     def test_pair_population_from_vacuum_is_sin_squared(self, theta_a, cz):
         # Number-operator phases are diagonal and drop out of populations.
         step = make_step(cz=cz, ca=theta_a, dy=1.0)
-        psi = strang_step_unitary(*step) @ vacuum_state()
+        psi = strang_step_unitary(*step) @ VACUUM
         assert abs(psi[3]) ** 2 == pytest.approx(np.sin(theta_a) ** 2, abs=1e-12)
 
 
@@ -198,7 +189,7 @@ class TestEvolve:
         # Radiation-era slice alone leaves the vacuum invariant.
         _, cz, ca, _ = sched.columns()
         step = make_step(float(cz[-1]), float(ca[-1]), sched.dy)
-        final = strang_step_unitary(*step) @ vacuum_state()
+        final = strang_step_unitary(*step) @ VACUUM
         assert abs(final[0]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_single_step_closed_form(self):
@@ -233,7 +224,7 @@ class TestEvolve:
         # truncation floor (-3.6%) plus the grid snap of the transition.
         sched = build_schedule(ModeParams(x=2.0, n_steps=2500))
         final, _ = evolve(sched)
-        p_pair = particle_number(final)[2]
+        p_pair = abs(final[3]) ** 2
         assert p_pair == pytest.approx(0.0145988, abs=2e-7)
         assert abs(p_pair - n_k_analytic(2.0)) / n_k_analytic(2.0) < 0.08
 
@@ -254,11 +245,6 @@ class TestEvolve:
         # Final plateau near the benchmark within the truncation budget.
         assert p[-1] == pytest.approx(n_k_analytic(1.5), rel=0.10)
 
-    def test_rejects_unnormalized_initial(self):
-        sched = build_schedule(ModeParams(x=2.0, n_steps=2))
-        with pytest.raises(ValueError):
-            evolve(sched, initial=np.array([2.0, 0, 0, 0], dtype=complex))
-
 
 class TestSecondOrderConvergence:
     def test_straddle_free_quadrupling_ratio(self):
@@ -271,7 +257,7 @@ class TestSecondOrderConvergence:
         for n in (250, 500, 1000, 2000, 4000):
             sched = build_schedule(ModeParams(x=x, y_i=y_i, y_f=y_f, n_steps=n))
             final, _ = evolve(sched)
-            p[n] = particle_number(final)[2]
+            p[n] = abs(final[3]) ** 2
         err = {n: abs(p[n] - p[4 * n]) for n in (250, 500, 1000)}
         assert err[250] / err[500] == pytest.approx(4.0, rel=0.2)
         assert err[500] / err[1000] == pytest.approx(4.0, rel=0.2)
@@ -279,18 +265,11 @@ class TestSecondOrderConvergence:
 
 
 class TestParticleNumber:
-    def test_pure_states(self):
-        assert particle_number(np.array([0, 0, 0, 1.0])) == (1.0, 1.0, 1.0)
-        assert particle_number(np.array([1.0, 0, 0, 0])) == (0.0, 0.0, 0.0)
-
-    def test_equal_superposition(self):
-        psi = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2.0)
-        n_plus, n_minus, p_pair = particle_number(psi)
-        assert (n_plus, n_minus, p_pair) == pytest.approx((0.5, 0.5, 0.5))
-
     def test_symmetric_occupations_from_vacuum_evolution(self):
+        # n_plus = p_plus + p_pair and n_minus = p_minus + p_pair: from the
+        # vacuum both equal the pair population at every slice boundary.
         sched = build_schedule(ModeParams(x=2.0, n_steps=100))
-        final, _ = evolve(sched)
-        n_plus, n_minus, p_pair = particle_number(final)
-        assert abs(n_plus - p_pair) < 1e-12
-        assert abs(n_minus - p_pair) < 1e-12
+        _, pops = evolve(sched)
+        _, p_plus, p_minus, p_pair = pops.T
+        assert np.array_equal(p_plus + p_pair, p_pair)
+        assert np.array_equal(p_minus + p_pair, p_pair)

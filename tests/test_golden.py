@@ -47,6 +47,12 @@ de-Sitter-only and ten-slice windows above cannot see that.
 The `zero-steps-*` entries pin `--n-steps 0`, the vacuum preparation
 alone, of the three commands that accept it: a one-row trajectory, an
 empty `steps` list and the two X gates of the preparation.
+
+The `stream-*` entries pin files long enough to be written in several
+chunks of 4096 slices; each ends in a short chunk.  Over y_i = -10 the
+first radiation slice of the 10000-slice trajectories lies in their
+second chunk (8095 at x = 1.5, 8000 at x = 2.0), and that of the
+5000-slice schedule at x = 1.3 just below the first bound (4065).
 """
 
 import hashlib
@@ -161,6 +167,20 @@ GOLDEN = {
         {
             "circuit_x2_n0.txt": "d0c5287f8f99e2edec464c34ef71649b2796b834914283812615230665569003",
             "circuit_x3.3_n0.txt": "ad4adea4f8c7eb067e8d92469d87e239a61180dd9f8e5c62a99e74d68dacff9a",
+        },
+    ),
+    "stream-trajectory": (
+        ["trajectory", "--x", "1.5,2.0", "--y-i=-10", "--n-steps", "10000"],
+        {
+            "trajectory_x1.5.csv": "a1eed5f6412439aa321017a24c03643030f7459dc45baafff7aa4fdb3ffbf398",
+            "trajectory_x2.csv": "e4fd6f339e115dc8bb1b461e15bd34942d4fdf64f93ac1a8b02bbd74a321c8d4",
+        },
+    ),
+    "stream-dump-schedule": (
+        ["dump-schedule", "--x", "1.3,2.0", "--y-i=-10", "--n-steps", "5000"],
+        {
+            "schedule_x1.3_n5000.json": "95cd2f55b709e2bf7d61443f7316d28b04dd89e06b39b878b2e508977708be00",
+            "schedule_x2_n5000.json": "af496a2c1f2eb5dcab3302dd143f6dc02ae0408db9e752cc5e813a9a2e0b7c39",
         },
     ),
 }

@@ -17,10 +17,14 @@ sufficient to regenerate it bit-exactly.  Each command but `verify` yields
 its files, and `main` writes them as one set: all of them or none.
 `trajectory`, `dump-schedule` and `dump-circuit` take `--n-steps 0`, a
 schedule of no slices: the vacuum preparation alone.  `sweep` and
-`noise-study` need at least one slice.
+`noise-study` need at least one slice.  Those three commands yield each
+file as a stream of text chunks, formatted one chunk of slices at a time,
+so their memory does not grow with `--n-steps`; before any run they refuse
+a set of files that cannot fit in the free space under `--out-dir`.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a grid too
-large to allocate among them), 3 numerical failure (singular readout
-correction, failed ODE integration, a state that is not normalized).
+large to allocate and files too large for the free space among them),
+3 numerical failure (singular readout correction, failed ODE integration,
+a state that is not normalized).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import argparse
 import itertools
 import json
 import os
+import shutil
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
@@ -65,7 +70,7 @@ from .statevector import (
     run_schedule,
     sample_counts,
 )
-from .subspace import PHYS_INDICES, evolve
+from .subspace import PHYS_INDICES, evolve, propagate
 
 SCHEMA_VERSION = 1
 
@@ -75,8 +80,27 @@ SWEEP_COLUMNS = (
 
 TRAJECTORY_COLUMNS = ("y", "p_vac", "p_plus", "p_minus", "p_pair", "n_k_analytic")
 
-#: Trajectory rows formatted per chunk of streamed CSV text.
-_TRAJECTORY_CHUNK = 4096
+#: Lower bounds on the bytes one slice adds to a file of `trajectory` (a row
+#: of six fields of at least 3 characters), `dump-schedule` (a step) and
+#: `dump-circuit` (at least 20 gates of at least 4 bytes).
+_TRAJECTORY_ROW_BYTES = 24
+_SCHEDULE_STEP_BYTES = 128
+_CIRCUIT_SLICE_BYTES = 80
+
+#: Schedule slices formatted per chunk of streamed `dump-schedule` text.
+_SCHEDULE_CHUNK = 4096
+
+#: One `dump-schedule` step as `json.dumps(..., indent=2, sort_keys=True)`
+#: writes it inside the document's `steps` list.
+_SCHEDULE_STEP = """
+    {
+      "branch": "%s",
+      "ca": %r,
+      "cz": %r,
+      "dy": %r,
+      "index": %d,
+      "y_mid": %r
+    }"""
 
 
 class UsageError(Exception):
@@ -153,14 +177,28 @@ def _parse_x_grid(args) -> list[float]:
     return xs
 
 
-def _file_grid(args) -> list[float]:
-    """Sorted x grid of a command writing a file per x; checked before any run."""
+def _file_grid(args, slice_bytes: int = 0) -> list[float]:
+    """Sorted x grid of a command writing a file per x; checked before any run.
+
+    With `slice_bytes`, a lower bound on the bytes each slice adds to a file,
+    the set must also fit in the free space of --out-dir's nearest existing
+    ancestor, so a step count far too large fails here and not part way.
+    """
     xs = sorted(_parse_x_grid(args))
     for a, b in zip(xs, xs[1:]):  # :g rounds monotonically, so ties are adjacent
         if f"{a:g}" == f"{b:g}":
             raise UsageError(f"x = {a!r} and x = {b!r} share the file label x{a:g}")
     for x in xs:  # the window alone: --n-steps is checked by the command
         _mode_params(x, args, 0)
+    need = len(xs) * slice_bytes * args.n_steps
+    if need > 0:
+        where = Path(args.out_dir).absolute()
+        while not where.exists():
+            where = where.parent
+        free = shutil.disk_usage(where).free
+        if need > free:
+            raise UsageError(f"--n-steps {args.n_steps} needs at least {need} bytes of output, "
+                             f"but {where} has {free} bytes free")
     return xs
 
 
@@ -226,7 +264,7 @@ def _analytic_row(x, **_):
 
 
 def _matrix_row(schedule, **_):
-    final, _ = evolve(schedule, populations=False)
+    final = evolve(schedule)
     return float((np.abs(final) ** 2)[3]), None, 0.0
 
 
@@ -344,28 +382,31 @@ def cmd_sweep(args) -> Iterator[tuple[str, str]]:
 # trajectory
 # ---------------------------------------------------------------------------
 
-def _trajectory_csv(
-    header: list[str], y: np.ndarray, pops: np.ndarray, n_k_an: float
-) -> Iterator[str]:
-    """CSV text of a trajectory in chunks: header, then one row per time."""
+def _trajectory_csv(header: list[str], schedule, n_k_an: float) -> Iterator[str]:
+    """CSV text of a trajectory: the header, then the rows of each chunk that
+    `propagate` yields, formatted as they arrive.
+
+    A row's y is the boundary y_i + n * dy, the bytes of
+    `schedule.boundaries()`, and its populations are the squared amplitudes.
+    From the vacuum p_plus and p_minus are exactly 0.0, and n_k_analytic is
+    one constant, so the row template holds them as text.
+    """
     yield "\n".join([*header, ",".join(TRAJECTORY_COLUMNS)]) + "\n"
-    tail = f",{_fmt(n_k_an)}\n"  # the constant n_k_analytic column
-    for start in range(0, len(y), _TRAJECTORY_CHUNK):
-        stop = start + _TRAJECTORY_CHUNK
-        columns = [y[start:stop], *pops[start:stop].T]
-        rows = zip(*(map(repr, c.tolist()) for c in columns))
-        yield "".join([",".join(row) + tail for row in rows])
+    row = f"%r,%r,0.0,0.0,%r,{_fmt(n_k_an)}\n"
+    y_i, dy, start = schedule.params.y_i, schedule.dy, 0
+    for block in propagate(schedule):
+        stop = start + len(block)
+        values = np.column_stack((y_i + np.arange(start, stop) * dy, np.abs(block) ** 2))
+        yield (row * len(block)) % tuple(values.ravel().tolist())
+        start = stop
 
 
 def cmd_trajectory(args) -> Iterator[tuple[str, Iterator[str]]]:
-    for x in _file_grid(args):
-        n_k_an = n_k_analytic(x)
+    for x in _file_grid(args, _TRAJECTORY_ROW_BYTES):
         params = _mode_params(x, args, args.n_steps)
-        schedule = build_schedule(params)
-        _, pops = evolve(schedule)
-        y = schedule.boundaries()  # after evolve, whose chunk temporaries are then freed
         header = _metadata_lines("trajectory", _x_parameters(params))
-        yield f"trajectory_x{x:g}.csv", _trajectory_csv(header, y, pops, n_k_an)
+        yield f"trajectory_x{x:g}.csv", _trajectory_csv(
+            header, build_schedule(params), n_k_analytic(x))
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +481,33 @@ def cmd_noise_study(args) -> Iterator[tuple[str, str]]:
 # dumps and verify
 # ---------------------------------------------------------------------------
 
-def cmd_dump_schedule(args) -> Iterator[tuple[str, str]]:
-    for x in _file_grid(args):
+def _schedule_json(envelope: str, schedule) -> Iterator[str]:
+    """The schedule dump in chunks: `envelope`, a JSON document whose only
+    empty list is `steps`, with the steps streamed in between its brackets.
+    The text is that of the whole document through `_json_envelope`: every
+    value is a finite float, an int or a plain string."""
+    head, tail = envelope.split("[]")
+    yield head + "["
+    for start in range(0, len(schedule), _SCHEDULE_CHUNK):
+        columns = schedule.columns(start, start + _SCHEDULE_CHUNK)
+        y_mid, cz, ca, radiation = (c.tolist() for c in columns)
+        yield ("," if start else "") + ",".join(
+            _SCHEDULE_STEP % ("radiation" if r else "de_sitter", a, z, schedule.dy, n, y)
+            for n, y, z, a, r in zip(itertools.count(start), y_mid, cz, ca, radiation))
+    yield ("\n  ]" if len(schedule) else "]") + tail
+
+
+def cmd_dump_schedule(args) -> Iterator[tuple[str, Iterator[str]]]:
+    for x in _file_grid(args, _SCHEDULE_STEP_BYTES):
         params = _mode_params(x, args, args.n_steps)
-        schedule = build_schedule(params)
-        steps = [
-            {
-                "index": n,
-                "y_mid": y_mid,
-                "dy": schedule.dy,
-                "cz": cz,
-                "ca": ca,
-                "branch": "radiation" if radiation else "de_sitter",
-            }
-            for n, (y_mid, cz, ca, radiation) in enumerate(
-                zip(*(c.tolist() for c in schedule.columns()))
-            )
-        ]
-        yield f"schedule_x{x:g}_n{params.n_steps}.json", _json_envelope(
-            "dump-schedule", _x_parameters(params), steps=steps)
+        envelope = _json_envelope("dump-schedule", _x_parameters(params), steps=[])
+        yield f"schedule_x{x:g}_n{params.n_steps}.json", _schedule_json(
+            envelope, build_schedule(params))
 
 
 def cmd_dump_circuit(args) -> Iterator[tuple[str, Iterator[str]]]:
     """Each file's header from one walk of the circuit, its gates streamed from a second."""
-    for x in _file_grid(args):
+    for x in _file_grid(args, _CIRCUIT_SLICE_BYTES):
         params = _mode_params(x, args, args.n_steps)
         schedule = build_schedule(params)
         gate_count, depth = gate_count_and_depth(build_full_circuit(schedule))

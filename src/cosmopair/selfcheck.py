@@ -97,7 +97,7 @@ def _check_mode_oracle() -> CheckResult:
 
 def _check_engine_equivalence() -> CheckResult:
     sched = build_schedule(ModeParams(x=2.0, n_steps=10))
-    final, _ = subspace.evolve(sched, populations=False)
+    final = subspace.evolve(sched)
     probs = statevector.probabilities(
         statevector.run_circuit(encoding.build_full_circuit(sched))
     )

@@ -79,7 +79,7 @@ def matrix_runs():
     combos += [(x, n) for x in (1.3, 2.0, 3.0) for n in (1, 10, 100, 1000)]
     combos += [(x, n) for x in (2.2, 2.5, 3.0) for n in (2500, 5000)]
     for x, n in dict.fromkeys(combos):
-        final, _ = evolve(build_schedule(ModeParams(x=x, n_steps=n)))
+        final = evolve(build_schedule(ModeParams(x=x, n_steps=n)))
         runs[(x, n)] = final
     return runs
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -22,13 +23,45 @@ from cosmopair.encoding import zq_pauli_sum, PauliString
 from cosmopair.noise import NoiseModel, noisy_distributions
 from cosmopair.schedule import build_schedule
 from cosmopair.selfcheck import format_report, run_checks
-from cosmopair.subspace import evolve
+from cosmopair.subspace import propagate
 
 
 def read_csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def run_must_fail_fast(tmp_path, argv, timeout=10):
+    """Run `cosmopair *argv --out-dir tmp_path/out` in a subprocess.
+
+    For calls that must be refused before any run: one that runs instead is
+    killed after `timeout` seconds, its output directory with whatever it
+    streamed so far is deleted, and the test fails.  Returns the finished
+    process and the output directory.
+    """
+    out = tmp_path / "out"
+    src = str(Path(cosmopair.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosmopair", *argv, "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        shutil.rmtree(out, ignore_errors=True)
+        pytest.fail(f"cosmopair {' '.join(argv)} still ran after {timeout} s")
+    return proc, out
+
+
+def assert_too_large_exits_2(tmp_path, command):
+    # 10**15 slices: petabytes of output, refused by the free-space check.
+    proc, out = run_must_fail_fast(tmp_path, [command, "--x", "2", "--n-steps", str(10**15)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --n-steps 1000000000000000 needs at least ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def _no_run(*args, **kwargs):
@@ -285,15 +318,10 @@ class TestSweep:
 
 
 class TestTrajectory:
-    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # 10**15 slices: about 7 PiB, above the x86-64 user address space, so
-        # the allocation fails at once under any overcommit policy.
-        out = tmp_path / "out"
-        assert main(["trajectory", "--x", "2", "--n-steps", str(10**15),
-                     "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path):
+        # The rows are streamed, so nothing fails to allocate: the size
+        # check must refuse the grid before the first slice.
+        assert_too_large_exits_2(tmp_path, "trajectory")
 
     def test_columns_and_plateau_column(self, tmp_path):
         assert main(["trajectory", "--x", "2.0", "--n-steps", "40",
@@ -318,13 +346,14 @@ class TestTrajectory:
         assert float(rows[0]["p_pair"]) == 0.0
 
     def test_streamed_rows_match_per_row_formatting(self, tmp_path):
-        # Several formatting chunks, the last one short.  The reference is the
-        # per-row formatting the streamed writer replaced.
+        # Several propagation chunks, the last one short.  The reference is
+        # per-row formatting of the boundaries and of every population.
         x, n_steps = 1.5, 10_001
         assert main(["trajectory", "--x", "1.5", "--n-steps", str(n_steps),
                      "--out-dir", str(tmp_path)]) == 0
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
-        _, populations = evolve(sched)
+        populations = np.zeros((n_steps + 1, 4))
+        populations[:, ::3] = np.abs(np.concatenate(list(propagate(sched)))) ** 2
         rows = [
             ",".join(repr(v) for v in (float(t), *(float(p) for p in pops), n_k_analytic(x)))
             for t, pops in zip(sched.boundaries(), populations)
@@ -355,15 +384,15 @@ class TestTrajectory:
     def test_failure_at_a_later_x_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         import cosmopair.cli as cli
 
-        real_evolve, calls = cli.evolve, []
+        real_propagate, calls = cli.propagate, []
 
-        def evolve(schedule):
+        def propagate(schedule):
             calls.append(schedule)
             if len(calls) == 2:
                 raise ValueError("second x fails")
-            return real_evolve(schedule)
+            return real_propagate(schedule)
 
-        monkeypatch.setattr(cli, "evolve", evolve)
+        monkeypatch.setattr(cli, "propagate", propagate)
         assert main(["trajectory", "--x", "1.5,2.0", "--n-steps", "10",
                      "--out-dir", str(tmp_path)]) == 2
         assert len(calls) == 2
@@ -538,6 +567,41 @@ class TestDumps:
         assert doc["steps"] == []
         assert doc["parameters"] == {"x": 2.0, "n_steps": 0, "y_i": -80.0, "y_f": 0.0}
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 4, 9])
+    def test_schedule_dump_streams_the_json_document(self, tmp_path, monkeypatch, n_steps):
+        # Chunks of 4 slices: none, one short, one whole and a short last
+        # chunk; over y_i = -4 the last slices are radiation slices.
+        monkeypatch.setattr(cosmopair.cli, "_SCHEDULE_CHUNK", 4)
+        assert main(["dump-schedule", "--x", "2.0", "--y-i=-4", "--n-steps", str(n_steps),
+                     "--out-dir", str(tmp_path)]) == 0
+        sched = build_schedule(ModeParams(x=2.0, y_i=-4.0, n_steps=n_steps))
+        steps = [
+            {"index": n, "y_mid": y_mid, "dy": sched.dy, "cz": cz, "ca": ca,
+             "branch": "radiation" if radiation else "de_sitter"}
+            for n, (y_mid, cz, ca, radiation) in enumerate(
+                zip(*(c.tolist() for c in sched.columns())))
+        ]
+        if n_steps >= 4:
+            assert {step["branch"] for step in steps} == {"de_sitter", "radiation"}
+        doc = {
+            "schema_version": 1,
+            "tool": "cosmopair",
+            "version": cosmopair.__version__,
+            "command": "dump-schedule",
+            "parameters": {"x": 2.0, "n_steps": n_steps, "y_i": -4.0, "y_f": 0.0},
+            "steps": steps,
+        }
+        text = (tmp_path / f"schedule_x2_n{n_steps}.json").read_text()
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_schedule_dump_too_large_exits_2(self, tmp_path):
+        assert_too_large_exits_2(tmp_path, "dump-schedule")
+
+    def test_circuit_dump_too_large_exits_2(self, tmp_path):
+        # Without the check the header's walk over the gates runs first, for
+        # hours, and prints nothing.
+        assert_too_large_exits_2(tmp_path, "dump-circuit")
+
     def test_circuit_dump_round_trips(self, tmp_path):
         assert main(["dump-circuit", "--x", "2.0", "--n-steps", "1",
                      "--out-dir", str(tmp_path)]) == 0
@@ -595,6 +659,64 @@ class TestMatrixRowMemory:
             peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert abs(peaks[100_000] - peaks[10_000]) < 1024 * 1024
+
+
+class TestStreamedMemory:
+    @pytest.mark.parametrize("command", ["trajectory", "dump-schedule"])
+    def test_memory_does_not_grow_with_steps(self, tmp_path, command):
+        # Both stream one chunk of slices at a time.  Holding the 1e5
+        # populations and boundaries of a trajectory would add 4 MB, the
+        # per-slice step dicts of a schedule dump about 150 MB.
+        peaks = {}
+        for n_steps in (10_000, 10_000, 100_000):
+            argv = [command, "--x", "2.0", "--n-steps", str(n_steps),
+                    "--out-dir", str(tmp_path / str(n_steps))]
+            tracemalloc.start()
+            assert main(argv) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert abs(peaks[100_000] - peaks[10_000]) < 1024 * 1024
+
+
+class TestOutputSizeCheck:
+    """`trajectory`, `dump-schedule` and `dump-circuit` refuse, before any run,
+    a set of files whose lower size bound exceeds the free space."""
+
+    @pytest.mark.parametrize("command, bound", [
+        ("trajectory", cosmopair.cli._TRAJECTORY_ROW_BYTES),
+        ("dump-schedule", cosmopair.cli._SCHEDULE_STEP_BYTES),
+        ("dump-circuit", cosmopair.cli._CIRCUIT_SLICE_BYTES),
+    ])
+    @pytest.mark.parametrize("y_i", ["-80", "-3"])
+    def test_each_slice_adds_at_least_the_bound(self, tmp_path, command, bound, y_i):
+        # Over y_i = -3 almost every slice is a radiation slice, the
+        # shortest kind in a circuit.
+        sizes = {}
+        for n_steps in (10, 60):
+            out = tmp_path / str(n_steps)
+            assert main([command, "--x", "1.3,2.0", f"--y-i={y_i}", "--n-steps", str(n_steps),
+                         "--out-dir", str(out)]) == 0
+            sizes[n_steps] = [p.stat().st_size for p in sorted(out.iterdir())]
+        assert all(size >= 60 * bound for size in sizes[60])
+        assert all(large - small >= 50 * bound for small, large in zip(sizes[10], sizes[60]))
+
+    def test_free_space_of_the_nearest_existing_ancestor(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def disk_usage(path):
+            seen.append(Path(path))
+            return SimpleNamespace(free=999)
+
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        out = tmp_path / "a" / "b"
+        # Two files of at least 24 bytes per row: 960 bytes fit, 1008 do not.
+        argv = ["trajectory", "--x", "1.5,2.0", "--out-dir", str(out)]
+        assert main(argv + ["--n-steps", "20"]) == 0
+        assert main(argv + ["--n-steps", "21"]) == 2
+        assert seen == [tmp_path, out]
+        assert capsys.readouterr().err == (
+            f"error: --n-steps 21 needs at least 1008 bytes of output, but {out} has 999 bytes free\n")
+        assert sorted(p.name for p in out.iterdir()) == ["trajectory_x1.5.csv", "trajectory_x2.csv"]
 
 
 class TestChecksBeforeAnyRun:

@@ -182,7 +182,7 @@ class TestFullCircuit:
     @pytest.mark.parametrize("x,n_steps", [(1.3, 1), (2.0, 10), (2.0, 100)])
     def test_full_circuit_matches_matrix_engine(self, x, n_steps):
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
-        final, _ = evolve(sched)
+        final = evolve(sched)
         probs = probabilities(run_circuit(build_full_circuit(sched)))
         for i, j in enumerate(IDX):
             assert abs(probs[j] - abs(final[i]) ** 2) < 1e-10

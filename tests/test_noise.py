@@ -49,7 +49,7 @@ from cosmopair.statevector import (
     run_schedule,
     sample_counts,
 )
-from cosmopair.subspace import PHYS_INDICES, evolve
+from cosmopair.subspace import PHYS_INDICES, evolve, propagate
 
 
 def circuit_of(params):
@@ -608,7 +608,7 @@ class TestNoiselessChannelOracle:
         phys = list(PHYS_INDICES)
         for p, probs in zip(params, channel):
             sched = build_schedule(p)
-            matrix = np.abs(evolve(sched, populations=False)[0]) ** 2
+            matrix = np.abs(evolve(sched)) ** 2
             # 6e-15 to 8e-15 at N = 1000, 5.2e-14 at N = 5000.
             assert np.max(np.abs(probs[phys] - matrix)) < 1e-13
             assert 1.0 - np.sum(probs[phys]) < 1e-15  # no leakage at all
@@ -625,8 +625,8 @@ class TestNoiselessChannelOracle:
         # matrix engine and the channel; test_encoding and test_statevector
         # check the circuit and `run_schedule` on the same window.
         sched = build_schedule(ModeParams(x=2.0, n_steps=0))
-        final, pops = evolve(sched)
-        assert final.tolist() == [1.0, 0.0, 0.0, 0.0] and pops.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+        (amplitudes,) = propagate(sched)
+        assert evolve(sched).tolist() == [1.0, 0.0, 0.0, 0.0] and amplitudes.tolist() == [[1.0, 0.0]]
         exact = NoiseModel(readout=(np.eye(2),) * 4, p1=0.0, p2=0.0)
         assert labelled(noisy_distributions([sched], [exact])[0, 0]) == {"0101": 1.0}
 

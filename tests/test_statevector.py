@@ -304,7 +304,7 @@ class TestEngineEquivalence:
         from cosmopair.subspace import PHYS_INDICES, evolve
 
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
-        final, _ = evolve(sched)
+        final = evolve(sched)
         probs = probabilities(run_circuit(build_full_circuit(sched)))
         for i, j in enumerate(PHYS_INDICES):
             assert abs(probs[j] - abs(final[i]) ** 2) < 1e-10

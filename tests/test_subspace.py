@@ -15,6 +15,7 @@ from cosmopair.subspace import (
     A_PHYS,
     Z_PHYS,
     evolve,
+    propagate,
     strang_step_unitary,
 )
 
@@ -25,6 +26,19 @@ VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 def make_step(cz, ca, dy):
     """Split-step angles (theta_zh, theta_a) of one slice, on Python floats."""
     return cz * dy / 2.0, ca * dy
+
+
+def amplitudes(schedule):
+    """(n_steps + 1, 2) (vacuum, pair) amplitudes at the slice boundaries."""
+    return np.concatenate(list(propagate(schedule)))
+
+
+def populations(schedule):
+    """(n_steps + 1, 4) populations (p_vac, p_plus, p_minus, p_pair) at the
+    slice boundaries; from the vacuum p_plus and p_minus are 0."""
+    pops = np.zeros((len(schedule) + 1, 4))
+    pops[:, ::3] = np.abs(amplitudes(schedule)) ** 2
+    return pops
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +57,20 @@ def _reference_step_unitary(theta_zh, theta_a):
 
 
 def _reference_evolve(schedule, psi):
-    pops = [np.abs(psi) ** 2]
+    """The 4-component state at every slice boundary, the vacuum first."""
+    states = [psi]
     _, cz_column, ca_column, _ = schedule.columns()
     for cz, ca in zip(cz_column.tolist(), ca_column.tolist()):
         psi = _reference_step_unitary(*make_step(cz, ca, schedule.dy)) @ psi
-        pops.append(np.abs(psi) ** 2)
-    return psi, np.array(pops)
+        states.append(psi)
+    return np.array(states)
 
 
 def _assert_evolve_matches_reference(schedule):
-    ref_final, ref_pops = _reference_evolve(schedule, VACUUM)
-    final, pops = evolve(schedule)
-    assert np.array_equal(final, ref_final)
-    assert np.array_equal(pops, ref_pops)
+    ref = _reference_evolve(schedule, VACUUM)
+    assert np.array_equal(evolve(schedule), ref[-1])
+    assert np.array_equal(amplitudes(schedule), ref[:, ::3])
+    assert not np.any(ref[:, 1:3])
 
 
 class TestChunkedEngine:
@@ -77,11 +92,14 @@ class TestChunkedEngine:
         _assert_evolve_matches_reference(sched)
 
     def test_final_state_path_is_bit_identical(self):
-        # Without populations the same loop runs: the same final bits.
+        # Without recording the same loop runs: the same final bits, and
+        # one (1, 2) state per chunk.
         sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
-        final, pops = evolve(sched, populations=False)
-        assert pops is None
-        assert final.tobytes() == evolve(sched)[0].tobytes()
+        blocks = list(propagate(sched, record=False))
+        assert [b.shape for b in blocks] == [(1, 2)] * (1 + -(-20_000 // subspace.EVOLVE_CHUNK))
+        assert blocks[-1].tobytes() == amplitudes(sched)[-1:].tobytes()
+        final = evolve(sched)
+        assert final[::3].tobytes() == blocks[-1].tobytes() and not np.any(final[1:3])
 
     @given(
         cz=st.floats(min_value=-2.0, max_value=2.0),
@@ -94,22 +112,22 @@ class TestChunkedEngine:
 
     def test_memory_grows_only_by_the_populations(self, monkeypatch):
         # With small chunks the working set is a few kilobytes, so a per-slice
-        # Python object that outlived its chunk would show as growth.
+        # Python object that outlived its chunk would show as growth.  A
+        # caller that keeps no chunk keeps no population: nothing may grow.
         monkeypatch.setattr(subspace, "EVOLVE_CHUNK", 256)
 
         def peak(n_steps):
             sched = build_schedule(ModeParams(x=2.0, n_steps=n_steps))
             tracemalloc.start()
             try:
-                evolve(sched)
-                return tracemalloc.get_traced_memory()[1]
+                rows = sum(len(block) for block in propagate(sched))
+                return rows, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(1000), peak(20_000)
-        # Per extra slice: the 4 population floats.
-        arrays = (20_000 - 1000) * 4 * 8
-        assert large <= small + arrays + 64 * 1024
+        (small_rows, small), (large_rows, large) = peak(1000), peak(20_000)
+        assert (small_rows, large_rows) == (1001, 20_001)
+        assert large <= small + 64 * 1024
 
     def test_final_state_memory_does_not_grow(self, monkeypatch):
         monkeypatch.setattr(subspace, "EVOLVE_CHUNK", 256)
@@ -118,7 +136,7 @@ class TestChunkedEngine:
             sched = build_schedule(ModeParams(x=2.0, n_steps=n_steps))
             tracemalloc.start()
             try:
-                evolve(sched, populations=False)
+                evolve(sched)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -188,7 +206,7 @@ class TestEvolve:
 
     def test_single_step_closed_form(self):
         sched = build_schedule(ModeParams(x=1.3, n_steps=1))
-        final, pops = evolve(sched)
+        final, pops = evolve(sched), populations(sched)
         _, cz, ca, _ = sched.columns()
         _, theta_a = make_step(float(cz[0]), float(ca[0]), sched.dy)
         assert abs(final[3]) ** 2 == pytest.approx(np.sin(theta_a) ** 2, abs=1e-15)
@@ -199,34 +217,34 @@ class TestEvolve:
 
     def test_norm_preserved_over_long_evolution(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=2500))
-        final, _ = evolve(sched)
+        final = evolve(sched)
         assert abs(np.linalg.norm(final) - 1.0) < 1e-10
 
     def test_parity_sector_never_populated(self):
         # From the vacuum the pair generator never reaches |1001> or |0110>:
-        # p_plus and p_minus are exactly 0.0 at every slice boundary.
+        # the full 4x4 slice product keeps p_plus and p_minus exactly 0.0 at
+        # every slice boundary, which is why `propagate` carries the
+        # (vacuum, pair) block alone.
         sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
-        _, pops = evolve(sched)
-        assert not np.any(pops[:, 1:3])
+        assert not np.any(_reference_evolve(sched, VACUUM)[:, 1:3])
 
     def test_rows_sum_to_one(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=300))
-        _, pops = evolve(sched)
+        pops = populations(sched)
         assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-10
 
     def test_high_resolution_reference_x2(self):
         # Frozen by this engine at N=2500; deviation from 1/(4x^4) is the
         # truncation floor (-3.6%) plus the grid snap of the transition.
         sched = build_schedule(ModeParams(x=2.0, n_steps=2500))
-        final, _ = evolve(sched)
+        final = evolve(sched)
         p_pair = abs(final[3]) ** 2
         assert p_pair == pytest.approx(0.0145988, abs=2e-7)
         assert abs(p_pair - n_k_analytic(2.0)) / n_k_analytic(2.0) < 0.08
 
     def test_trajectory_shape_flat_rise_plateau(self):
         sched = build_schedule(ModeParams(x=1.5, n_steps=2500))
-        _, pops = evolve(sched)
-        p = pops[:, 3]
+        p = populations(sched)[:, 3]
         y = sched.boundaries()
         # Flat and tiny deep in the de Sitter era.
         assert np.max(p[y < -15.0]) < 1e-3
@@ -251,7 +269,7 @@ class TestSecondOrderConvergence:
         p = {}
         for n in (250, 500, 1000, 2000, 4000):
             sched = build_schedule(ModeParams(x=x, y_i=y_i, y_f=y_f, n_steps=n))
-            final, _ = evolve(sched)
+            final = evolve(sched)
             p[n] = abs(final[3]) ** 2
         err = {n: abs(p[n] - p[4 * n]) for n in (250, 500, 1000)}
         assert err[250] / err[500] == pytest.approx(4.0, rel=0.2)
@@ -264,7 +282,6 @@ class TestParticleNumber:
         # n_plus = p_plus + p_pair and n_minus = p_minus + p_pair: from the
         # vacuum both equal the pair population at every slice boundary.
         sched = build_schedule(ModeParams(x=2.0, n_steps=100))
-        _, pops = evolve(sched)
-        _, p_plus, p_minus, p_pair = pops.T
+        _, p_plus, p_minus, p_pair = populations(sched).T
         assert np.array_equal(p_plus + p_pair, p_pair)
         assert np.array_equal(p_minus + p_pair, p_pair)

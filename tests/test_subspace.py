@@ -42,7 +42,7 @@ def populations(schedule):
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-slice engine that the chunked evolve replaced.  Each
+# Reference: the per-slice engine that the chunked propagation replaced.  Each
 # slice builds its 4x4 propagator with numpy and multiplies the state by it.
 # ---------------------------------------------------------------------------
 
@@ -93,10 +93,10 @@ class TestChunkedEngine:
 
     def test_final_state_path_is_bit_identical(self):
         # Without recording the same loop runs: the same final bits, and
-        # one (1, 2) state per chunk.
+        # one (1, 2) state for the vacuum and for each of the 5 chunks.
         sched = build_schedule(ModeParams(x=1.5, n_steps=20_000))
         blocks = list(propagate(sched, record=False))
-        assert [b.shape for b in blocks] == [(1, 2)] * (1 + -(-20_000 // subspace.EVOLVE_CHUNK))
+        assert [b.shape for b in blocks] == [(1, 2)] * 6
         assert blocks[-1].tobytes() == amplitudes(sched)[-1:].tobytes()
         final = evolve(sched)
         assert final[::3].tobytes() == blocks[-1].tobytes() and not np.any(final[1:3])

@@ -70,7 +70,7 @@ from .statevector import (
     run_schedule,
     sample_counts,
 )
-from .subspace import PHYS_INDICES, evolve, propagate
+from .subspace import PHYS_INDICES, evolve, pair_chunks, propagate
 
 SCHEMA_VERSION = 1
 
@@ -386,15 +386,15 @@ def _trajectory_csv(header: list[str], schedule, n_k_an: float) -> Iterator[str]
     """CSV text of a trajectory: the header, then the rows of each chunk that
     `propagate` yields, formatted as they arrive.
 
-    A row's y is the boundary y_i + n * dy, the bytes of
-    `schedule.boundaries()`, and its populations are the squared amplitudes.
+    A row's y is the boundary y_i + n * dy, and its populations are the
+    squared amplitudes.
     From the vacuum p_plus and p_minus are exactly 0.0, and n_k_analytic is
     one constant, so the row template holds them as text.
     """
     yield "\n".join([*header, ",".join(TRAJECTORY_COLUMNS)]) + "\n"
     row = f"%r,%r,0.0,0.0,%r,{_fmt(n_k_an)}\n"
     y_i, dy, start = schedule.params.y_i, schedule.dy, 0
-    for block in propagate(schedule):
+    for block in propagate(pair_chunks(schedule)):
         stop = start + len(block)
         values = np.column_stack((y_i + np.arange(start, stop) * dy, np.abs(block) ** 2))
         yield (row * len(block)) % tuple(values.ravel().tolist())

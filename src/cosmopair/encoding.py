@@ -40,7 +40,6 @@ __all__ = [
     "step_template",
     "slice_cuts",
     "slice_chunks",
-    "synthesize_step",
     "build_full_circuit",
     "phase_aligned_distance",
 ]
@@ -238,18 +237,6 @@ def slice_chunks(schedule):
     for lo, hi in zip(cuts, cuts[1:]):
         template = step_template(lo < switch)
         yield template, template.rz_angles(np.column_stack(schedule.angles(lo, hi)))
-
-
-def synthesize_step(theta_zh: float, theta_a: float) -> list[Gate]:
-    """One symmetric split slice: Z half-block, pair block, Z half-block.
-
-    Takes the slice's `CoeffSchedule.angles`.  The pair block is the exact
-    product of the eight commuting string rotations.  Radiation-era slices
-    (theta_a = 0) emit no four-qubit rotations at all, leaving a purely
-    diagonal circuit.
-    """
-    template = step_template(theta_a != 0.0)
-    return template.instantiate(template.rz_angles([[theta_zh, theta_a]])[0].tolist())
 
 
 def build_full_circuit(schedule) -> Iterator[Gate]:

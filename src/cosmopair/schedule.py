@@ -68,10 +68,6 @@ class CoeffSchedule:
         y_i, dy, x = self.params.y_i, self.dy, self.params.x
         return bisect.bisect_left(range(len(self)), True, key=lambda k: y_i + (k + 0.5) * dy >= -x)
 
-    def boundaries(self) -> np.ndarray:
-        """Slice-boundary times y_0 .. y_N (length n_steps + 1)."""
-        return self.params.y_i + np.arange(len(self) + 1) * self.dy
-
     def angles(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Split-step angles (theta_z_half, theta_a) of slices start .. stop-1.
 

@@ -95,35 +95,28 @@ def _check_mode_oracle() -> CheckResult:
     )
 
 
-def _check_engine_equivalence() -> CheckResult:
-    sched = build_schedule(ModeParams(x=2.0, n_steps=10))
-    final = subspace.evolve(sched)
-    probs = statevector.probabilities(
-        statevector.run_circuit(encoding.build_full_circuit(sched))
-    )
+def _check_engines() -> list[CheckResult]:
+    """Both fast engines against one gate-by-gate replay of the same circuit."""
+    # Eight de Sitter slices then two radiation slices: both slice templates.
+    sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=10))
+    gatewise = statevector.run_circuit(encoding.build_full_circuit(sched))
+    final, probs = subspace.evolve(sched), statevector.probabilities(gatewise)
     worst = max(
         abs(abs(final[i]) ** 2 - probs[j]) for i, j in enumerate(subspace.PHYS_INDICES)
     )
-    return CheckResult(
-        "engine_equivalence_n10", worst < 1e-10, f"max population diff {worst:.3e}"
-    )
-
-
-def _check_schedule_runner() -> CheckResult:
-    # Eight de Sitter slices then two radiation slices: both slice templates.
-    sched = build_schedule(ModeParams(x=2.0, y_i=-10.0, n_steps=10))
-    fused = statevector.run_schedule(sched)
-    gatewise = statevector.run_circuit(encoding.build_full_circuit(sched))
-    worst = float(np.max(np.abs(fused - gatewise)))
-    return CheckResult(
-        "schedule_runner_n10", worst < 1e-12, f"max amplitude diff {worst:.3e}"
-    )
+    diff = float(np.max(np.abs(statevector.run_schedule(sched) - gatewise)))
+    return [
+        CheckResult("engine_equivalence_n10", worst < 1e-10, f"max population diff {worst:.3e}"),
+        CheckResult("schedule_runner_n10", diff < 1e-12, f"max amplitude diff {diff:.3e}"),
+    ]
 
 
 def _check_step_synthesis() -> CheckResult:
-    angles = [a.item() for a in build_schedule(ModeParams(x=1.3, n_steps=1)).angles()]
+    sched = build_schedule(ModeParams(x=1.3, n_steps=1))
+    angles = [a.item() for a in sched.angles()]
+    (template, rz_angles), = encoding.slice_chunks(sched)
     idx = np.array(subspace.PHYS_INDICES)
-    dense = statevector.circuit_unitary(encoding.synthesize_step(*angles))
+    dense = statevector.circuit_unitary(template.instantiate(rz_angles[0].tolist()))
     dist = phase_aligned_distance(
         dense[np.ix_(idx, idx)], subspace.strang_step_unitary(*angles)
     )
@@ -145,8 +138,7 @@ def run_checks(
         _check_pair_embedding(aq),
         _check_pair_commutation(aq),
         _check_mode_oracle(),
-        _check_engine_equivalence(),
-        _check_schedule_runner(),
+        *_check_engines(),
         _check_step_synthesis(),
     ]
 

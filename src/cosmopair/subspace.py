@@ -7,26 +7,29 @@ pair.  Because the pair generator squares to a projector on that block, its
 exponential has an exact cos/sin form and each split step is assembled from
 closed-form factors rather than a generic matrix exponential.
 
-`propagate` is the one propagation loop.  It starts from the encoded
-vacuum, computes the closed-form (vacuum, pair) entries for a chunk of
-slices at once and advances the state slice by slice in Python complex
-arithmetic.  From the vacuum the single-quantum amplitudes are exactly 0,
-so it carries only the (vacuum, pair) block.  The operations are those of
-`strang_step_unitary(theta_zh, theta_a) @ psi` on the slice's
-`CoeffSchedule.angles`, so both give the same bits.  It hands each chunk's
-amplitudes to its caller and keeps none, so its memory is one chunk of
-per-slice values whatever the step count.  `evolve` runs the same loop for
-the final state alone, without building any per-slice list: the `matrix`
-sweep row and `verify` read only that.
+`propagate` is the one loop that advances a pure state slice by slice, for
+both noiseless engines.  It starts from the encoded vacuum and takes the
+slices' (vacuum, pair) propagator entries chunk by chunk, advancing the
+state in Python complex arithmetic.  From the vacuum the single-quantum
+amplitudes are exactly 0, so it carries only the (vacuum, pair) block.
+`pair_chunks` streams the closed-form entries of a schedule's slices:
+the operations are those of `strang_step_unitary(theta_zh, theta_a) @ psi`
+on the slice's `CoeffSchedule.angles`, so both give the same bits.
+`statevector.run_schedule` streams the same block of its compiled circuit
+slices instead.  `propagate` hands each chunk's amplitudes to its caller
+and keeps none, so its memory is one chunk of per-slice values whatever the
+step count.  `evolve` runs the loop for the final state alone, without
+building any per-slice list: the `matrix` sweep row and `verify` read only
+that.
 
 This engine is the high-resolution reference for the circuit implementation
 and also produces the time-resolved pair-occupation trajectory: the
-amplitudes at the slice boundaries `CoeffSchedule.boundaries()`.
+amplitudes at the slice boundaries y_i + n * dy, n = 0 .. n_steps.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "A_PHYS",
     "EVOLVE_CHUNK",
     "strang_step_unitary",
+    "pair_chunks",
     "propagate",
     "evolve",
 ]
@@ -56,7 +60,7 @@ Z_PHYS = np.diag([0.0, 1.0, 1.0, 2.0])
 A_PHYS = np.zeros((4, 4))
 A_PHYS[0, 3] = A_PHYS[3, 0] = 1.0
 
-#: Slices whose propagator entries `propagate` computes in one numpy pass.
+#: Slices whose propagator entries `pair_chunks` computes in one numpy pass.
 EVOLVE_CHUNK = 4096
 
 
@@ -86,20 +90,27 @@ def strang_step_unitary(theta_zh: float, theta_a: float) -> np.ndarray:
     return u
 
 
-def propagate(schedule: CoeffSchedule, *, record: bool = True) -> Iterator[np.ndarray]:
-    """Carry the encoded vacuum through `schedule`'s slices, one chunk at a time.
+def pair_chunks(schedule: CoeffSchedule) -> Iterator[tuple[np.ndarray, ...]]:
+    """(u00, u03, u30, u33) of `strang_step_unitary` for each chunk of `schedule`'s slices."""
+    for start in range(0, len(schedule), EVOLVE_CHUNK):
+        yield _pair_entries(*schedule.angles(start, start + EVOLVE_CHUNK))
 
-    Yields (m, 2) complex arrays of (vacuum, pair) amplitudes: first the
-    (1, 2) vacuum, then for each chunk of m slices the state after each of
-    them, so that the rows run over the slice boundaries
-    `schedule.boundaries()`.  Without `record` each chunk yields only the
-    (1, 2) state after its last slice and no per-slice list is built; the
-    bits are the same either way.
+
+def propagate(chunks: Iterable[Iterable[np.ndarray]], *,
+              record: bool = True) -> Iterator[np.ndarray]:
+    """Carry the encoded vacuum through the slices of `chunks`, one chunk at a time.
+
+    Each chunk holds four equal-length arrays, the (vacuum, pair) propagator
+    entries (u00, u03, u30, u33) of its slices in order.  Yields (m, 2)
+    complex arrays of (vacuum, pair) amplitudes: first the (1, 2) vacuum,
+    then for each chunk of m slices the state after each of them, so that
+    the rows run over the slice boundaries.  Without `record` each chunk
+    yields only the (1, 2) state after its last slice and no per-slice list
+    is built; the bits are the same either way.
     """
     p0, p3 = 1.0 + 0j, 0j
     yield np.array([[p0, p3]])
-    for start in range(0, len(schedule), EVOLVE_CHUNK):
-        entries = _pair_entries(*schedule.angles(start, start + EVOLVE_CHUNK))
+    for entries in chunks:
         states = []
         for u00, u03, u30, u33 in zip(*(e.tolist() for e in entries)):
             # the (vacuum, pair) block of u @ psi, without its zero entries
@@ -111,7 +122,7 @@ def propagate(schedule: CoeffSchedule, *, record: bool = True) -> Iterator[np.nd
 
 def evolve(schedule: CoeffSchedule) -> np.ndarray:
     """The final 4-component state of `propagate`, which builds no per-slice list for it."""
-    for block in propagate(schedule, record=False):
+    for block in propagate(pair_chunks(schedule), record=False):
         pass
     (p0, p3), = block
     return np.array([p0, 0j, 0j, p3])

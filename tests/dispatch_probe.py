@@ -1,15 +1,19 @@
-"""The noisy channel's output bytes, and the CPU kernels numpy and OpenBLAS can pick.
+"""The output bytes of the noisy channel and of `run_schedule`, and the CPU
+kernels numpy and OpenBLAS can pick.
 
 Run as a script, prints the enabled AVX2/AVX-512 targets (or `-`) and the
-digest, so a test can compare a run under NPY_DISABLE_CPU_FEATURES or
-OPENBLAS_CORETYPE with its own.  Imports only numpy and cosmopair.
+channel's digest, or `run_schedule`'s with the argument `schedule`, so a
+test can compare a run under NPY_DISABLE_CPU_FEATURES or OPENBLAS_CORETYPE
+with its own.  Imports only numpy and cosmopair.
 """
 
 import hashlib
+import sys
 
 from cosmopair.background import ModeParams
 from cosmopair.noise import NoiseModel, noisy_distributions
 from cosmopair.schedule import build_schedule
+from cosmopair.statevector import run_schedule
 
 
 def _cpu_features() -> dict:
@@ -44,5 +48,15 @@ def distributions_digest() -> str:
     return hashlib.sha256(noisy_distributions(schedules, models).tobytes()).hexdigest()
 
 
+def schedule_digest() -> str:
+    """sha256 of `run_schedule`'s amplitudes over a few (x, y_i, N) windows:
+    de Sitter and radiation slices, over one chunk and over several."""
+    windows = ((1.3, -80.0, 1000), (2.0, -80.0, 1000), (2.0, -10.0, 10), (2.3, -2.5, 257))
+    amps = [run_schedule(build_schedule(ModeParams(x=x, y_i=y_i, n_steps=n)))
+            for x, y_i, n in windows]
+    return hashlib.sha256(b"".join(a.tobytes() for a in amps)).hexdigest()
+
+
 if __name__ == "__main__":
-    print(" ".join(wide_simd_targets()) or "-", distributions_digest())
+    digest = schedule_digest if sys.argv[1:] == ["schedule"] else distributions_digest
+    print(" ".join(wide_simd_targets()) or "-", digest())

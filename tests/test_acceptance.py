@@ -22,7 +22,7 @@ from cosmopair.encoding import (
     build_full_circuit,
     pauli_to_matrix,
     phase_aligned_distance,
-    synthesize_step,
+    slice_chunks,
     zq_pauli_sum,
 )
 from cosmopair.mitigation import linear_extrapolate, mitigate_readout, zne_estimate
@@ -195,8 +195,10 @@ def test_criterion_06_encoding_faithfulness():
     step_dist = 0.0
     for x, n in ((1.3, 1), (2.0, 3)):
         sched = build_schedule(ModeParams(x=x, n_steps=n))
-        for angles in zip(*(a.tolist() for a in sched.angles())):
-            dense = circuit_unitary(synthesize_step(*angles))[np.ix_(idx, idx)]
+        thetas = zip(*(a.tolist() for a in sched.angles()))
+        slices = (t.instantiate(row) for t, rz in slice_chunks(sched) for row in rz.tolist())
+        for angles, gates in zip(thetas, slices, strict=True):
+            dense = circuit_unitary(gates)[np.ix_(idx, idx)]
             step_dist = max(
                 step_dist, phase_aligned_distance(dense, strang_step_unitary(*angles))
             )

@@ -23,7 +23,7 @@ from cosmopair.encoding import zq_pauli_sum, PauliString
 from cosmopair.noise import NoiseModel, noisy_distributions
 from cosmopair.schedule import build_schedule
 from cosmopair.selfcheck import format_report, run_checks
-from cosmopair.subspace import propagate
+from cosmopair.subspace import pair_chunks, propagate
 
 
 def read_csv_rows(path):
@@ -353,10 +353,11 @@ class TestTrajectory:
                      "--out-dir", str(tmp_path)]) == 0
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
         populations = np.zeros((n_steps + 1, 4))
-        populations[:, ::3] = np.abs(np.concatenate(list(propagate(sched)))) ** 2
+        populations[:, ::3] = np.abs(np.concatenate(list(propagate(pair_chunks(sched))))) ** 2
+        boundaries = sched.params.y_i + np.arange(n_steps + 1) * sched.dy
         rows = [
             ",".join(repr(v) for v in (float(t), *(float(p) for p in pops), n_k_analytic(x)))
-            for t, pops in zip(sched.boundaries(), populations)
+            for t, pops in zip(boundaries, populations)
         ]
         lines = (tmp_path / "trajectory_x1.5.csv").read_text().split("\n")
         assert lines[3] == "y,p_vac,p_plus,p_minus,p_pair,n_k_analytic"
@@ -386,11 +387,11 @@ class TestTrajectory:
 
         real_propagate, calls = cli.propagate, []
 
-        def propagate(schedule):
-            calls.append(schedule)
+        def propagate(chunks):
+            calls.append(chunks)
             if len(calls) == 2:
                 raise ValueError("second x fails")
-            return real_propagate(schedule)
+            return real_propagate(chunks)
 
         monkeypatch.setattr(cli, "propagate", propagate)
         assert main(["trajectory", "--x", "1.5,2.0", "--n-steps", "10",

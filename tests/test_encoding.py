@@ -22,7 +22,6 @@ from cosmopair.encoding import (
     slice_cuts,
     step_template,
     synthesize_pauli_rotation,
-    synthesize_step,
     zq_pauli_sum,
 )
 from cosmopair.schedule import build_schedule
@@ -34,6 +33,14 @@ IDX = np.array(PHYS_INDICES)
 
 def restrict(m: np.ndarray) -> np.ndarray:
     return m[np.ix_(IDX, IDX)]
+
+
+def slice_circuits(schedule) -> list:
+    """(angles, gates) of each slice: its `CoeffSchedule.angles`, and its
+    `slice_chunks` template instantiated at its row of RZ angles."""
+    thetas = zip(*(a.tolist() for a in schedule.angles()))
+    gates = (t.instantiate(row) for t, rz in slice_chunks(schedule) for row in rz.tolist())
+    return list(zip(thetas, gates, strict=True))
 
 
 class TestPauliTables:
@@ -132,7 +139,7 @@ class TestStepSynthesis:
     def test_radiation_step_is_diagonal(self):
         sched = build_schedule(ModeParams(x=2.0, y_i=-2.5, y_f=-0.5, n_steps=4))
         assert sched.columns()[2][-1] == 0.0
-        circuit = synthesize_step(*(a[-1].item() for a in sched.angles()))
+        _, circuit = slice_circuits(sched)[-1]
         assert all(g.name in ("RZ", "CNOT") for g in circuit)
         u = circuit_unitary(circuit)
         off = u - np.diag(np.diag(u))
@@ -141,8 +148,8 @@ class TestStepSynthesis:
     @pytest.mark.parametrize("x,n_steps", [(1.3, 1), (2.0, 5), (3.0, 20)])
     def test_step_unitaries_match_subspace_engine(self, x, n_steps):
         sched = build_schedule(ModeParams(x=x, n_steps=n_steps))
-        for angles in zip(*(a.tolist() for a in sched.angles())):
-            dense = circuit_unitary(synthesize_step(*angles))
+        for angles, gates in slice_circuits(sched):
+            dense = circuit_unitary(gates)
             dist = phase_aligned_distance(restrict(dense), strang_step_unitary(*angles))
             assert dist < 1e-10
 
@@ -166,12 +173,10 @@ class TestFullCircuit:
     def test_two_step_structure(self):
         sched = build_schedule(ModeParams(x=2.0, n_steps=2))
         circuit = list(build_full_circuit(sched))
-        first, second = zip(*(a.tolist() for a in sched.angles()))
-        one_step = len(synthesize_step(*first))
+        (_, first), (_, second) = slice_circuits(sched)
         # Preparation plus two equal-shape split-step blocks.
-        assert circuit == [*circuit[:2], *synthesize_step(*first), *synthesize_step(*second)]
-        assert len(circuit) == 2 + one_step + len(synthesize_step(*second))
-        assert one_step == len(synthesize_step(*second))
+        assert circuit == [*circuit[:2], *first, *second]
+        assert len(circuit) == 2 + 2 * len(first) and len(first) == len(second)
 
     def test_single_step_gate_count_regression(self):
         # Frozen from the synthesis rules: 2 preparation X gates, two Z

@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bitstrings import dist, labelled
-from dispatch_probe import distributions_digest, openblas_core_types, wide_simd_targets
+from dispatch_probe import (
+    distributions_digest,
+    openblas_core_types,
+    schedule_digest,
+    wide_simd_targets,
+)
 
 import cosmopair
 import cosmopair.encoding as encoding
@@ -49,7 +54,7 @@ from cosmopair.statevector import (
     run_schedule,
     sample_counts,
 )
-from cosmopair.subspace import PHYS_INDICES, evolve, propagate
+from cosmopair.subspace import PHYS_INDICES, evolve, pair_chunks, propagate
 
 
 def circuit_of(params):
@@ -625,7 +630,7 @@ class TestNoiselessChannelOracle:
         # matrix engine and the channel; test_encoding and test_statevector
         # check the circuit and `run_schedule` on the same window.
         sched = build_schedule(ModeParams(x=2.0, n_steps=0))
-        (amplitudes,) = propagate(sched)
+        (amplitudes,) = propagate(pair_chunks(sched))
         assert evolve(sched).tolist() == [1.0, 0.0, 0.0, 0.0] and amplitudes.tolist() == [[1.0, 0.0]]
         exact = NoiseModel(readout=(np.eye(2),) * 4, p1=0.0, p2=0.0)
         assert labelled(noisy_distributions([sched], [exact])[0, 0]) == {"0101": 1.0}
@@ -661,8 +666,8 @@ class TestTableau:
                         name, qubits, letters[a])
 
 
-def _probe(**env) -> list[str]:
-    """The dispatch probe's output, run in a fresh interpreter under `env`."""
+def _probe(*argv, **env) -> list[str]:
+    """The dispatch probe's output for `argv`, run in a fresh interpreter under `env`."""
     src = str(Path(cosmopair.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -671,7 +676,7 @@ def _probe(**env) -> list[str]:
     }
     probe = str(Path(__file__).with_name("dispatch_probe.py"))
     out = subprocess.run(
-        [sys.executable, probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, probe, *argv], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.split()
 
@@ -702,6 +707,21 @@ def test_distributions_do_not_depend_on_the_blas_kernel():
         pytest.skip(f"this CPU runs {len(cores)} of the OpenBLAS core types compared")
     digests = {core: _probe(OPENBLAS_CORETYPE=core)[-1] for core in cores}
     assert set(digests.values()) == {distributions_digest()}, digests
+
+
+def test_schedule_runner_does_not_depend_on_the_blas_kernel():
+    """`run_schedule`'s bytes stay the same whichever kernel OpenBLAS runs.
+
+    It feeds the (vacuum, pair) entries of its compiled slices to
+    `subspace.propagate`, which advances the state in Python complex
+    arithmetic: no BLAS product, unlike a 16x16 `block @ amps` chain,
+    whose bits the SSE3 kernel moves.
+    """
+    cores = openblas_core_types()
+    if len(cores) < 2:
+        pytest.skip(f"this CPU runs {len(cores)} of the OpenBLAS core types compared")
+    digests = {core: _probe("schedule", OPENBLAS_CORETYPE=core)[-1] for core in cores}
+    assert set(digests.values()) == {schedule_digest()}, digests
 
 
 class TestBatchedKernels:

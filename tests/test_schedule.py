@@ -52,7 +52,8 @@ def _assert_matches_reference(params):
     assert np.array_equal(np.signbit(ca), [np.signbit(s.ca) for s in ref])
     assert np.array_equal(radiation, [s.radiation for s in ref])
     assert sched.dy == ref[0].dy
-    assert np.array_equal(sched.boundaries(), _reference_boundaries(params))
+    boundaries = params.y_i + np.arange(len(sched) + 1) * sched.dy
+    assert np.array_equal(boundaries, _reference_boundaries(params))
     return sched, ref
 
 
@@ -199,9 +200,9 @@ def test_branch_decided_by_midpoint_sign():
 
 
 def test_zero_slice_schedule():
-    # The vacuum preparation alone: no slice, one boundary at y_i.
+    # The vacuum preparation alone: no slice.
     sched = build_schedule(ModeParams(x=2.0, n_steps=0))
-    assert (len(sched), sched.switch, sched.boundaries().tolist()) == (0, 0, [-80.0])
+    assert (len(sched), sched.switch) == (0, 0)
     assert [c.shape for c in sched.columns()] == [(0,)] * 4
 
 
@@ -274,7 +275,7 @@ def test_adiabatic_flat_space_limit():
 
 def test_boundaries_bracket_midpoints():
     sched = build_schedule(ModeParams(x=2.0, n_steps=7))
-    bounds = sched.boundaries()
+    bounds = sched.params.y_i + np.arange(len(sched) + 1) * sched.dy
     assert len(bounds) == 8
     assert bounds[0] == -80.0 and bounds[-1] == pytest.approx(0.0)
     for n, y_mid in enumerate(sched.columns()[0]):

@@ -381,6 +381,19 @@ def _full_polynomial():
             statevector._slice_map.cache_clear()
 
 
+def _compiled_unitaries(template, angles) -> np.ndarray:
+    """(slices, 16, 16) stack of `template`'s compiled slice maps at rows of
+    its RZ angles, every entry evaluated as `_block_entries` evaluates its four."""
+    out, inn, refs, powers, coeffs = statevector._slice_map(template)
+    phases = np.exp(0.5j * angles[:, refs, None] * powers.T).prod(axis=1)
+    u = phases[:, :1] * coeffs[0]
+    for t in range(1, len(coeffs)):
+        u += phases[:, t:t + 1] * coeffs[t]
+    u = u.reshape(-1, 16, 16)
+    return (statevector._diagonal(angles, *out)[:, :, None] * u
+            * statevector._diagonal(angles, *inn)[:, None, :])
+
+
 def _max_amplitude_diff(sched) -> float:
     fused = run_schedule(sched)
     gatewise = run_circuit(build_full_circuit(sched))
@@ -425,18 +438,38 @@ class TestRunSchedule:
     )
     def test_blocks_match_instantiated_template(self, with_pair, thetas):
         template = step_template(with_pair)
-        angles = template.rz_angles(thetas)
-        blocks = statevector._slice_unitaries(template, angles)
-        for block, row in zip(blocks, angles.tolist()):
-            gatewise = circuit_unitary(template.instantiate(row))
-            assert np.max(np.abs(block - gatewise)) < 1e-14
+        self._assert_blocks_match(template, template.rz_angles(thetas))
 
     @staticmethod
-    def _assert_blocks_match(template):
-        angles = template.rz_angles([[0.3, -0.7], [1.1, 0.05]])
-        for block, row in zip(statevector._slice_unitaries(template, angles), angles.tolist()):
+    def _assert_blocks_match(template, angles=None):
+        # The compiled maps on all 256 entries, and the (vacuum, pair) entries
+        # that `run_schedule` computes, bit for bit those of the full maps.
+        if angles is None:
+            angles = template.rz_angles([[0.3, -0.7], [1.1, 0.05]])
+        maps = _compiled_unitaries(template, angles)
+        for u, row in zip(maps, angles.tolist()):
             gatewise = circuit_unitary(template.instantiate(row))
-            assert np.max(np.abs(block - gatewise)) < 1e-14
+            assert np.max(np.abs(u - gatewise)) < 1e-14
+        block = maps[:, [5, 5, 10, 10], [5, 10, 5, 10]].T
+        assert statevector._block_entries(template, angles).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("with_pair", [True, False])
+    def test_block_is_decoupled_in_the_compiled_map(self, with_pair):
+        # The premise of `run_schedule`: every coefficient coupling the
+        # (vacuum, pair) block to the other 14 states is rounding residue,
+        # at most 3.3e-31, and exactly 0 for the radiation shape.  The edge
+        # diagonals are phases, so the slice maps couple no more than that.
+        template = step_template(with_pair)
+        _, _, _, _, coeffs = statevector._slice_map(template)
+        in_block = np.isin(np.arange(16), [0b0101, 0b1010])
+        cross = in_block[:, None] != in_block[None, :]  # the 2 * 2 * 14 couplings
+        coupling = np.abs(coeffs.reshape(-1, 16, 16)[:, cross])
+        assert coupling.sum(axis=0).max() <= 1e-30
+        maps = _compiled_unitaries(template, template.rz_angles([[0.3, -0.7], [1.1, 0.05]]))
+        leak = np.abs(maps[:, cross])
+        assert leak.max() <= 1e-30
+        if not with_pair:
+            assert not np.any(coupling) and not np.any(leak)
 
     def test_segments_of_permuting_runs(self):
         # The real templates open with an RZ; this one opens with a fixed
